@@ -50,11 +50,11 @@ func trajectoryProbes() []trajectoryProbe {
 			if err != nil {
 				return nil, err
 			}
-			a := core.Analysis{T: t, Params: params}
-			res, err := prog.VerifyContext(ctx, a)
+			query := prog.VerifyContext
 			if witness {
-				res, err = prog.FindWitnessContext(ctx, a)
+				query = prog.FindWitnessContext
 			}
+			res, err := query(ctx, core.Analysis{T: t, Params: params})
 			if err != nil {
 				return nil, err
 			}

@@ -52,47 +52,25 @@ func (s *absState) clone() *absState {
 	return c
 }
 
-func joinStates(a, b *absState) *absState {
-	if a.infeasible {
-		return b
-	}
+// absorb joins b into s in place and reports whether s changed. s must
+// be feasible; an infeasible b contributes nothing.
+func (s *absState) absorb(b *absState) bool {
 	if b.infeasible {
-		return a
-	}
-	j := a.clone()
-	for k, v := range b.vars {
-		j.vars[k] = join(j.vars[k], v)
-	}
-	for k, v := range b.bufs {
-		j.bufs[k] = join(j.bufs[k], v)
-	}
-	for k, v := range b.lists {
-		j.lists[k] = join(j.lists[k], v)
-	}
-	return j
-}
-
-func (s *absState) equal(o *absState) bool {
-	if s.infeasible != o.infeasible || len(s.vars) != len(o.vars) ||
-		len(s.bufs) != len(o.bufs) || len(s.lists) != len(o.lists) {
 		return false
 	}
-	for k, v := range s.vars {
-		if o.vars[k] != v {
-			return false
+	changed := false
+	joinMap := func(dst, src map[string]ival) {
+		for k, v := range src {
+			old, ok := dst[k]
+			if j := join(old, v); !ok || j != old {
+				dst[k], changed = j, true
+			}
 		}
 	}
-	for k, v := range s.bufs {
-		if o.bufs[k] != v {
-			return false
-		}
-	}
-	for k, v := range s.lists {
-		if o.lists[k] != v {
-			return false
-		}
-	}
-	return true
+	joinMap(s.vars, b.vars)
+	joinMap(s.bufs, b.bufs)
+	joinMap(s.lists, b.lists)
+	return changed
 }
 
 // agg aggregates one syntactic site's evaluations across all unrolled
@@ -539,8 +517,10 @@ func (a *analyzer) execIf(n *ast.If, st *absState) {
 	case triFalse:
 		a.execBlock(n.Else, st)
 	default:
+		// st is overwritten by the join below, so the else branch runs on
+		// it and only the then branch needs a copy.
 		thenSt := st.clone()
-		elseSt := st.clone()
+		elseSt := st
 		a.depth++
 		if a.refine(thenSt, n.Cond, true) {
 			a.execBlock(n.Then, thenSt)
@@ -553,11 +533,10 @@ func (a *analyzer) execIf(n *ast.If, st *absState) {
 			elseSt.infeasible = true
 		}
 		a.depth--
-		j := joinStates(thenSt, elseSt)
-		if thenSt.infeasible && elseSt.infeasible {
-			j = thenSt
+		if !thenSt.infeasible || elseSt.infeasible {
+			thenSt.absorb(elseSt)
+			*st = *thenSt
 		}
-		*st = *j
 	}
 }
 
@@ -596,37 +575,35 @@ func (a *analyzer) execFor(n *ast.For, st *absState) {
 	}
 	a.loopVars[n.Var] = iv
 	a.depth++
-	prev := st.clone()
+	// st is never infeasible here (execBlock skips infeasible states), so
+	// each iteration joins the body's effect into it in place.
 	for iter := 0; ; iter++ {
-		body := prev.clone()
+		body := st.clone()
 		a.execBlock(n.Body, body)
-		next := joinStates(prev, body)
-		if next.equal(prev) {
+		if !st.absorb(body) {
 			break
 		}
 		if iter >= maxFixIters {
 			// Force a post-fixpoint: top is absorbing under join.
-			for k := range prev.vars {
-				prev.vars[k] = a.d.top()
+			for k := range st.vars {
+				st.vars[k] = a.d.top()
 			}
-			for k := range prev.bufs {
+			for k := range st.bufs {
 				cap := a.capOfKey(k)
-				prev.bufs[k] = ival{0, cap}
+				st.bufs[k] = ival{0, cap}
 			}
-			for k := range prev.lists {
+			for k := range st.lists {
 				hi := a.d.max
 				if a.listCap >= 0 {
 					hi = a.listCap
 				}
-				prev.lists[k] = ival{0, hi}
+				st.lists[k] = ival{0, hi}
 			}
 			break
 		}
-		prev = next
 	}
 	a.depth--
 	delete(a.loopVars, n.Var)
-	*st = *prev
 }
 
 func (a *analyzer) capOfKey(key string) int64 {

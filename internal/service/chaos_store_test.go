@@ -131,7 +131,7 @@ func TestChaosStoreBitRot(t *testing.T) {
 	// Bypass the memory tier (which still holds the good copy) and read
 	// the disk tier directly: the checksum must reject the rotted entry.
 	key := fqWitnessReq(6).CacheKey()
-	if _, ok := e.store.Get(key); ok {
+	if _, ok := e.cache.store.Get(key); ok {
 		t.Fatal("bit-rotted entry served by the disk tier")
 	}
 	st := e.Metrics().Store

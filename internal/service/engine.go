@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,10 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"buffy/internal/backend/smtbe"
-	"buffy/internal/core"
 	"buffy/internal/faultinject"
-	"buffy/internal/session"
 	"buffy/internal/smt/sat"
 	"buffy/internal/store"
 	"buffy/internal/telemetry"
@@ -59,6 +55,9 @@ type Job struct {
 	ID  string
 	Req *Request
 
+	// key is Req's CacheKey, hashed once at submit; the worker caches the
+	// answer under it.
+	key    string
 	engine *Engine
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -222,8 +221,8 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker (default 64). Beyond
 	// it Submit returns ErrQueueFull.
 	QueueDepth int
-	// CacheEntries bounds the LRU result cache (default 256; negative
-	// disables caching).
+	// CacheEntries bounds the in-memory LRU result cache (default 256;
+	// negative disables the memory tier, leaving Store as the only one).
 	CacheEntries int
 	// DefaultTimeout is the per-job deadline when a request does not set
 	// one (default 60s; negative means no deadline).
@@ -314,21 +313,12 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cfg      Config
 	queue    chan *Job
-	cache    *cache
+	cache    *resultCache
 	met      *metrics
 	admit    *admission
 	log      *slog.Logger
 	traces   *traceRing
 	sessions *sessionPool
-
-	// Durable second cache tier (nil when not configured). Writes ride a
-	// bounded queue drained by a single writer goroutine so disk latency
-	// never blocks a solver worker; a full queue drops the write (the
-	// answer is still cached in memory) and counts it.
-	store     *store.Store
-	storeQ    chan storeWrite
-	storeWG   sync.WaitGroup
-	storeOnce sync.Once
 
 	draining atomic.Bool
 
@@ -352,7 +342,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		queue:      make(chan *Job, cfg.QueueDepth),
-		cache:      newCache(cfg.CacheEntries),
+		cache:      newResultCache(cfg.CacheEntries, cfg.Store, cfg.Logger),
 		met:        met,
 		admit:      newAdmission(),
 		log:        cfg.Logger,
@@ -361,12 +351,6 @@ func New(cfg Config) *Engine {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
-	}
-	if cfg.Store != nil {
-		e.store = cfg.Store
-		e.storeQ = make(chan storeWrite, 256)
-		e.storeWG.Add(1)
-		go e.storeWriter()
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -384,44 +368,22 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 		return nil, err
 	}
 	key := req.CacheKey()
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	// A closed engine refuses before touching the cache, so refused
+	// requests never read the store or count as hits.
+	if e.Closed() {
 		return nil, ErrClosed
 	}
-	if cached, ok := e.cache.get(key); ok {
-		job := e.serveCachedLocked(req, cached, CacheTierMemory)
-		e.mu.Unlock()
-		return job, nil
-	}
-	e.mu.Unlock()
-
-	// Disk read-through runs outside the engine lock: a store Get is real
+	// The lookup runs outside the engine lock: a disk read-through is real
 	// I/O (read + checksum) and must not serialize submissions.
-	if cached, ok := e.storeGet(key); ok {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return nil, ErrClosed
-		}
-		tier := CacheTierDisk
-		if mem, ok := e.cache.get(key); ok {
-			// A racing identical submit promoted the entry while we read
-			// the disk; serve the memory copy.
-			cached, tier = mem, CacheTierMemory
-		} else {
-			e.cache.put(key, cached)
-		}
-		job := e.serveCachedLocked(req, cached, tier)
-		e.mu.Unlock()
-		return job, nil
-	}
+	cached, tier, hit := e.cache.get(key)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrClosed
+	}
+	if hit {
+		return e.serveCachedLocked(req, cached, tier), nil
 	}
 
 	// Deadline-aware admission: with queueLen jobs already waiting for
@@ -446,6 +408,7 @@ func (e *Engine) Submit(req *Request) (*Job, error) {
 	}
 
 	job := e.newJobLocked(req)
+	job.key = key
 	select {
 	case e.queue <- job:
 	default:
@@ -486,75 +449,6 @@ func (e *Engine) serveCachedLocked(req *Request, cached *Result, tier string) *J
 	return job
 }
 
-// storeGet reads a result through the durable tier. The store has
-// already verified checksum and pipeline fingerprint; what remains is
-// semantic validation of the decoded payload — an entry that is
-// bit-exact yet undecodable or inconclusive is quarantined, never
-// served.
-func (e *Engine) storeGet(key string) (*Result, bool) {
-	if e.store == nil {
-		return nil, false
-	}
-	payload, ok := e.store.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var res Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		e.store.Quarantine(key, "decode")
-		return nil, false
-	}
-	if !res.conclusive() {
-		e.store.Quarantine(key, "inconclusive")
-		return nil, false
-	}
-	// The promoted copy re-enters the memory tier as a fresh answer; the
-	// serving path stamps CacheHit/CacheTier per response.
-	res.CacheHit = false
-	res.CacheTier = ""
-	return &res, true
-}
-
-// storeWrite is one pending write-behind: a cache key and its
-// JSON-encoded conclusive Result.
-type storeWrite struct {
-	key     string
-	payload []byte
-}
-
-// storePutAsync hands a conclusive result to the store writer without
-// blocking the solver worker. A full write queue drops the write — the
-// answer stays served from memory; only restart warmth is lost — and
-// counts the drop.
-func (e *Engine) storePutAsync(key string, res *Result) {
-	if e.store == nil {
-		return
-	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		e.met.storeDropped.Add(1)
-		e.log.Warn("store write dropped: result not serializable", "key", key, "err", err.Error())
-		return
-	}
-	select {
-	case e.storeQ <- storeWrite{key: key, payload: payload}:
-	default:
-		e.met.storeDropped.Add(1)
-	}
-}
-
-// storeWriter drains the write-behind queue. Write failures (full disk,
-// read-only store) are logged and counted by the store; the in-memory
-// answer the client already received is unaffected.
-func (e *Engine) storeWriter() {
-	defer e.storeWG.Done()
-	for w := range e.storeQ {
-		if err := e.store.Put(w.key, w.payload); err != nil {
-			e.log.Warn("store write failed", "key", w.key, "err", err.Error())
-		}
-	}
-}
-
 func (e *Engine) newJobLocked(req *Request) *Job {
 	e.nextID++
 	ctx, cancel := context.WithCancel(e.baseCtx)
@@ -574,7 +468,7 @@ func (e *Engine) newJobLocked(req *Request) *Job {
 		job.recorder = sat.NewSearchRecorder()
 		job.progress.SetRecorder(job.recorder)
 	}
-	if req.Kind == KindSweep {
+	if kinds[req.Kind].streams {
 		job.verdicts = make(chan SweepVerdict, MaxHorizon+1)
 	}
 	e.jobs[job.ID] = job
@@ -626,11 +520,8 @@ func (e *Engine) Job(id string) (*Job, bool) {
 func (e *Engine) Metrics() Snapshot {
 	live, bytes := e.sessions.stats()
 	s := e.met.snapshot(len(e.queue), e.cfg.Workers, e.cache.len(), live, bytes)
-	if e.store != nil {
-		s.Store = &StoreSnapshot{
-			Stats:   e.store.Stats(),
-			Dropped: e.met.storeDropped.Load(),
-		}
+	if st := e.cache.store; st != nil {
+		s.Store = &StoreSnapshot{Stats: st.Stats(), Dropped: e.cache.dropped.Load()}
 	}
 	if e.cfg.Exporter != nil {
 		ex := e.cfg.Exporter.Stats()
@@ -665,16 +556,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		<-drained
 		err = ctx.Err()
 	}
-	// Workers are gone, so no new write-behinds can arrive: flush what is
-	// queued and close the store so the entry set is durable for the next
-	// process. Guarded for repeated Shutdown calls.
-	e.storeOnce.Do(func() {
-		if e.store != nil {
-			close(e.storeQ)
-			e.storeWG.Wait()
-			e.store.Close()
-		}
-	})
+	// Workers are gone, so no new write-behinds can arrive.
+	e.cache.close()
 	e.sessions.closeAll()
 	return err
 }
@@ -716,6 +599,7 @@ func (e *Engine) runJob(job *Job) {
 	// attempts; the cache key stays the original request's.
 	eff := *job.Req
 	req := &eff
+	spec := kinds[req.Kind]
 
 	start := time.Now()
 	var (
@@ -737,24 +621,13 @@ func (e *Engine) runJob(job *Job) {
 			actx, asp = telemetry.StartSpan(ctx, "attempt")
 			asp.SetAttrs(telemetry.Int("n", int64(attempt)), telemetry.String("degraded", degraded))
 		}
-		if req.Kind == KindSweep {
-			res, err = e.runSweepSafe(actx, job, req)
-		} else {
-			res, err = runAnalysisSafe(actx, req, job.progress)
-		}
+		res, err = runAttempt(actx, spec, job, req)
 		asp.End()
 		class, reason = classify(res, err)
 		if strings.HasPrefix(reason, "budget-") {
 			e.met.recordBudget(strings.TrimPrefix(reason, "budget-"))
 		}
-		if req.Kind == KindSweep {
-			// Sweeps sit outside the retry ladder: their verdicts already
-			// streamed to the client, so a re-run would replay horizons the
-			// reader has seen (and the degradation ladder's knobs would
-			// change the session fingerprint mid-stream anyway).
-			break
-		}
-		if class != failTransient || attempt > e.cfg.MaxRetries {
+		if !spec.retries || class != failTransient || attempt > e.cfg.MaxRetries {
 			break
 		}
 		e.met.recordRetry(reason)
@@ -782,6 +655,11 @@ func (e *Engine) runJob(job *Job) {
 		}
 	}
 	elapsed := time.Since(start)
+	if job.verdicts != nil {
+		// However the attempt ended, the stream closes: the streaming
+		// handler's read loop must never outlive the worker.
+		close(job.verdicts)
+	}
 	jobSpan.SetAttrs(telemetry.Int("attempts", int64(attempt)))
 	jobSpan.End()
 
@@ -821,9 +699,7 @@ func (e *Engine) runJob(job *Job) {
 			res.Search = rep
 		}
 		if res.conclusive() {
-			key := job.Req.CacheKey()
-			e.cache.put(key, res)
-			e.storePutAsync(key, res)
+			e.cache.put(job.key, res)
 		}
 		job.finishFromWorker(StateDone, res, nil)
 	case failCanceled:
@@ -881,136 +757,6 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// runAnalysisSafe shields the worker pool from panics escaping the
-// analysis stack: Validate should reject anything that can panic, but a
-// panic that slips through must fail one job, not crash the service. The
-// recovered panic is wrapped in ErrAnalysisPanic so the failure taxonomy
-// can classify it as transient.
-func runAnalysisSafe(ctx context.Context, req *Request, prog *sat.Progress) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%w: %v", ErrAnalysisPanic, r)
-		}
-	}()
-	faultinject.Do(ctx, faultinject.PointAllocPressure)
-	faultinject.Do(ctx, faultinject.PointSolverStall)
-	faultinject.Do(ctx, faultinject.PointWorkerPanic)
-	return runAnalysis(ctx, req, prog)
-}
-
-// runSweepSafe is runSweep behind the worker-pool panic shield, with the
-// guarantee that the job's verdict stream closes however the sweep ends —
-// the streaming handler's read loop must never outlive the worker.
-func (e *Engine) runSweepSafe(ctx context.Context, job *Job, req *Request) (res *Result, err error) {
-	defer close(job.verdicts)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%w: %v", ErrAnalysisPanic, r)
-		}
-	}()
-	faultinject.Do(ctx, faultinject.PointAllocPressure)
-	faultinject.Do(ctx, faultinject.PointSolverStall)
-	faultinject.Do(ctx, faultinject.PointWorkerPanic)
-	return e.runSweep(ctx, job, req)
-}
-
-// runSweep answers a sweep request on a pooled warm session: acquire (or
-// single-flight build) the session for the request's fingerprint, then
-// deepen 1..max_t by assumption-based re-solve, streaming each horizon's
-// verdict to the job as it lands. A program whose encoding cannot be
-// shared across horizons (session.ErrConstHorizon) sweeps cold; a session
-// evicted mid-sweep degrades the remaining horizons to cold solves.
-func (e *Engine) runSweep(ctx context.Context, job *Job, req *Request) (*Result, error) {
-	_, psp := telemetry.StartSpan(ctx, "parse")
-	prog, err := core.Parse(req.Source)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	maxT := req.effMaxT()
-	a := req.analysis()
-	a.T = maxT // session capacity; also what the pre-solve vet gate sees
-	a.Progress = job.progress
-	mode := smtbe.Verify
-	if req.SweepMode == "witness" {
-		mode = smtbe.Witness
-	}
-	sess, release, hit, err := e.sessions.acquire(ctx, req.SessionKey(), func() (*session.Session, error) {
-		return prog.NewSession(a, maxT)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sr, err := prog.SweepWithSession(ctx, sess, a, core.SweepOptions{
-		MaxT: maxT, Mode: mode,
-		OnVerdict: func(v session.Verdict) {
-			job.sendVerdict(SweepVerdict{
-				T: v.T, Status: v.Status.String(), Warm: v.Warm,
-				DurationUS: v.Duration.Microseconds(), Conflicts: v.Conflicts,
-			})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resultFromSweep(sr, hit), nil
-}
-
-// runAnalysis executes one request through the core facade's
-// context-aware entry points.
-func runAnalysis(ctx context.Context, req *Request, progress *sat.Progress) (*Result, error) {
-	_, psp := telemetry.StartSpan(ctx, "parse")
-	prog, err := core.Parse(req.Source)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	a := req.analysis()
-	a.Progress = progress
-	switch req.Kind {
-	case KindVerify:
-		if req.Portfolio > 1 {
-			pr, err := prog.VerifyPortfolioContext(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			return resultFromPortfolio(KindVerify, req.Portfolio, pr), nil
-		}
-		r, err := prog.VerifyContext(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return resultFromCheck(KindVerify, r), nil
-	case KindWitness:
-		if req.Portfolio > 1 {
-			pr, err := prog.FindWitnessPortfolioContext(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			return resultFromPortfolio(KindWitness, req.Portfolio, pr), nil
-		}
-		r, err := prog.FindWitnessContext(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return resultFromCheck(KindWitness, r), nil
-	case KindSynthesize:
-		r, err := prog.SynthesizeWorkloadContext(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return resultFromSynth(r), nil
-	case KindBound:
-		r, err := prog.BoundContext(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return resultFromBound(r), nil
-	}
-	return nil, fmt.Errorf("service: unknown kind %q", req.Kind)
 }
 
 func (e *Engine) noteFinished(id string) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,6 +235,13 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d: invalid request accepted", i)
 		}
 	}
+	// The unknown-kind error lists every kind the table knows.
+	_, err := e.Submit(&Request{Kind: "frobnicate", Source: "x"})
+	for kind := range kinds {
+		if err == nil || !strings.Contains(err.Error(), string(kind)) {
+			t.Errorf("unknown-kind error %v does not name %q", err, kind)
+		}
+	}
 }
 
 func TestParseErrorFailsJob(t *testing.T) {
@@ -435,24 +443,5 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		if req.CacheKey() == base.CacheKey() {
 			t.Errorf("case %d: differing request shares the cache key", i)
 		}
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := newCache(2)
-	c.put("a", &Result{Status: "a"})
-	c.put("b", &Result{Status: "b"})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	c.put("c", &Result{Status: "c"}) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should survive (recently used)")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"buffy/internal/smt/sat"
 )
 
 // StatusClientClosedRequest mirrors nginx's non-standard 499: the client
@@ -18,12 +20,14 @@ const StatusClientClosedRequest = 499
 // maxRequestBody bounds request JSON (programs are small; 4 MiB is ample).
 const maxRequestBody = 4 << 20
 
-// NewHandler returns the buffy-serve HTTP API:
+// NewHandler returns the buffy-serve HTTP API, one POST route per entry
+// of the kind table plus the read-only views:
 //
 //	POST /v1/verify             run a BMC verify            (body: Request JSON)
 //	POST /v1/witness            find a query witness trace
 //	POST /v1/synthesize         synthesize a workload
 //	POST /v1/bound              network-calculus delay/backlog bounds
+//	POST /v1/sweep              minimal-horizon sweep (see below)
 //	POST /v1/vet                static analysis only: diagnostics + static verdict
 //	GET  /v1/jobs/{id}          poll a job
 //	GET  /v1/jobs/{id}/trace    the job's span tree (live or finished)
@@ -48,11 +52,9 @@ const maxRequestBody = 4 << 20
 // handler returns 202 and a job ID to poll instead.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/verify", submitHandler(e, KindVerify))
-	mux.HandleFunc("POST /v1/witness", submitHandler(e, KindWitness))
-	mux.HandleFunc("POST /v1/synthesize", submitHandler(e, KindSynthesize))
-	mux.HandleFunc("POST /v1/bound", submitHandler(e, KindBound))
-	mux.HandleFunc("POST /v1/sweep", sweepHandler(e))
+	for kind := range kinds {
+		mux.HandleFunc("POST /v1/"+string(kind), submitHandler(e, kind))
+	}
 	mux.HandleFunc("POST /v1/vet", vetHandler(e))
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := e.Job(r.PathValue("id"))
@@ -87,39 +89,25 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", id))
 			return
 		}
-		// Live (or just-finished) jobs build the report from their
-		// recorder; cache-hit jobs have no recorder but carry the original
-		// solve's report inside the cached result.
-		if rec := job.SearchRecorder(); rec != nil {
-			rep := rec.Report()
-			if res, _ := job.Result(); res != nil {
-				// Terminal job: prefer the result's attached report — it
-				// carries the winner annotation (and is byte-identical to
-				// what the cache tiers serve).
-				if res.Search != nil {
-					rep = res.Search
-				}
-			}
-			if rep.Totals.Solves == 0 {
-				writeError(w, http.StatusNotFound, fmt.Errorf("job %q ran no solver (static tier, netcalc, or not started)", id))
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":     job.ID,
-				"state":  job.State(),
-				"search": rep,
-			})
-			return
-		}
+		// A terminal job's result carries the report with the winner
+		// annotation (byte-identical to what the cache tiers serve, and
+		// the only one a cache-hit job has); a live job builds it from its
+		// recorder.
+		var rep *sat.SearchReport
 		if res, _ := job.Result(); res != nil && res.Search != nil {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":     job.ID,
-				"state":  job.State(),
-				"search": res.Search,
-			})
+			rep = res.Search
+		} else if rec := job.SearchRecorder(); rec != nil {
+			rep = rec.Report()
+		}
+		if rep == nil || rep.Totals.Solves == 0 {
+			writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no search report (static tier, netcalc, not started, cache hit without one, or tracing disabled)", id))
 			return
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no search report (cache hit without one, static tier, or tracing disabled)", id))
+		writeJSON(w, http.StatusOK, map[string]any{
+			"id":     job.ID,
+			"state":  job.State(),
+			"search": rep,
+		})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -180,18 +168,35 @@ func NewHandler(e *Engine) http.Handler {
 	return mux
 }
 
+// decodeRequest reads a request body for kind (the route is
+// authoritative) and runs the field checks every route shares, answering
+// 400 itself when the body is unusable.
+func decodeRequest(w http.ResponseWriter, r *http.Request, kind Kind) (*Request, bool) {
+	var req Request
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return nil, false
+	}
+	req.Kind = kind
+	if err := req.validateFields(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return &req, true
+}
+
+// submitHandler serves POST /v1/{kind}: submit the job, then answer with
+// its view once terminal, or stream its verdicts for a streaming kind.
 func submitHandler(e *Engine, kind Kind) http.HandlerFunc {
+	streams := kinds[kind].streams
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		req, ok := decodeRequest(w, r, kind)
+		if !ok {
 			return
 		}
-		req.Kind = kind // the path is authoritative
-
-		job, err := e.Submit(&req)
+		job, err := e.Submit(req)
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable), errors.Is(err, ErrClosed):
 			// Shed load with a data-driven hint: queue backlog divided
@@ -207,6 +212,10 @@ func submitHandler(e *Engine, kind Kind) http.HandlerFunc {
 		if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
 			w.Header().Set("Location", "/v1/jobs/"+job.ID)
 			writeJSON(w, http.StatusAccepted, viewOf(job))
+			return
+		}
+		if streams {
+			streamVerdicts(w, r, job)
 			return
 		}
 
@@ -234,93 +243,65 @@ type sweepLine struct {
 	Done    *JobView      `json:"done,omitempty"`
 }
 
-// sweepHandler serves POST /v1/sweep: submit a sweep job and stream its
-// per-horizon verdicts as NDJSON while the worker deepens, finishing with
-// the terminal job view. Cache hits replay their verdicts from the cached
-// result so the wire shape is identical either way.
-func sweepHandler(e *Engine) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
+// streamVerdicts answers a streaming job as NDJSON: its per-horizon
+// verdicts while the worker deepens, then the terminal job view. Cache
+// hits replay their verdicts from the cached result so the wire shape is
+// identical either way.
+func streamVerdicts(w http.ResponseWriter, r *http.Request, job *Job) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	writeLine := func(line sweepLine) {
+		enc.Encode(line)
+		if flusher != nil {
+			flusher.Flush()
 		}
-		req.Kind = KindSweep
+	}
 
-		job, err := e.Submit(&req)
-		switch {
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable), errors.Is(err, ErrClosed):
-			w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-
-		if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
-			w.Header().Set("Location", "/v1/jobs/"+job.ID)
-			writeJSON(w, http.StatusAccepted, viewOf(job))
-			return
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		writeLine := func(line sweepLine) {
-			enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-
-		// Cache hits carry no stream; replay the cached verdicts so clients
-		// see the same line protocol.
-		ch := job.Verdicts()
-	stream:
-		for ch != nil {
-			select {
-			case v, ok := <-ch:
-				if !ok {
-					break stream
-				}
-				writeLine(sweepLine{Verdict: &v})
-			case <-job.Done():
-				// Canceled while queued (the worker never ran, so the
-				// channel never closes): drain whatever is buffered.
-				for {
-					select {
-					case v, ok := <-ch:
-						if ok {
-							writeLine(sweepLine{Verdict: &v})
-							continue
-						}
-					default:
-					}
-					break stream
-				}
-			case <-r.Context().Done():
-				job.Cancel()
-				return
-			}
-		}
+	// Cache hits carry no stream; replay the cached verdicts so clients
+	// see the same line protocol.
+	ch := job.Verdicts()
+stream:
+	for ch != nil {
 		select {
+		case v, ok := <-ch:
+			if !ok {
+				break stream
+			}
+			writeLine(sweepLine{Verdict: &v})
 		case <-job.Done():
+			// Canceled while queued (the worker never ran, so the
+			// channel never closes): drain whatever is buffered.
+			for {
+				select {
+				case v, ok := <-ch:
+					if ok {
+						writeLine(sweepLine{Verdict: &v})
+						continue
+					}
+				default:
+				}
+				break stream
+			}
 		case <-r.Context().Done():
 			job.Cancel()
 			return
 		}
-		if res, _ := job.Result(); res != nil && res.CacheHit {
-			for i := range res.Verdicts {
-				writeLine(sweepLine{Verdict: &res.Verdicts[i]})
-			}
-		}
-		view := viewOf(job)
-		writeLine(sweepLine{Done: &view})
 	}
+	select {
+	case <-job.Done():
+	case <-r.Context().Done():
+		job.Cancel()
+		return
+	}
+	if res, _ := job.Result(); res != nil && res.CacheHit {
+		for i := range res.Verdicts {
+			writeLine(sweepLine{Verdict: &res.Verdicts[i]})
+		}
+	}
+	view := viewOf(job)
+	writeLine(sweepLine{Done: &view})
 }
 
 // statusOf maps a terminal job to its HTTP status via the failure

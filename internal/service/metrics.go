@@ -3,7 +3,9 @@ package service
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,16 +25,43 @@ type StoreSnapshot struct {
 // latencyBuckets are the cumulative-histogram upper bounds (seconds) for
 // solve latency, chosen to straddle the sub-second interactive regime and
 // the multi-second heavy-solve regime.
-var latencyBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+var latencyBuckets = [...]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+
+// histogram is a cumulative latency histogram over latencyBuckets. The
+// zero value is empty and ready; callers hold the lock that guards it.
+type histogram struct {
+	count    int64
+	sumNanos int64
+	buckets  [len(latencyBuckets)]int64 // cumulative counts per bound
+}
+
+func (h *histogram) observe(d time.Duration) {
+	h.count++
+	h.sumNanos += d.Nanoseconds()
+	secs := d.Seconds()
+	for i, bound := range latencyBuckets {
+		if secs <= bound {
+			h.buckets[i]++
+		}
+	}
+}
+
+// snapshot returns the count, the sum in seconds, and the buckets keyed
+// "le_<bound>" as Snapshot carries them.
+func (h *histogram) snapshot() (int64, float64, map[string]int64) {
+	buckets := make(map[string]int64, len(latencyBuckets))
+	for i, bound := range latencyBuckets {
+		buckets[fmt.Sprintf("le_%g", bound)] = h.buckets[i]
+	}
+	return h.count, float64(h.sumNanos) / 1e9, buckets
+}
 
 // metrics aggregates engine-wide counters. All fields are updated with
 // atomics except the latency histogram, which takes a short mutex.
 type metrics struct {
-	submittedVerify     atomic.Int64
-	submittedWitness    atomic.Int64
-	submittedSynthesize atomic.Int64
-	submittedBound      atomic.Int64
-	submittedSweep      atomic.Int64
+	// submitted has one counter per entry of the kind table; the map
+	// itself is never written after newMetrics.
+	submitted map[Kind]*atomic.Int64
 
 	completed atomic.Int64 // jobs that produced a conclusive or unknown result
 	failed    atomic.Int64 // jobs that errored (parse/type/compile errors, deadline)
@@ -60,11 +89,6 @@ type metrics struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	// Write-behinds dropped before reaching the durable store (full
-	// write queue or unserializable result); the store's own counters
-	// cover everything that reached it.
-	storeDropped atomic.Int64
-
 	// Spans lost to per-trace caps across all finished jobs: nonzero
 	// means -trace-spans is undersized for the workload and trace trees
 	// are silently incomplete.
@@ -87,44 +111,39 @@ type metrics struct {
 	satPropagations atomic.Int64
 	satRestarts     atomic.Int64
 
-	latMu       sync.Mutex
-	latCount    int64
-	latSumNanos int64
-	latBuckets  []int64 // cumulative counts per latencyBuckets bound
+	latMu sync.Mutex
+	solve histogram
 
 	// Portfolio telemetry: which config won each race, and the race's
 	// end-to-end wall clock (same bounds as the solve histogram).
-	portMu       sync.Mutex
-	portWins     map[string]int64
-	portCount    int64
-	portSumNanos int64
-	portBuckets  []int64
+	portMu    sync.Mutex
+	portWins  map[string]int64
+	portfolio histogram
 
 	// Per-stage histograms derived from finished traces: stage name
 	// (parse, compile, encode, bitblast, search, ...) → latency histogram
 	// over the solve buckets.
-	stageMu       sync.Mutex
-	stageCount    map[string]int64
-	stageSumNanos map[string]int64
-	stageBuckets  map[string][]int64
+	stageMu sync.Mutex
+	stages  map[string]*histogram
 
 	start time.Time
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		evictionsBy:   make(map[string]int64),
-		latBuckets:    make([]int64, len(latencyBuckets)),
-		portWins:      make(map[string]int64),
-		portBuckets:   make([]int64, len(latencyBuckets)),
-		failedBy:      make(map[string]int64),
-		retriesBy:     make(map[string]int64),
-		budgetBy:      make(map[string]int64),
-		stageCount:    make(map[string]int64),
-		stageSumNanos: make(map[string]int64),
-		stageBuckets:  make(map[string][]int64),
-		start:         time.Now(),
+	m := &metrics{
+		submitted:   make(map[Kind]*atomic.Int64, len(kinds)),
+		evictionsBy: make(map[string]int64),
+		portWins:    make(map[string]int64),
+		failedBy:    make(map[string]int64),
+		retriesBy:   make(map[string]int64),
+		budgetBy:    make(map[string]int64),
+		stages:      make(map[string]*histogram),
+		start:       time.Now(),
 	}
+	for k := range kinds {
+		m.submitted[k] = new(atomic.Int64)
+	}
+	return m
 }
 
 // recordStages folds one finished trace's per-stage durations (the sum of
@@ -137,19 +156,12 @@ func (m *metrics) recordStages(stages map[string]time.Duration) {
 	}
 	m.stageMu.Lock()
 	for name, d := range stages {
-		m.stageCount[name]++
-		m.stageSumNanos[name] += d.Nanoseconds()
-		b := m.stageBuckets[name]
-		if b == nil {
-			b = make([]int64, len(latencyBuckets))
-			m.stageBuckets[name] = b
+		h := m.stages[name]
+		if h == nil {
+			h = new(histogram)
+			m.stages[name] = h
 		}
-		secs := d.Seconds()
-		for i, bound := range latencyBuckets {
-			if secs <= bound {
-				b[i]++
-			}
-		}
+		h.observe(d)
 	}
 	m.stageMu.Unlock()
 }
@@ -184,20 +196,7 @@ func (m *metrics) recordBudget(resource string) {
 	m.labMu.Unlock()
 }
 
-func (m *metrics) recordSubmit(kind Kind) {
-	switch kind {
-	case KindVerify:
-		m.submittedVerify.Add(1)
-	case KindWitness:
-		m.submittedWitness.Add(1)
-	case KindSynthesize:
-		m.submittedSynthesize.Add(1)
-	case KindBound:
-		m.submittedBound.Add(1)
-	case KindSweep:
-		m.submittedSweep.Add(1)
-	}
-}
+func (m *metrics) recordSubmit(kind Kind) { m.submitted[kind].Add(1) }
 
 func (m *metrics) recordSolve(d time.Duration, stats sat.Stats) {
 	m.satConflicts.Add(stats.Conflicts)
@@ -205,15 +204,8 @@ func (m *metrics) recordSolve(d time.Duration, stats sat.Stats) {
 	m.satPropagations.Add(stats.Propagations)
 	m.satRestarts.Add(stats.Restarts)
 
-	secs := d.Seconds()
 	m.latMu.Lock()
-	m.latCount++
-	m.latSumNanos += d.Nanoseconds()
-	for i, bound := range latencyBuckets {
-		if secs <= bound {
-			m.latBuckets[i]++
-		}
-	}
+	m.solve.observe(d)
 	m.latMu.Unlock()
 }
 
@@ -223,16 +215,9 @@ func (m *metrics) recordPortfolio(winner string, d time.Duration) {
 	if winner == "" {
 		winner = "none"
 	}
-	secs := d.Seconds()
 	m.portMu.Lock()
 	m.portWins[winner]++
-	m.portCount++
-	m.portSumNanos += d.Nanoseconds()
-	for i, bound := range latencyBuckets {
-		if secs <= bound {
-			m.portBuckets[i]++
-		}
-	}
+	m.portfolio.observe(d)
 	m.portMu.Unlock()
 }
 
@@ -304,13 +289,7 @@ type Snapshot struct {
 
 func (m *metrics) snapshot(queueDepth, workers, cacheEntries, sessionsLive int, sessionBytes int64) Snapshot {
 	s := Snapshot{
-		JobsSubmitted: map[string]int64{
-			string(KindVerify):     m.submittedVerify.Load(),
-			string(KindWitness):    m.submittedWitness.Load(),
-			string(KindSynthesize): m.submittedSynthesize.Load(),
-			string(KindBound):      m.submittedBound.Load(),
-			string(KindSweep):      m.submittedSweep.Load(),
-		},
+		JobsSubmitted: make(map[string]int64, len(m.submitted)),
 		JobsCompleted: m.completed.Load(),
 		JobsFailed:    m.failed.Load(),
 		JobsCanceled:  m.canceled.Load(),
@@ -342,72 +321,35 @@ func (m *metrics) snapshot(queueDepth, workers, cacheEntries, sessionsLive int, 
 		SatRestarts:     m.satRestarts.Load(),
 
 		TraceSpansDropped: m.traceSpansDropped.Load(),
-
-		SolveBuckets: make(map[string]int64, len(latencyBuckets)),
+	}
+	for k, n := range m.submitted {
+		s.JobsSubmitted[string(k)] = n.Load()
 	}
 	if total := s.CacheHits + s.CacheMisses; total > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(total)
 	}
+	// Labeled counters are omitted from JSON while empty (omitempty drops
+	// an empty map just like a nil one).
 	m.labMu.Lock()
-	if len(m.failedBy) > 0 {
-		s.JobsFailedBy = make(map[string]int64, len(m.failedBy))
-		for k, v := range m.failedBy {
-			s.JobsFailedBy[k] = v
-		}
-	}
-	if len(m.retriesBy) > 0 {
-		s.JobRetries = make(map[string]int64, len(m.retriesBy))
-		for k, v := range m.retriesBy {
-			s.JobRetries[k] = v
-		}
-	}
-	if len(m.budgetBy) > 0 {
-		s.BudgetExhausted = make(map[string]int64, len(m.budgetBy))
-		for k, v := range m.budgetBy {
-			s.BudgetExhausted[k] = v
-		}
-	}
+	s.JobsFailedBy, s.JobRetries, s.BudgetExhausted = maps.Clone(m.failedBy), maps.Clone(m.retriesBy), maps.Clone(m.budgetBy)
 	m.labMu.Unlock()
 	m.evictMu.Lock()
-	if len(m.evictionsBy) > 0 {
-		s.SessionEvictions = make(map[string]int64, len(m.evictionsBy))
-		for k, v := range m.evictionsBy {
-			s.SessionEvictions[k] = v
-		}
-	}
+	s.SessionEvictions = maps.Clone(m.evictionsBy)
 	m.evictMu.Unlock()
 	m.latMu.Lock()
-	s.SolveCount = m.latCount
-	s.SolveSecondsSum = float64(m.latSumNanos) / 1e9
-	for i, bound := range latencyBuckets {
-		s.SolveBuckets[fmt.Sprintf("le_%g", bound)] = m.latBuckets[i]
-	}
+	s.SolveCount, s.SolveSecondsSum, s.SolveBuckets = m.solve.snapshot()
 	m.latMu.Unlock()
-	s.PortfolioWins = make(map[string]int64)
-	s.PortfolioBuckets = make(map[string]int64, len(latencyBuckets))
 	m.portMu.Lock()
-	for cfg, n := range m.portWins {
-		s.PortfolioWins[cfg] = n
-	}
-	s.PortfolioCount = m.portCount
-	s.PortfolioSecondsSum = float64(m.portSumNanos) / 1e9
-	for i, bound := range latencyBuckets {
-		s.PortfolioBuckets[fmt.Sprintf("le_%g", bound)] = m.portBuckets[i]
-	}
+	s.PortfolioWins = maps.Clone(m.portWins)
+	s.PortfolioCount, s.PortfolioSecondsSum, s.PortfolioBuckets = m.portfolio.snapshot()
 	m.portMu.Unlock()
 	m.stageMu.Lock()
-	if len(m.stageCount) > 0 {
-		s.StageCount = make(map[string]int64, len(m.stageCount))
-		s.StageSecondsSum = make(map[string]float64, len(m.stageCount))
-		s.StageBuckets = make(map[string]map[string]int64, len(m.stageCount))
-		for name, n := range m.stageCount {
-			s.StageCount[name] = n
-			s.StageSecondsSum[name] = float64(m.stageSumNanos[name]) / 1e9
-			bk := make(map[string]int64, len(latencyBuckets))
-			for i, bound := range latencyBuckets {
-				bk[fmt.Sprintf("le_%g", bound)] = m.stageBuckets[name][i]
-			}
-			s.StageBuckets[name] = bk
+	if len(m.stages) > 0 {
+		s.StageCount = make(map[string]int64, len(m.stages))
+		s.StageSecondsSum = make(map[string]float64, len(m.stages))
+		s.StageBuckets = make(map[string]map[string]int64, len(m.stages))
+		for name, h := range m.stages {
+			s.StageCount[name], s.StageSecondsSum[name], s.StageBuckets[name] = h.snapshot()
 		}
 	}
 	m.stageMu.Unlock()
@@ -426,16 +368,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-
-	fmt.Fprintf(w, "# HELP buffy_jobs_submitted_total Analysis jobs submitted, by kind.\n# TYPE buffy_jobs_submitted_total counter\n")
-	kinds := make([]string, 0, len(s.JobsSubmitted))
-	for k := range s.JobsSubmitted {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(w, "buffy_jobs_submitted_total{kind=%q} %d\n", k, s.JobsSubmitted[k])
-	}
 	labeled := func(name, help, label string, by map[string]int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		keys := make([]string, 0, len(by))
@@ -447,6 +379,19 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, by[k])
 		}
 	}
+	// hist writes one histogram's samples; label is "" or `name="value",`.
+	hist := func(name, label string, count int64, sum float64, buckets map[string]int64) {
+		for _, bound := range latencyBuckets {
+			fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, label, bound, buckets[fmt.Sprintf("le_%g", bound)])
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, label, count)
+		if label != "" {
+			label = "{" + strings.TrimSuffix(label, ",") + "}"
+		}
+		fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", name, label, sum, name, label, count)
+	}
+
+	labeled("buffy_jobs_submitted_total", "Analysis jobs submitted, by kind.", "kind", s.JobsSubmitted)
 
 	counter("buffy_jobs_completed_total", "Jobs that finished with a result.", s.JobsCompleted)
 	counter("buffy_jobs_failed_total", "Jobs that failed (bad program, deadline, panic).", s.JobsFailed)
@@ -517,31 +462,11 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	counter("buffy_sat_restarts_total", "Cumulative CDCL restarts.", s.SatRestarts)
 
 	fmt.Fprintf(w, "# HELP buffy_solve_duration_seconds Analysis solve wall time.\n# TYPE buffy_solve_duration_seconds histogram\n")
-	for _, bound := range latencyBuckets {
-		fmt.Fprintf(w, "buffy_solve_duration_seconds_bucket{le=%q} %d\n",
-			fmt.Sprintf("%g", bound), s.SolveBuckets[fmt.Sprintf("le_%g", bound)])
-	}
-	fmt.Fprintf(w, "buffy_solve_duration_seconds_bucket{le=\"+Inf\"} %d\n", s.SolveCount)
-	fmt.Fprintf(w, "buffy_solve_duration_seconds_sum %g\n", s.SolveSecondsSum)
-	fmt.Fprintf(w, "buffy_solve_duration_seconds_count %d\n", s.SolveCount)
+	hist("buffy_solve_duration_seconds", "", s.SolveCount, s.SolveSecondsSum, s.SolveBuckets)
 
-	fmt.Fprintf(w, "# HELP buffy_portfolio_wins_total Portfolio races won, by solver configuration.\n# TYPE buffy_portfolio_wins_total counter\n")
-	cfgs := make([]string, 0, len(s.PortfolioWins))
-	for cfg := range s.PortfolioWins {
-		cfgs = append(cfgs, cfg)
-	}
-	sort.Strings(cfgs)
-	for _, cfg := range cfgs {
-		fmt.Fprintf(w, "buffy_portfolio_wins_total{config=%q} %d\n", cfg, s.PortfolioWins[cfg])
-	}
+	labeled("buffy_portfolio_wins_total", "Portfolio races won, by solver configuration.", "config", s.PortfolioWins)
 	fmt.Fprintf(w, "# HELP buffy_portfolio_duration_seconds Portfolio race wall time (first conclusive answer).\n# TYPE buffy_portfolio_duration_seconds histogram\n")
-	for _, bound := range latencyBuckets {
-		fmt.Fprintf(w, "buffy_portfolio_duration_seconds_bucket{le=%q} %d\n",
-			fmt.Sprintf("%g", bound), s.PortfolioBuckets[fmt.Sprintf("le_%g", bound)])
-	}
-	fmt.Fprintf(w, "buffy_portfolio_duration_seconds_bucket{le=\"+Inf\"} %d\n", s.PortfolioCount)
-	fmt.Fprintf(w, "buffy_portfolio_duration_seconds_sum %g\n", s.PortfolioSecondsSum)
-	fmt.Fprintf(w, "buffy_portfolio_duration_seconds_count %d\n", s.PortfolioCount)
+	hist("buffy_portfolio_duration_seconds", "", s.PortfolioCount, s.PortfolioSecondsSum, s.PortfolioBuckets)
 
 	fmt.Fprintf(w, "# HELP buffy_stage_duration_seconds Per-pipeline-stage time from finished traces.\n# TYPE buffy_stage_duration_seconds histogram\n")
 	stages := make([]string, 0, len(s.StageCount))
@@ -550,13 +475,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	}
 	sort.Strings(stages)
 	for _, name := range stages {
-		for _, bound := range latencyBuckets {
-			fmt.Fprintf(w, "buffy_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n",
-				name, fmt.Sprintf("%g", bound), s.StageBuckets[name][fmt.Sprintf("le_%g", bound)])
-		}
-		fmt.Fprintf(w, "buffy_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", name, s.StageCount[name])
-		fmt.Fprintf(w, "buffy_stage_duration_seconds_sum{stage=%q} %g\n", name, s.StageSecondsSum[name])
-		fmt.Fprintf(w, "buffy_stage_duration_seconds_count{stage=%q} %d\n", name, s.StageCount[name])
+		hist("buffy_stage_duration_seconds", fmt.Sprintf("stage=%q,", name), s.StageCount[name], s.StageSecondsSum[name], s.StageBuckets[name])
 	}
 
 	fmt.Fprintf(w, "# HELP buffy_build_info Build metadata (value is always 1).\n# TYPE buffy_build_info gauge\n")

@@ -121,13 +121,22 @@ func TestMetricsLabelSets(t *testing.T) {
 			t.Errorf("metrics missing %s", want)
 		}
 	}
+	// Every kind of the table is exposed, zero or not, in both formats.
+	m := e.Metrics()
+	for kind := range kinds {
+		if want := `buffy_jobs_submitted_total{kind="` + string(kind) + `"}`; !strings.Contains(prom, want) {
+			t.Errorf("metrics missing %s", want)
+		}
+		if _, ok := m.JobsSubmitted[string(kind)]; !ok {
+			t.Errorf("JSON jobs_submitted has no %q key", kind)
+		}
+	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", prom)
 	}
 
 	// Value-level checks via the JSON snapshot: the mix must have produced
 	// the counts the labels promise.
-	m := e.Metrics()
 	if m.CacheHits < 1 {
 		t.Errorf("cache hits = %d, want >= 1", m.CacheHits)
 	}

@@ -43,14 +43,6 @@ const (
 	KindSweep      Kind = "sweep"      // minimal-horizon sweep on a warm pooled session
 )
 
-func (k Kind) valid() bool {
-	switch k {
-	case KindVerify, KindWitness, KindSynthesize, KindBound, KindSweep:
-		return true
-	}
-	return false
-}
-
 // Request is one analysis query. Every field that can change the answer
 // participates in the cache key.
 type Request struct {
@@ -119,9 +111,15 @@ const MaxHorizon = 256
 
 // Validate rejects malformed requests before they reach the queue.
 func (r *Request) Validate() error {
-	if !r.Kind.valid() {
-		return fmt.Errorf("service: unknown kind %q (want verify | witness | synthesize | bound)", r.Kind)
+	if _, ok := kinds[r.Kind]; !ok {
+		return fmt.Errorf("service: unknown kind %q (want %s)", r.Kind, kindNames())
 	}
+	return r.validateFields()
+}
+
+// validateFields is Validate without the kind check: every route's body,
+// /v1/vet included, must pass it.
+func (r *Request) validateFields() error {
 	if r.Source == "" {
 		return fmt.Errorf("service: empty program source")
 	}
@@ -134,32 +132,23 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("service: width %d out of range (0 for default, else [%d, %d])",
 			r.Width, bitblast.MinWidth, bitblast.MaxWidth)
 	}
-	for name, v := range map[string]int{
-		"buffer_cap": r.BufferCap, "out_buffer_cap": r.OutBufferCap,
-		"arrivals_per_step": r.ArrivalsPerStep, "num_classes": r.NumClasses,
-		"max_bytes": r.MaxBytes, "list_cap": r.ListCap,
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"buffer_cap", int64(r.BufferCap)}, {"out_buffer_cap", int64(r.OutBufferCap)},
+		{"arrivals_per_step", int64(r.ArrivalsPerStep)}, {"num_classes", int64(r.NumClasses)},
+		{"max_bytes", int64(r.MaxBytes)}, {"list_cap", int64(r.ListCap)},
+		{"max_conflicts", r.MaxConflicts}, {"max_propagations", r.MaxPropagations},
+		{"max_learnt_bytes", r.MaxLearntBytes}, {"timeout_ms", r.TimeoutMS},
+		{"restart_base", r.RestartBase},
 	} {
-		if v < 0 {
-			return fmt.Errorf("service: negative %s", name)
+		if f.v < 0 {
+			return fmt.Errorf("service: negative %s", f.name)
 		}
-	}
-	if r.MaxConflicts < 0 {
-		return fmt.Errorf("service: negative max_conflicts")
-	}
-	if r.MaxPropagations < 0 {
-		return fmt.Errorf("service: negative max_propagations")
-	}
-	if r.MaxLearntBytes < 0 {
-		return fmt.Errorf("service: negative max_learnt_bytes")
-	}
-	if r.TimeoutMS < 0 {
-		return fmt.Errorf("service: negative timeout_ms")
 	}
 	if r.Portfolio < 0 || r.Portfolio > MaxPortfolio {
 		return fmt.Errorf("service: portfolio %d out of range [0, %d]", r.Portfolio, MaxPortfolio)
-	}
-	if r.RestartBase < 0 {
-		return fmt.Errorf("service: negative restart_base")
 	}
 	if r.VarDecay < 0 || r.VarDecay > 1 {
 		return fmt.Errorf("service: var_decay %g out of range [0, 1]", r.VarDecay)
@@ -488,12 +477,16 @@ func resultFromSweep(sr *session.SweepResult, hit bool) *Result {
 	res.Warm = sr.Warm
 	res.SessionHit = hit
 	for _, v := range sr.Verdicts {
-		res.Verdicts = append(res.Verdicts, SweepVerdict{
-			T: v.T, Status: v.Status.String(), Warm: v.Warm,
-			DurationUS: v.Duration.Microseconds(), Conflicts: v.Conflicts,
-		})
+		res.Verdicts = append(res.Verdicts, verdictOf(v))
 	}
 	return res
+}
+
+func verdictOf(v session.Verdict) SweepVerdict {
+	return SweepVerdict{
+		T: v.T, Status: v.Status.String(), Warm: v.Warm,
+		DurationUS: v.Duration.Microseconds(), Conflicts: v.Conflicts,
+	}
 }
 
 func resultFromSynth(r *fperf.Result) *Result {

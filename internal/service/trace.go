@@ -48,9 +48,6 @@ type traceEntry struct {
 }
 
 func newTraceRing(max int) *traceRing {
-	if max <= 0 {
-		max = 128
-	}
 	return &traceRing{max: max}
 }
 

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -35,15 +33,11 @@ type VetResponse struct {
 // engine is only consulted for metrics and drain state.
 func vetHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if req.Source == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing source"))
+		// Vet runs no kind, but its body must pass the same field checks:
+		// an out-of-range width or horizon would vet a different program
+		// than any solve could run.
+		req, ok := decodeRequest(w, r, "")
+		if !ok {
 			return
 		}
 

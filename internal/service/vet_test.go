@@ -81,6 +81,26 @@ func TestVetEndpointBadRequest(t *testing.T) {
 	}
 }
 
+// TestVetValidatesFields pins that /v1/vet applies the field checks the
+// analysis routes apply: an out-of-range width once vetted an empty
+// interval domain into a bogus "holds" + "no-witness" verdict for a
+// program whose witness exists, and no horizon past MaxHorizon is vetted.
+func TestVetValidatesFields(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	const prog = `limiter(buffer in0, buffer out0) { monitor int departed; local int n; n = backlog-p(in0); if (n > 1) { n = 1; } move-p(in0, out0, n); departed = departed + n; if (t == T - 1) { assert(departed == 2); } }`
+	for _, body := range []map[string]any{
+		{"source": prog, "t": 4, "width": 63},
+		{"source": prog, "t": 4, "width": 100},
+		{"source": prog, "t": MaxHorizon + 1},
+	} {
+		for _, route := range []string{"/v1/vet", "/v1/witness"} {
+			if resp, out := postJSON(t, srv.URL+route, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %v: status = %d, want 400; body %s", route, body, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
 // TestVerifyJobAnsweredByStaticTier drives a full queue round-trip and
 // checks the wire result is labeled with the answering tier.
 func TestVerifyJobAnsweredByStaticTier(t *testing.T) {

@@ -155,7 +155,7 @@ func (pp *progressPub) publish(s *Solver, frac float64) {
 			lbdDelta[i] = n - pp.lastLBD[i]
 			pp.lastLBD[i] = n
 		}
-		rec.observe(pp.name, d, pp.p.Snapshot(), s.decisionLevel(), &lbdDelta)
+		rec.observe(pp.name, d, pp.p, s.decisionLevel(), &lbdDelta)
 	}
 }
 

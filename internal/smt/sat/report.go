@@ -147,16 +147,18 @@ type SearchReport struct {
 }
 
 // observe ingests one publish-cadence point from a solver: the effort
-// delta since that solver's previous publish, the job-wide cumulative
-// snapshot after applying it, the solver's current decision depth, and
-// the delta of its LBD histogram.
-func (r *SearchRecorder) observe(config string, d Stats, snap ProgressSnapshot, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
+// delta since that solver's previous publish, the job-wide progress it
+// was applied to, the solver's current decision depth, and the delta of
+// its LBD histogram. The progress is snapshotted under r.mu, so racing
+// solvers' samples are cumulative in the order they are recorded.
+func (r *SearchRecorder) observe(config string, d Stats, p *Progress, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
 	if r == nil {
 		return
 	}
-	at := time.Since(r.start)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	at := time.Since(r.start)
+	snap := p.Snapshot()
 
 	r.totals.Conflicts += d.Conflicts
 	r.totals.Decisions += d.Decisions

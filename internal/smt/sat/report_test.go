@@ -73,9 +73,11 @@ func TestRecorderThroughSolve(t *testing.T) {
 // doubling, first sample retained.
 func TestRecorderDecimation(t *testing.T) {
 	rec := NewSearchRecorder()
+	p := &Progress{}
 	const pubs = maxSamples*4 + 37
 	for i := 0; i < pubs; i++ {
-		rec.observe("", Stats{Conflicts: 1}, ProgressSnapshot{Conflicts: int64(i + 1)}, i%40, nil)
+		p.add(Stats{Conflicts: 1})
+		rec.observe("", Stats{Conflicts: 1}, p, i%40, nil)
 	}
 	rec.mu.Lock()
 	n, stride := len(rec.samples), rec.stride
@@ -120,8 +122,11 @@ func TestRecorderConfigAttribution(t *testing.T) {
 	rec := NewSearchRecorder()
 	rec.event("solve_start", "geom", 0, 0)
 	rec.event("solve_start", "luby", 0, 0)
-	rec.observe("geom", Stats{Conflicts: 100}, ProgressSnapshot{Conflicts: 100}, 3, nil)
-	rec.observe("luby", Stats{Conflicts: 40}, ProgressSnapshot{Conflicts: 140}, 5, nil)
+	p := &Progress{}
+	p.add(Stats{Conflicts: 100})
+	rec.observe("geom", Stats{Conflicts: 100}, p, 3, nil)
+	p.add(Stats{Conflicts: 40})
+	rec.observe("luby", Stats{Conflicts: 40}, p, 5, nil)
 	rep := rec.Report()
 	if len(rep.Configs) != 2 {
 		t.Fatalf("configs = %+v, want 2", rep.Configs)
@@ -140,8 +145,11 @@ func TestRecorderConfigAttribution(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	rec := NewSearchRecorder()
 	rec.event("solve_start", "cfg", 0, 0)
-	rec.observe("cfg", Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640},
-		ProgressSnapshot{Conflicts: 64, Learnt: 10, LearntBytes: 640, BudgetFraction: 0.25}, 7, nil)
+	p := &Progress{}
+	d := Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640}
+	p.add(d)
+	p.observeBudget(0.25)
+	rec.observe("cfg", d, p, 7, nil)
 	rec.event("restart", "cfg", 64, 128)
 	rep := rec.Report()
 	rep.Winner = "cfg"
@@ -189,7 +197,7 @@ func TestReportRender(t *testing.T) {
 // without a recorder and a nil recorder must both be free.
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *SearchRecorder
-	rec.observe("", Stats{}, ProgressSnapshot{}, 0, nil)
+	rec.observe("", Stats{}, nil, 0, nil)
 	rec.event("restart", "", 0, 0)
 	if rec.Report() != nil {
 		t.Error("nil recorder produced a report")
