@@ -1,31 +1,18 @@
 // Command buffy-bench regenerates every table and figure of the paper's
-// evaluation, plus this repository's ablations. Each experiment prints the
-// same rows/series the paper reports; see EXPERIMENTS.md for the
-// paper-vs-measured comparison.
+// evaluation, plus this repository's ablations and extensions. Each
+// experiment prints the same rows/series the paper reports and exits
+// non-zero when its verdict contradicts the paper or one of its gates
+// fails; see EXPERIMENTS.md for the paper-vs-measured comparison.
 //
-//	buffy-bench -exp table1   # Table 1: FPerf vs Buffy LoC
-//	buffy-bench -exp fig6     # Figure 6: Dafny verification time vs T
-//	buffy-bench -exp cs1      # §6.1: FQ starvation witness (buggy)
-//	buffy-bench -exp cs1b     # extension: RFC 8290 fix removes the witness
-//	buffy-bench -exp cs2      # §6.2: CCAC ack-burst loss (composition)
-//	buffy-bench -exp a1       # ablation: buffer-model precision
-//	buffy-bench -exp a2       # ablation: modular (k-induction) vs monolithic
-//	buffy-bench -exp a3       # extension: Houdini invariant inference
-//	buffy-bench -exp a4       # extension: throughput vs ack-path delay
-//	buffy-bench -exp portfolio # extension: portfolio vs single-config solver
-//	buffy-bench -exp stages   # extension: per-stage cost breakdown (spans)
-//	buffy-bench -exp netcalc  # extension: analytical bounds vs SMT differential
-//	buffy-bench -exp vet      # extension: static-tier latency vs solver time saved
-//	buffy-bench -exp sweep    # extension: warm-session sweep vs cold per-horizon
-//	buffy-bench -exp store    # extension: durable store, disk-hit vs cold across restart
-//	buffy-bench -exp trajectory # extension: perf-gate probes -> BENCH_trajectory.json
-//	buffy-bench -exp all
+//	buffy-bench -exp cs1      # one experiment (buffy-bench -h lists them)
+//	buffy-bench -exp all      # every experiment, writing BENCH_trajectory.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 var experiments = []struct {
@@ -38,6 +25,7 @@ var experiments = []struct {
 	{"cs1", "§6.1 — FQ scheduler starvation witness (buggy)", runCS1},
 	{"cs1b", "extension — RFC 8290 fix removes the witness", runCS1b},
 	{"cs2", "§6.2 — CCAC ack-burst loss via composition", runCS2},
+	{"s1", "extension — full pipeline vs hand-written FPerf-style encoding", runS1},
 	{"a1", "ablation — buffer-model precision (list vs count vs multiclass)", runA1},
 	{"a2", "ablation — modular k-induction vs monolithic BMC", runA2},
 	{"a3", "extension — Houdini invariant inference (§5)", runA3},
@@ -51,8 +39,19 @@ var experiments = []struct {
 	{"trajectory", "extension — benchmark trajectory: median/IQR probes + work counters for buffy-benchdiff", runTrajectory},
 }
 
+// expUsage is the -exp help text, built from the experiment table.
+func expUsage() string {
+	var b strings.Builder
+	b.WriteString("experiment to run:")
+	for _, e := range experiments {
+		fmt.Fprintf(&b, "\n%-10s  %s", e.name, e.desc)
+	}
+	fmt.Fprintf(&b, "\n%-10s  %s", "all", "every experiment above, in order")
+	return b.String()
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1 fig6 cs1 cs1b cs2 a1 a2 a3 a4 portfolio stages netcalc vet sweep store trajectory all)")
+	exp := flag.String("exp", "all", expUsage())
 	flag.Parse()
 	ran := false
 	for _, e := range experiments {

@@ -2,42 +2,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 
 	"buffy/internal/backend/netcalc"
 	"buffy/internal/qm"
 )
 
-// netcalcOut is where -exp netcalc writes its machine-readable summary.
-var netcalcOut = flag.String("netcalc-out", "BENCH_netcalc.json",
-	"JSON summary path for the netcalc-vs-SMT experiment")
-
-// netcalcRow is one corpus model's analytical-vs-exhaustive comparison:
-// the netcalc bound query's wall clock (microseconds), the SMT
-// differential solve that certifies it at horizon T (milliseconds), and
-// the bounds themselves as exact rationals.
-type netcalcRow struct {
-	Model     string  `json:"model"`
-	T         int     `json:"t"`
-	Bounded   bool    `json:"bounded"`
-	Delay     string  `json:"delay,omitempty"`
-	Backlog   string  `json:"backlog,omitempty"`
-	NetcalcUS float64 `json:"netcalc_us"`
-	SMTMS     float64 `json:"smt_ms"`
-	Status    string  `json:"status"`
-	Speedup   float64 `json:"speedup,omitempty"`
-}
-
 // runNetcalc sweeps the netcalc corpus: every model answers its bound
 // query analytically in microseconds, then the SMT backend spends
 // milliseconds-to-seconds certifying at horizon T that no execution beats
-// the bound (domination). The experiment hard-fails on any disagreement —
-// the same invariant the CI differential step enforces.
+// the bound (domination). The experiment fails unless every bounded
+// model is dominated — the same invariant the CI differential step
+// enforces.
 func runNetcalc() error {
-	var rows []netcalcRow
 	dominated := 0
 	fmt.Printf("%-10s  %-9s  %8s  %8s  %12s  %10s  %-17s\n",
 		"model", "bounded", "delay", "backlog", "netcalc", "smt", "status")
@@ -60,41 +37,19 @@ func runNetcalc() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		row := netcalcRow{
-			Model: e.Name, T: e.T, Bounded: r.Bounded,
-			NetcalcUS: float64(r.Duration.Nanoseconds()) / 1e3,
-			SMTMS:     float64(report.Duration.Microseconds()) / 1e3,
-			Status:    report.Status,
-		}
-		if r.Bounded {
-			row.Delay, row.Backlog = r.Delay.RatString(), r.Backlog.RatString()
-			row.Speedup = float64(report.Duration) / float64(r.Duration)
-		}
-		if report.Status == "dominated" {
-			dominated++
-		}
-		rows = append(rows, row)
 		delay, backlog := "-", "-"
 		if r.Bounded {
-			delay, backlog = row.Delay, row.Backlog
+			delay, backlog = r.Delay.RatString(), r.Backlog.RatString()
+			if report.Status != "dominated" {
+				return fmt.Errorf("%s: bound not certified at T=%d: %s", e.Name, e.T, report.Status)
+			}
+			dominated++
 		}
 		fmt.Printf("%-10s  %-9v  %8s  %8s  %10.1fµs  %8.1fms  %-17s\n",
-			e.Name, r.Bounded, delay, backlog, row.NetcalcUS, row.SMTMS, report.Status)
+			e.Name, r.Bounded, delay, backlog, float64(r.Duration.Nanoseconds())/1e3,
+			float64(report.Duration.Microseconds())/1e3, report.Status)
 	}
-
-	summary := struct {
-		Rows      []netcalcRow `json:"rows"`
-		Dominated int          `json:"dominated"`
-	}{rows, dominated}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*netcalcOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("every bounded model dominated its SMT sweep (%d models); summary: %s\n",
-		dominated, *netcalcOut)
+	fmt.Printf("every bounded model dominated its SMT sweep (%d models)\n", dominated)
 	fmt.Println("(analytical bounds in microseconds; the solver pays milliseconds to certify them)")
 	return nil
 }

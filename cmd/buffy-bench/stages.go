@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"buffy/internal/core"
@@ -11,9 +10,10 @@ import (
 	"buffy/internal/telemetry"
 )
 
-// runStages reports the per-stage cost breakdown (parse, compile,
-// bitblast, encode bookkeeping, CDCL search) across the example corpus,
-// using the telemetry tracer threaded through the pipeline. This is the
+// runStages reports the per-stage cost breakdown (parse, static vet,
+// compile, bitblast, encode bookkeeping, CDCL search) across the example
+// corpus, using the telemetry tracer threaded through the pipeline. The
+// columns are the layer names the trace and /metrics use. This is the
 // observability counterpart of the scalability ablations: it shows where
 // the wall clock goes as queries grow, which is what the paper's
 // solver-time discussion (and FPerf's) is about.
@@ -31,9 +31,14 @@ func runStages() error {
 		{"rr-count", qm.RRQuerySrc, "witness", 6, map[string]int64{"N": 2}, "count"},
 		{"sp-verify", qm.SPQuerySrc, "verify", 5, map[string]int64{"N": 2}, ""},
 	}
-	// Stages in pipeline order; everything else a trace records (restarts,
-	// portfolio configs, ...) is folded into "other".
-	stages := []string{"parse", "compile", "bitblast", "encode", "search"}
+	// Stages in pipeline order; everything else a trace records (portfolio
+	// configs, ...) is folded into "other". Restarts and simplification
+	// are search's children and already inside its column.
+	stages := []string{"parse", "vet", "compile", "bitblast", "encode", "search"}
+	known := map[string]bool{"sat.restart": true, "sat.simplify": true}
+	for _, s := range stages {
+		known[s] = true
+	}
 
 	fmt.Printf("%-12s  %8s", "program", "total")
 	for _, s := range stages {
@@ -71,15 +76,9 @@ func runStages() error {
 			durs["encode"] = enc - durs["compile"] - durs["bitblast"]
 		}
 		var other time.Duration
-		known := map[string]bool{"parse": true, "compile": true, "bitblast": true, "encode": true, "search": true}
-		names := make([]string, 0, len(durs))
-		for name := range durs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if !known[name] && name != "sat.restart" && name != "sat.simplify" {
-				other += durs[name]
+		for name, d := range durs {
+			if !known[name] {
+				other += d
 			}
 		}
 

@@ -2,43 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"time"
 
+	"buffy/internal/bench"
 	"buffy/internal/qm"
 	"buffy/internal/service"
 	"buffy/internal/store"
 )
-
-// storeOut is where -exp store writes its machine-readable summary.
-var storeOut = flag.String("store-out", "BENCH_store.json",
-	"JSON summary path for the durable-store warm-restart experiment")
-
-// storeRow is one corpus query's cold-solve vs disk-hit comparison
-// across a simulated restart.
-type storeRow struct {
-	Model   string  `json:"model"`
-	Kind    string  `json:"kind"`
-	Status  string  `json:"status"`
-	ColdMS  float64 `json:"cold_ms"`
-	DiskMS  float64 `json:"disk_ms"`
-	Speedup float64 `json:"speedup"`
-	DiskHit bool    `json:"disk_hit"`
-}
-
-// storeSummary is the experiment's JSON artifact; CI gates on HitRatio
-// and MedianSpeedup.
-type storeSummary struct {
-	Rows          []storeRow `json:"rows"`
-	HitRatio      float64    `json:"hit_ratio"`
-	MedianSpeedup float64    `json:"median_speedup"`
-	StoreBytes    int64      `json:"store_bytes"`
-	StoreEntries  int        `json:"store_entries"`
-	Fingerprint   string     `json:"fingerprint"`
-}
 
 // storeCorpus is a spread of solver-bound queries across the qm corpus:
 // witnesses that exist, verifications that hold, a bound and a sweep, so
@@ -77,9 +49,9 @@ func storeModelName(req *service.Request) string {
 // corpus is solved cold through an engine writing behind to a disk
 // store, the engine is shut down and a fresh one opened over the same
 // directory (a restart with zero memory), and the corpus replayed. Every
-// replay must hit the disk tier with the same answer; the summary
-// records per-query cold vs disk-hit latency. The CI gate requires a
-// disk hit ratio >= 0.9 and a median speedup >= 2x.
+// replay must hit the disk tier with the same answer; the table records
+// per-query cold vs disk-hit latency. The gate requires a disk hit ratio
+// >= 0.9 and a median speedup >= 2x.
 func runStoreExp() error {
 	dir, err := os.MkdirTemp("", "buffy-bench-store-*")
 	if err != nil {
@@ -123,7 +95,7 @@ func runStoreExp() error {
 		return err
 	}
 	e2 := service.New(service.Config{Workers: 2, Store: s2})
-	var rows []storeRow
+	speedups := make([]float64, len(corpus))
 	hits := 0
 	fmt.Printf("%-20s  %-7s  %-10s  %9s  %9s  %8s  %s\n",
 		"model", "kind", "status", "cold", "disk", "speedup", "tier")
@@ -135,62 +107,38 @@ func runStoreExp() error {
 			return fmt.Errorf("replay %s: %w", storeModelName(req), err)
 		}
 		disk := time.Since(start)
-		hit := res.CacheHit && res.CacheTier == service.CacheTierDisk
-		if hit {
+		if res.CacheHit && res.CacheTier == service.CacheTierDisk {
 			hits++
 		}
 		if res.Status != status[i] {
 			return fmt.Errorf("replay %s: answer changed across restart: %s vs %s",
 				storeModelName(req), res.Status, status[i])
 		}
-		row := storeRow{
-			Model:  storeModelName(req),
-			Kind:   string(req.Kind),
-			Status: res.Status,
-			ColdMS: float64(cold[i].Microseconds()) / 1000,
-			DiskMS: float64(disk.Microseconds()) / 1000,
-
-			DiskHit: hit,
-		}
 		if disk > 0 {
-			row.Speedup = float64(cold[i]) / float64(disk)
+			speedups[i] = float64(cold[i]) / float64(disk)
 		}
-		rows = append(rows, row)
 		fmt.Printf("%-20s  %-7s  %-10s  %8.2fms  %8.2fms  %7.1fx  %s\n",
-			row.Model, row.Kind, row.Status, row.ColdMS, row.DiskMS, row.Speedup, res.CacheTier)
+			storeModelName(req), req.Kind, res.Status, float64(cold[i].Microseconds())/1000,
+			float64(disk.Microseconds())/1000, speedups[i], res.CacheTier)
 	}
 	st := e2.Metrics().Store
 	if err := shutdownEngine(e2); err != nil {
 		return err
 	}
 
-	sum := storeSummary{
-		Rows:          rows,
-		HitRatio:      float64(hits) / float64(len(corpus)),
-		MedianSpeedup: medianSpeedup(rows),
-		Fingerprint:   fp,
-	}
+	hitRatio := float64(hits) / float64(len(corpus))
+	medianSpeedup, _ := bench.MedianIQR(speedups)
+	fmt.Printf("\ndisk hit ratio %.2f (%d/%d), median speedup %.1fx", hitRatio, hits, len(corpus), medianSpeedup)
 	if st != nil {
-		sum.StoreBytes = st.Bytes
-		sum.StoreEntries = st.Entries
+		fmt.Printf(", %d entries / %d bytes on disk", st.Entries, st.Bytes)
 	}
-	fmt.Printf("\ndisk hit ratio %.2f (%d/%d), median speedup %.1fx, %d entries / %d bytes on disk\n",
-		sum.HitRatio, hits, len(corpus), sum.MedianSpeedup, sum.StoreEntries, sum.StoreBytes)
+	fmt.Println()
 
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
+	if hitRatio < 0.9 {
+		return fmt.Errorf("disk hit ratio %.2f below the 0.9 gate", hitRatio)
 	}
-	if err := os.WriteFile(*storeOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *storeOut)
-
-	if sum.HitRatio < 0.9 {
-		return fmt.Errorf("disk hit ratio %.2f below the 0.9 gate", sum.HitRatio)
-	}
-	if sum.MedianSpeedup < 2 {
-		return fmt.Errorf("median disk-hit speedup %.2fx below the 2x gate", sum.MedianSpeedup)
+	if medianSpeedup < 2 {
+		return fmt.Errorf("median disk-hit speedup %.2fx below the 2x gate", medianSpeedup)
 	}
 	return nil
 }
@@ -220,20 +168,4 @@ func solveOn(e *service.Engine, req *service.Request) (*service.Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-func medianSpeedup(rows []storeRow) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	sp := make([]float64, 0, len(rows))
-	for _, r := range rows {
-		sp = append(sp, r.Speedup)
-	}
-	for i := 1; i < len(sp); i++ { // insertion sort: the corpus is tiny
-		for j := i; j > 0 && sp[j] < sp[j-1]; j-- {
-			sp[j], sp[j-1] = sp[j-1], sp[j]
-		}
-	}
-	return sp[len(sp)/2]
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"runtime"
@@ -16,14 +17,15 @@ import (
 	"buffy/internal/qm"
 )
 
-var (
-	// trajectoryOut is where -exp trajectory (and therefore -exp all)
-	// writes the machine-readable run summary buffy-benchdiff consumes.
-	trajectoryOut = flag.String("trajectory-out", "BENCH_trajectory.json",
-		"JSON trajectory path for the perf regression gate (compare runs with buffy-benchdiff)")
-	trajectoryRepeats = flag.Int("trajectory-repeats", 3,
-		"repeat count per trajectory probe (median/IQR summarized)")
-)
+// trajectoryOut is where -exp trajectory (and therefore -exp all) writes
+// the machine-readable run summary buffy-benchdiff consumes.
+var trajectoryOut = flag.String("trajectory-out", "BENCH_trajectory.json",
+	"JSON trajectory path for the perf regression gate (compare runs with buffy-benchdiff)")
+
+// trajectoryRepeats is the run count per probe: the fewest that give a
+// median and an IQR, and enough repeats to prove the work counters
+// deterministic.
+const trajectoryRepeats = 3
 
 // trajectoryProbe is one gate probe: a closed analysis run that either
 // yields machine-independent work counters (deterministic single-config
@@ -98,24 +100,20 @@ func trajectoryProbes() []trajectoryProbe {
 	}
 }
 
-// runTrajectory answers -exp trajectory: run every probe -trajectory-
-// repeats times, summarize median/IQR wall clock plus work counters,
-// verify work determinism across repeats, and write the trajectory
-// file. `buffy-benchdiff OLD NEW` then turns two of these files into a
-// regression verdict; CI diffs the committed repo baseline against a
-// fresh run.
+// runTrajectory answers -exp trajectory: run every probe
+// trajectoryRepeats times, summarize median/IQR wall clock plus work
+// counters, verify work determinism across repeats, and write the
+// trajectory file. `buffy-benchdiff OLD NEW` then turns two of these
+// files into a regression verdict; CI diffs the committed repo baseline
+// against a fresh run.
 func runTrajectory() error {
 	ctx := context.Background()
-	repeats := *trajectoryRepeats
-	if repeats < 1 {
-		repeats = 1
-	}
 	var exps []bench.Experiment
 	fmt.Printf("%-24s  %9s  %8s  %7s  %s\n", "probe", "median", "iqr", "runs", "gate")
 	for _, p := range trajectoryProbes() {
 		var runs []float64
 		var works []map[string]int64
-		for i := 0; i < repeats; i++ {
+		for range trajectoryRepeats {
 			start := time.Now()
 			work, err := p.run(ctx)
 			if err != nil {
@@ -125,7 +123,12 @@ func runTrajectory() error {
 			works = append(works, work)
 		}
 		med, iqr := bench.MedianIQR(runs)
-		det := !p.timeOnly && allWorkEqual(works)
+		// Identical counters on every repeat are the determinism proof
+		// that licenses the hard gate.
+		det := !p.timeOnly
+		for _, w := range works[1:] {
+			det = det && maps.Equal(works[0], w)
+		}
 		gate := "time (same machine only)"
 		if det {
 			gate = "work (cross-machine)"
@@ -144,7 +147,7 @@ func runTrajectory() error {
 			Work: works[0], Deterministic: det, TimeOnly: p.timeOnly,
 			Advisory: p.advisory,
 		})
-		fmt.Printf("%-24s  %7.1fms  %6.1fms  %7d  %s\n", p.name, med, iqr, repeats, gate)
+		fmt.Printf("%-24s  %7.1fms  %6.1fms  %7d  %s\n", p.name, med, iqr, trajectoryRepeats, gate)
 	}
 	out := bench.Trajectory{
 		Schema:      bench.TrajectorySchema,
@@ -155,7 +158,7 @@ func runTrajectory() error {
 		NumCPU:      runtime.NumCPU(),
 		OS:          runtime.GOOS,
 		Arch:        runtime.GOARCH,
-		Repeats:     repeats,
+		Repeats:     trajectoryRepeats,
 		Experiments: exps,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -168,22 +171,6 @@ func runTrajectory() error {
 	fmt.Printf("trajectory: %s (rev %s, go %s, P=%d; gate with buffy-benchdiff BASELINE %s)\n",
 		*trajectoryOut, out.GitRev, out.GoVersion, out.GOMAXPROCS, *trajectoryOut)
 	return nil
-}
-
-// allWorkEqual reports whether every repeat produced identical work
-// counters — the determinism proof that licenses the hard gate.
-func allWorkEqual(works []map[string]int64) bool {
-	for _, w := range works[1:] {
-		if len(w) != len(works[0]) {
-			return false
-		}
-		for k, v := range works[0] {
-			if w[k] != v {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // gitRev best-efforts the current commit for provenance; trajectories

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"buffy/internal/backend/smtbe"
@@ -14,10 +11,6 @@ import (
 	"buffy/internal/qm"
 	"buffy/internal/vet"
 )
-
-// vetOut is where -exp vet writes its machine-readable summary.
-var vetOut = flag.String("vet-out", "BENCH_vet.json",
-	"JSON summary path for the static-tier experiment")
 
 // Synthetic programs the static tier decides outright — the cases where
 // the pre-solve gate saves the whole solver invocation.
@@ -42,25 +35,6 @@ const benchNeverHolds = `never(in buffer a, out buffer b) {
 }
 `
 
-// vetRow is one program's gate-cost-vs-solver-cost measurement: the vet
-// latency in microseconds (the overhead every query pays), whether the
-// static tier decided the query, and the SMT solve time in milliseconds
-// (the cost the gate saves when it decides, and the denominator of the
-// overhead ratio when it does not).
-type vetRow struct {
-	Program string  `json:"program"`
-	Mode    string  `json:"mode"`
-	T       int     `json:"t"`
-	VetUS   float64 `json:"vet_us"`
-	Decided bool    `json:"decided"`
-	Reason  string  `json:"reason,omitempty"`
-	SMTMS   float64 `json:"smt_ms"`
-	// SavedMS = SMTMS when the gate decided (the solver never runs);
-	// otherwise 0 and the vet latency is pure — and tiny — overhead.
-	SavedMS     float64 `json:"saved_ms"`
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
-}
-
 // runVetExp measures the static tier against the solver across programs
 // it decides (contradictions, dead and never-holding asserts) and real
 // corpus queries it must pass through (the gate's overhead case). Any
@@ -81,7 +55,6 @@ func runVetExp() error {
 		{"sp-q", qm.SPQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 2}},
 	}
 
-	var rows []vetRow
 	var savedTotal, overheadTotal float64
 	fmt.Printf("%-14s  %-7s  %9s  %-22s  %9s  %9s\n",
 		"program", "mode", "vet", "decided", "smt", "saved")
@@ -115,6 +88,8 @@ func runVetExp() error {
 		if err != nil {
 			return fmt.Errorf("%s: smt: %w", c.name, err)
 		}
+		smtMS := float64(smtRes.Duration.Microseconds()) / 1e3
+		decidedCol, saved := "-", "-"
 		if decided { // soundness: the static answer must match the solver's
 			switch {
 			case c.mode == smtbe.Verify && v.Verify == "holds" && smtRes.Status != smtbe.Holds:
@@ -122,52 +97,17 @@ func runVetExp() error {
 			case c.mode == smtbe.Witness && v.Witness == "no-witness" && smtRes.Status != smtbe.NoWitness:
 				return fmt.Errorf("%s: static witness=no-witness but SMT says %v", c.name, smtRes.Status)
 			}
-		}
-
-		row := vetRow{
-			Program: c.name,
-			Mode:    c.mode.String(),
-			T:       c.t,
-			VetUS:   float64(best.Nanoseconds()) / 1e3,
-			Decided: decided,
-			Reason:  v.Reason,
-			SMTMS:   float64(smtRes.Duration.Microseconds()) / 1e3,
-		}
-		if decided {
-			row.SavedMS = row.SMTMS
-			savedTotal += row.SavedMS
-		} else if row.SMTMS > 0 {
-			row.OverheadPct = row.VetUS / 10 / row.SMTMS // (vet_us/1000)/smt_ms*100
-			overheadTotal += row.VetUS / 1e3
-		}
-		rows = append(rows, row)
-
-		decidedCol := "-"
-		if decided {
-			decidedCol = v.Reason
-		}
-		saved := "-"
-		if decided {
-			saved = fmt.Sprintf("%7.3fms", row.SavedMS)
+			// The solver never runs: its whole solve time is saved.
+			savedTotal += smtMS
+			decidedCol, saved = v.Reason, fmt.Sprintf("%7.3fms", smtMS)
+		} else {
+			// The vet latency is pure — and tiny — overhead.
+			overheadTotal += best.Seconds() * 1e3
 		}
 		fmt.Printf("%-14s  %-7s  %7.1fµs  %-22s  %7.3fms  %9s\n",
-			c.name, row.Mode, row.VetUS, decidedCol, row.SMTMS, saved)
+			c.name, c.mode, float64(best.Nanoseconds())/1e3, decidedCol, smtMS, saved)
 	}
 	fmt.Printf("static tier saved %.3fms of solver time; undecided queries paid %.3fms total gate overhead\n",
 		savedTotal, overheadTotal)
-
-	out := struct {
-		Rows         []vetRow `json:"rows"`
-		SavedMSTotal float64  `json:"saved_ms_total"`
-		GateMSTotal  float64  `json:"gate_overhead_ms_total"`
-	}{rows, savedTotal, overheadTotal}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*vetOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *vetOut)
 	return nil
 }

@@ -1,48 +1,28 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// DiffOptions tunes the regression gate's thresholds. Zero values are
-// replaced by the defaults below, so a zero DiffOptions is the CI gate.
-type DiffOptions struct {
-	// MaxWorkRegress is the allowed relative growth of a deterministic
-	// work counter before it is a regression (0.30 = +30%).
-	MaxWorkRegress float64
-	// MaxTimeRegress is the allowed relative growth of a wall-clock
-	// median (0.50 = +50%), applied only when fingerprints match.
-	MaxTimeRegress float64
-	// MinTimeMS floors the time gate: medians below it are too close to
+// The regression gate's thresholds.
+const (
+	// maxWorkRegress is the allowed relative growth of a deterministic
+	// work counter before it is a regression (+30%).
+	maxWorkRegress = 0.30
+	// maxTimeRegress is the allowed relative growth of a wall-clock
+	// median (+50%), applied only when fingerprints match.
+	maxTimeRegress = 0.50
+	// minTimeMS floors the time gate: medians below it are too close to
 	// scheduler noise to gate at any ratio.
-	MinTimeMS float64
-	// IQRMult scales the noise bar: a time delta must also exceed
-	// IQRMult x max(old IQR, new IQR) to count.
-	IQRMult float64
-	// MinWork floors the work gate: counters below it (a handful of
+	minTimeMS = 20
+	// iqrMult scales the noise bar: a time delta must also exceed
+	// iqrMult x max(old IQR, new IQR) to count.
+	iqrMult = 3
+	// minWork floors the work gate: counters below it (a handful of
 	// restarts, say) flip large ratios on tiny absolute changes.
-	MinWork int64
-	// IgnoreTime disables the wall-clock gate entirely, leaving only
-	// the deterministic work counters.
-	IgnoreTime bool
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.MaxWorkRegress == 0 {
-		o.MaxWorkRegress = 0.30
-	}
-	if o.MaxTimeRegress == 0 {
-		o.MaxTimeRegress = 0.50
-	}
-	if o.MinTimeMS == 0 {
-		o.MinTimeMS = 20
-	}
-	if o.IQRMult == 0 {
-		o.IQRMult = 3
-	}
-	if o.MinWork == 0 {
-		o.MinWork = 500
-	}
-	return o
-}
+	minWork = 500
+)
 
 // Finding is one gated metric that regressed past its threshold.
 type Finding struct {
@@ -68,11 +48,9 @@ func (f Finding) String() string {
 // experiments). An experiment present in the baseline but absent from
 // the candidate is itself a regression: silently dropping a probe would
 // otherwise shrink coverage for free.
-func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, notes []string) {
-	opts = opts.withDefaults()
-	timeGate := !opts.IgnoreTime
-	if timeGate && !base.FingerprintMatch(cand) {
-		timeGate = false
+func Diff(base, cand *Trajectory) (regressions []Finding, notes []string) {
+	timeGate := base.FingerprintMatch(cand)
+	if !timeGate {
 		notes = append(notes, fmt.Sprintf(
 			"machine fingerprints differ (%s/%s go%s P=%d vs %s/%s go%s P=%d): wall-clock medians are advisory, only deterministic work counters gate",
 			base.OS, base.Arch, base.GoVersion, base.GOMAXPROCS,
@@ -110,7 +88,7 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 		// determinism — a counter that drifts between repeats carries
 		// the same noise as a timing and must not gate tightly.
 		if b.Deterministic && c.Deterministic {
-			for _, key := range sortedWorkKeys(b.Work) {
+			for _, key := range sortedKeys(b.Work) {
 				oldV := b.Work[key]
 				newV, ok := c.Work[key]
 				if !ok {
@@ -119,15 +97,15 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 						Limit: float64(oldV)})
 					continue
 				}
-				if oldV < opts.MinWork {
+				if oldV < minWork {
 					if newV > oldV {
 						notes = append(notes, fmt.Sprintf(
 							"%s: %s %d -> %d below work floor %d, not gated",
-							b.Name, key, oldV, newV, opts.MinWork))
+							b.Name, key, oldV, newV, minWork))
 					}
 					continue
 				}
-				limit := float64(oldV) * (1 + opts.MaxWorkRegress)
+				limit := float64(oldV) * (1 + maxWorkRegress)
 				if float64(newV) > limit {
 					regressions = append(regressions, Finding{
 						Exp: b.Name, Metric: key,
@@ -141,13 +119,13 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 
 		// Wall clock: soft gate. The delta must clear the relative
 		// threshold AND the IQR noise bar AND the absolute floor.
-		if timeGate && b.MedianMS >= opts.MinTimeMS {
-			limit := b.MedianMS * (1 + opts.MaxTimeRegress)
-			noise := opts.IQRMult * maxF(b.IQRMS, c.IQRMS)
+		if timeGate && b.MedianMS >= minTimeMS {
+			limit := b.MedianMS * (1 + maxTimeRegress)
+			noise := iqrMult * max(b.IQRMS, c.IQRMS)
 			if c.MedianMS > limit && c.MedianMS-b.MedianMS > noise {
 				regressions = append(regressions, Finding{
 					Exp: b.Name, Metric: "median_ms",
-					Old: b.MedianMS, New: c.MedianMS, Limit: maxF(limit, b.MedianMS+noise)})
+					Old: b.MedianMS, New: c.MedianMS, Limit: max(limit, b.MedianMS+noise)})
 			}
 		}
 	}
@@ -160,22 +138,11 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 	return regressions, notes
 }
 
-func sortedWorkKeys(m map[string]int64) []string {
+func sortedKeys(m map[string]int64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -44,7 +44,7 @@ func clone(t *Trajectory) *Trajectory {
 
 func TestDiffIdenticalPasses(t *testing.T) {
 	base := baseTrajectory()
-	reg, _ := Diff(base, clone(base), DiffOptions{})
+	reg, _ := Diff(base, clone(base))
 	if len(reg) != 0 {
 		t.Fatalf("identical trajectories regressed: %v", reg)
 	}
@@ -55,7 +55,7 @@ func TestDiffWorkRegressionFails(t *testing.T) {
 	cand := clone(base)
 	// +40% conflicts on a deterministic probe: past the 30% gate.
 	cand.Experiments[0].Work["conflicts"] = 5600
-	reg, _ := Diff(base, cand, DiffOptions{})
+	reg, _ := Diff(base, cand)
 	if len(reg) != 1 || reg[0].Metric != "conflicts" || reg[0].Exp != "cs1-fq-witness" {
 		t.Fatalf("want one conflicts regression, got %v", reg)
 	}
@@ -68,7 +68,7 @@ func TestDiffWorkWithinThresholdPasses(t *testing.T) {
 	base := baseTrajectory()
 	cand := clone(base)
 	cand.Experiments[0].Work["conflicts"] = 5000 // +25% < 30%
-	if reg, _ := Diff(base, cand, DiffOptions{}); len(reg) != 0 {
+	if reg, _ := Diff(base, cand); len(reg) != 0 {
 		t.Fatalf("+25%% work should pass, got %v", reg)
 	}
 }
@@ -79,7 +79,7 @@ func TestDiffSmallCounterNotGated(t *testing.T) {
 	// restarts 20 -> 40 is +100% but below the MinWork floor: a note,
 	// not a regression.
 	cand.Experiments[0].Work["restarts"] = 40
-	reg, notes := Diff(base, cand, DiffOptions{})
+	reg, notes := Diff(base, cand)
 	if len(reg) != 0 {
 		t.Fatalf("sub-floor counter gated: %v", reg)
 	}
@@ -98,7 +98,7 @@ func TestDiffMissingExperimentIsRegression(t *testing.T) {
 	base := baseTrajectory()
 	cand := clone(base)
 	cand.Experiments = cand.Experiments[:1] // drop portfolio-wall
-	reg, _ := Diff(base, cand, DiffOptions{})
+	reg, _ := Diff(base, cand)
 	if len(reg) != 1 || reg[0].Metric != "presence" || reg[0].Exp != "portfolio-wall" {
 		t.Fatalf("want presence regression for portfolio-wall, got %v", reg)
 	}
@@ -108,7 +108,7 @@ func TestDiffMissingCounterIsRegression(t *testing.T) {
 	base := baseTrajectory()
 	cand := clone(base)
 	delete(cand.Experiments[0].Work, "propagations")
-	reg, _ := Diff(base, cand, DiffOptions{})
+	reg, _ := Diff(base, cand)
 	if len(reg) != 1 || reg[0].Metric != "propagations" {
 		t.Fatalf("want propagations-missing regression, got %v", reg)
 	}
@@ -120,7 +120,7 @@ func TestDiffTimeGate(t *testing.T) {
 	// Past the relative threshold and the noise bar: regression.
 	cand := clone(base)
 	cand.Experiments[1].MedianMS = 900 // +157%, delta 550 > 3*50
-	reg, _ := Diff(base, cand, DiffOptions{})
+	reg, _ := Diff(base, cand)
 	if len(reg) != 1 || reg[0].Metric != "median_ms" {
 		t.Fatalf("want median_ms regression, got %v", reg)
 	}
@@ -129,15 +129,8 @@ func TestDiffTimeGate(t *testing.T) {
 	cand = clone(base)
 	cand.Experiments[1].MedianMS = 900
 	cand.Experiments[1].IQRMS = 400 // noise bar 3*400 swallows the delta
-	if reg, _ := Diff(base, cand, DiffOptions{}); len(reg) != 0 {
+	if reg, _ := Diff(base, cand); len(reg) != 0 {
 		t.Fatalf("delta inside noise bar gated: %v", reg)
-	}
-
-	// -ignore-time: never gated.
-	cand = clone(base)
-	cand.Experiments[1].MedianMS = 900
-	if reg, _ := Diff(base, cand, DiffOptions{IgnoreTime: true}); len(reg) != 0 {
-		t.Fatalf("-ignore-time still gated: %v", reg)
 	}
 }
 
@@ -148,7 +141,7 @@ func TestDiffFingerprintMismatchMakesTimeAdvisory(t *testing.T) {
 	cand.Experiments[1].MedianMS = 2000
 	// Work regression must still gate cross-machine.
 	cand.Experiments[0].Work["conflicts"] = 9000
-	reg, notes := Diff(base, cand, DiffOptions{})
+	reg, notes := Diff(base, cand)
 	if len(reg) != 1 || reg[0].Metric != "conflicts" {
 		t.Fatalf("want only the work regression cross-machine, got %v", reg)
 	}
@@ -168,7 +161,7 @@ func TestDiffNondeterministicWorkNotGated(t *testing.T) {
 	base.Experiments[0].Deterministic = false
 	cand := clone(base)
 	cand.Experiments[0].Work["conflicts"] = 9000
-	reg, notes := Diff(base, cand, DiffOptions{})
+	reg, notes := Diff(base, cand)
 	if len(reg) != 0 {
 		t.Fatalf("non-deterministic work gated: %v", reg)
 	}
@@ -188,7 +181,7 @@ func TestDiffAdvisoryNeverGates(t *testing.T) {
 	base.Experiments[1].Advisory = true
 	cand := clone(base)
 	cand.Experiments[1].MedianMS = 5000 // wildly slower, still only a note
-	reg, notes := Diff(base, cand, DiffOptions{})
+	reg, notes := Diff(base, cand)
 	if len(reg) != 0 {
 		t.Fatalf("advisory probe gated: %v", reg)
 	}
@@ -205,7 +198,7 @@ func TestDiffAdvisoryNeverGates(t *testing.T) {
 	// Dropping an advisory probe is still a coverage regression.
 	cand = clone(base)
 	cand.Experiments = cand.Experiments[:1]
-	if reg, _ := Diff(base, cand, DiffOptions{}); len(reg) != 1 || reg[0].Metric != "presence" {
+	if reg, _ := Diff(base, cand); len(reg) != 1 || reg[0].Metric != "presence" {
 		t.Fatalf("dropped advisory probe not flagged: %v", reg)
 	}
 }
