@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"buffy/internal/core"
@@ -32,13 +33,8 @@ func runStages() error {
 		{"sp-verify", qm.SPQuerySrc, "verify", 5, map[string]int64{"N": 2}, ""},
 	}
 	// Stages in pipeline order; everything else a trace records (portfolio
-	// configs, ...) is folded into "other". Restarts and simplification
-	// are search's children and already inside its column.
+	// configs, ...) is folded into "other".
 	stages := []string{"parse", "vet", "compile", "bitblast", "encode", "search"}
-	known := map[string]bool{"sat.restart": true, "sat.simplify": true}
-	for _, s := range stages {
-		known[s] = true
-	}
 
 	fmt.Printf("%-12s  %8s", "program", "total")
 	for _, s := range stages {
@@ -77,7 +73,7 @@ func runStages() error {
 		}
 		var other time.Duration
 		for name, d := range durs {
-			if !known[name] {
+			if !slices.Contains(stages, name) {
 				other += d
 			}
 		}

@@ -134,14 +134,11 @@ func main() {
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 
-	// With -explain, a SearchRecorder rides the progress feed; the report
-	// is rendered after the analysis (see printExplain).
-	var rec *sat.SearchRecorder
+	// With -explain, the solver publishes into progress; its report is
+	// rendered after the analysis (see printExplain).
 	var progress *sat.Progress
 	if *explain {
 		progress = &sat.Progress{}
-		rec = sat.NewSearchRecorder()
-		progress.SetRecorder(rec)
 	}
 
 	_, psp := telemetry.StartSpan(ctx, "parse")
@@ -165,7 +162,7 @@ func main() {
 	switch *mode {
 	case "verify":
 		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, false, *stats, *planOut, rec)
+			runPortfolio(ctx, prog, a, false, *stats, *planOut, progress)
 			printTrace(tr, *traceJSON)
 			return
 		}
@@ -182,7 +179,7 @@ func main() {
 		}
 	case "witness":
 		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, true, *stats, *planOut, rec)
+			runPortfolio(ctx, prog, a, true, *stats, *planOut, progress)
 			printTrace(tr, *traceJSON)
 			return
 		}
@@ -282,7 +279,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	printExplain(rec, "")
+	printExplain(progress, "")
 	printTrace(tr, *traceJSON)
 }
 
@@ -312,8 +309,8 @@ func printTrace(tr *telemetry.Trace, asJSON bool) {
 // printExplain renders the -explain search report after the analysis
 // output (a no-op without -explain or when no solver ran). winner names
 // the portfolio config that produced the answer, "" outside a race.
-func printExplain(rec *sat.SearchRecorder, winner string) {
-	rep := rec.Report()
+func printExplain(progress *sat.Progress, winner string) {
+	rep := progress.Report()
 	if rep == nil || rep.Totals.Solves == 0 {
 		return
 	}
@@ -378,7 +375,7 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 // runPortfolio races -portfolio diversified solver configurations on a
 // verify or witness query, reporting the winning configuration and each
 // config's search effort before rendering the winner's trace as usual.
-func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witness, stats bool, planOut string, rec *sat.SearchRecorder) {
+func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witness, stats bool, planOut string, progress *sat.Progress) {
 	var pr *portfolio.Result
 	var err error
 	if witness {
@@ -406,7 +403,7 @@ func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witn
 		}
 		fmt.Println()
 	}
-	printExplain(rec, pr.Winner)
+	printExplain(progress, pr.Winner)
 	printStats(stats, pr.Result)
 	if pr.Trace != nil {
 		fmt.Print(pr.Trace)

@@ -275,44 +275,3 @@ func TestFindMinHorizon(t *testing.T) {
 		t.Fatalf("unreachable query: trace=%v T=%d", res2.Trace, T2)
 	}
 }
-
-// Deepening agrees with FindMinHorizon on a per-step query and reuses one
-// solver across horizons.
-func TestDeepening(t *testing.T) {
-	src := `p(buffer a, buffer b) {
-		move-p(a, b, 1);
-		assert(backlog-p(b) < 3);
-	}`
-	info := load(t, src)
-	res, T, err := Deepening(info, Options{Mode: Verify}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// backlog(b) reaches 3 after 3 serviced steps: minimal failing horizon 3.
-	if res.Status != CounterexampleFound || T != 3 {
-		t.Fatalf("status=%v T=%d, want counterexample at 3", res.Status, T)
-	}
-	if len(res.Trace.Packets) < 3 {
-		t.Errorf("counterexample needs >= 3 arrivals, got %d", len(res.Trace.Packets))
-	}
-	// Cross-check against the non-incremental search.
-	res2, T2, err := FindMinHorizon(info, Options{Mode: Verify}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Status != res.Status || T2 != T {
-		t.Errorf("FindMinHorizon disagrees: %v at %d", res2.Status, T2)
-	}
-	// A safe per-step property deepens to Holds.
-	safe := load(t, `p(buffer a, buffer b) {
-		move-p(a, b, backlog-p(a));
-		assert(backlog-p(a) == 0);
-	}`)
-	res3, _, err := Deepening(safe, Options{Mode: Verify}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Status != Holds {
-		t.Errorf("safe property: %v", res3.Status)
-	}
-}

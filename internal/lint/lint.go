@@ -43,17 +43,17 @@ func (i Issue) String() string {
 
 // timeCallAllowed lists the functions (by bare name) that may read the
 // wall clock in linted packages: the budgeted solve entry point, its
-// budget-fraction accounting helper, and the search-recorder functions
-// — the recorder only runs on the amortized Progress publish cadence
-// (every 64 conflicts/decisions) or at solve boundaries, never on the
-// per-propagation path.
+// budget-fraction accounting helper, and the Progress functions that
+// stamp samples, event marks and the report's duration — Progress is
+// fed only on the amortized publish cadence (every 64
+// conflicts/decisions) or at restart/simplify/solve boundaries, never on
+// the per-propagation path.
 var timeCallAllowed = map[string]bool{
-	"SolveLimited":      true,
-	"budgetFraction":    true,
-	"NewSearchRecorder": true,
-	"observe":           true,
-	"event":             true,
-	"Report":            true,
+	"SolveLimited":   true,
+	"budgetFraction": true,
+	"observe":        true,
+	"event":          true,
+	"Report":         true,
 }
 
 // Dir lints every non-test .go file in dir (non-recursive) and returns

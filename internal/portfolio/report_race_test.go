@@ -15,15 +15,14 @@ import (
 // TestSearchReportConcurrentWithRace samples a live portfolio race from
 // the outside — the pattern behind GET /v1/jobs/{id}/explain on a
 // running job: N diversified solvers publish into one shared Progress
-// with a SearchRecorder attached, while a poller goroutine repeatedly
+// (which keeps the search report), while a poller goroutine repeatedly
 // snapshots Report() mid-solve. Run under -race in CI; the assertions
 // pin internal consistency of every mid-flight snapshot, and that the
 // final report attributes effort to each racing config by name.
 func TestSearchReportConcurrentWithRace(t *testing.T) {
 	info := qm.MustLoad(qm.FQBuggyQuerySrc)
 	p := &sat.Progress{}
-	rec := sat.NewSearchRecorder()
-	p.SetRecorder(rec)
+	rec := p
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

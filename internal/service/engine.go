@@ -65,13 +65,11 @@ type Job struct {
 
 	// trace and progress are created with the job and immutable after:
 	// readers poll them concurrently with the solve (both types are
-	// internally synchronized). Cache-hit jobs carry neither.
+	// internally synchronized). progress also accumulates the job's
+	// SearchReport (attached to the result, served by
+	// /v1/jobs/{id}/explain). Cache-hit jobs carry neither.
 	trace    *telemetry.Trace
 	progress *sat.Progress
-	// recorder accumulates the progress feed into a SearchReport
-	// (attached to the result, served by /v1/jobs/{id}/explain). Rides
-	// on progress, so cache-hit jobs carry none.
-	recorder *sat.SearchRecorder
 
 	// verdicts streams a sweep job's per-horizon answers to a listening
 	// handler. Buffered for the deepest possible sweep so the worker never
@@ -92,13 +90,9 @@ type Job struct {
 // snapshot while the job runs.
 func (j *Job) Trace() *telemetry.Trace { return j.trace }
 
-// Progress returns the job's live solver-effort counters (nil for
-// cache-hit jobs). Safe to poll while the job runs.
+// Progress returns the job's live solver-effort feed (nil for cache-hit
+// jobs). Safe to Snapshot() or Report() while the job runs.
 func (j *Job) Progress() *sat.Progress { return j.progress }
-
-// SearchRecorder returns the job's search-introspection recorder (nil
-// for cache-hit jobs). Safe to Report() while the job runs.
-func (j *Job) SearchRecorder() *sat.SearchRecorder { return j.recorder }
 
 // Verdicts returns the sweep job's per-horizon verdict stream (nil for
 // non-sweep and cache-hit jobs). The worker closes it when the sweep
@@ -151,7 +145,7 @@ func (j *Job) Cancel() {
 	j.cancel()
 	// A queued job will never be started by a worker once canceled, so it
 	// must be finished here or waiters would hang.
-	if j.finish(StateCanceled, nil, context.Canceled) {
+	if j.finishFrom(StateQueued, StateCanceled, nil, context.Canceled) {
 		j.engine.met.canceled.Add(1)
 		j.engine.noteFinished(j.ID)
 	}
@@ -170,18 +164,15 @@ func (j *Job) tryStart() bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once; the first caller
-// wins. It reports whether this call performed the transition — but a
-// queued job is only finished by Cancel, never by a worker.
-func (j *Job) finish(st State, res *Result, err error) bool {
+// finishFrom moves the job to the terminal state st only while it is
+// still in state from, and reports whether this call made the move.
+// Cancel finishes from StateQueued (a running job is left to its worker,
+// which observes the cancellation from the solver and unwinds); the
+// worker finishes from StateRunning.
+func (j *Job) finishFrom(from, st State, res *Result, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return false
-	}
-	if st == StateCanceled && j.state == StateRunning {
-		// Cancel of a running job: let the worker unwind and record the
-		// terminal state (it observes ctx cancellation from the solver).
+	if j.state != from {
 		return false
 	}
 	j.state = st
@@ -190,21 +181,6 @@ func (j *Job) finish(st State, res *Result, err error) bool {
 	j.finished = time.Now()
 	close(j.done)
 	return true
-}
-
-// finishFromWorker is finish for the owning worker: it may complete a
-// running job with any terminal state.
-func (j *Job) finishFromWorker(st State, res *Result, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return
-	}
-	j.state = st
-	j.result = res
-	j.err = err
-	j.finished = time.Now()
-	close(j.done)
 }
 
 // Times returns the submit/start/finish timestamps (zero if not reached).
@@ -433,7 +409,7 @@ func (e *Engine) serveCachedLocked(req *Request, cached *Result, tier string) *J
 	// A cache hit never runs the pipeline: no spans to record, no
 	// live progress to poll, no verdicts to stream (they ride in the
 	// cached result).
-	job.trace, job.progress, job.recorder, job.verdicts = nil, nil, nil, nil
+	job.trace, job.progress, job.verdicts = nil, nil, nil
 	// Shallow copy: the trace/workload payload is shared (immutable),
 	// only the per-response CacheHit/CacheTier stamps differ.
 	res := *cached
@@ -465,8 +441,6 @@ func (e *Engine) newJobLocked(req *Request) *Job {
 	if e.cfg.TraceSpans > 0 {
 		job.trace = telemetry.NewTraceN(job.ID, e.cfg.TraceSpans)
 		job.progress = &sat.Progress{}
-		job.recorder = sat.NewSearchRecorder()
-		job.progress.SetRecorder(job.recorder)
 	}
 	if kinds[req.Kind].streams {
 		job.verdicts = make(chan SweepVerdict, MaxHorizon+1)
@@ -668,7 +642,7 @@ func (e *Engine) runJob(job *Job) {
 		if err != nil {
 			// Transient error (panic, disagreement) with retries exhausted.
 			e.met.recordFailed(reason)
-			job.finishFromWorker(StateFailed, nil, err)
+			job.finishFrom(StateRunning, StateFailed, nil, err)
 			break
 		}
 		// Either a definite answer or an Unknown the caller must interpret
@@ -684,7 +658,7 @@ func (e *Engine) runJob(job *Job) {
 		}
 		res.Attempts = attempt
 		res.Degraded = degraded
-		if rep := job.recorder.Report(); rep != nil && rep.Totals.Solves > 0 {
+		if rep := job.progress.Report(); rep != nil && rep.Totals.Solves > 0 {
 			// Attach the search introspection record to the result (and
 			// therefore to both cache tiers: explain works on cache hits
 			// too). Static-tier and netcalc answers never ran a solver, so
@@ -701,19 +675,19 @@ func (e *Engine) runJob(job *Job) {
 		if res.conclusive() {
 			e.cache.put(job.key, res)
 		}
-		job.finishFromWorker(StateDone, res, nil)
+		job.finishFrom(StateRunning, StateDone, res, nil)
 	case failCanceled:
 		e.met.canceled.Add(1)
-		job.finishFromWorker(StateCanceled, nil, err)
+		job.finishFrom(StateRunning, StateCanceled, nil, err)
 	case failDeadline:
 		// The timeout is a lower bound on the true latency; feeding it to
 		// the admission EWMA keeps the estimate honest under overload.
 		e.met.recordFailed(reason)
 		e.admit.observe(job.Req.Kind, elapsed)
-		job.finishFromWorker(StateFailed, nil, err)
+		job.finishFrom(StateRunning, StateFailed, nil, err)
 	default: // failPermanent: parse/type/compile errors.
 		e.met.recordFailed(reason)
-		job.finishFromWorker(StateFailed, nil, err)
+		job.finishFrom(StateRunning, StateFailed, nil, err)
 	}
 
 	if job.trace != nil {

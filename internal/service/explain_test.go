@@ -80,6 +80,16 @@ func TestExplainEndpointSolverJob(t *testing.T) {
 	if rep.Depth.Count == 0 || rep.LBD.Count == 0 {
 		t.Errorf("distributions empty: depth %d, lbd %d", rep.Depth.Count, rep.LBD.Count)
 	}
+	// The search clock starts at the first solve_start and stops at the
+	// last solve_end: queueing, parsing and compiling are not billed to
+	// it. This witness job runs a single solve.
+	if first := rep.Events[0]; first.Kind != "solve_start" || first.AtMS != 0 {
+		t.Errorf("first event = %+v, want solve_start at 0ms", first)
+	}
+	if last := rep.Events[len(rep.Events)-1]; rep.Totals.Solves != 1 || last.Kind != "solve_end" || rep.DurationMS != last.AtMS {
+		t.Errorf("duration %vms over %d solves, last event %+v: want one solve lasting until its solve_end mark",
+			rep.DurationMS, rep.Totals.Solves, last)
+	}
 	// The endpoint serves the same report the result carries.
 	a, _ := json.Marshal(rep)
 	b, _ := json.Marshal(res.Search)

@@ -92,12 +92,12 @@ func NewHandler(e *Engine) http.Handler {
 		// A terminal job's result carries the report with the winner
 		// annotation (byte-identical to what the cache tiers serve, and
 		// the only one a cache-hit job has); a live job builds it from its
-		// recorder.
+		// progress feed.
 		var rep *sat.SearchReport
 		if res, _ := job.Result(); res != nil && res.Search != nil {
 			rep = res.Search
-		} else if rec := job.SearchRecorder(); rec != nil {
-			rep = rec.Report()
+		} else {
+			rep = job.Progress().Report()
 		}
 		if rep == nil || rep.Totals.Solves == 0 {
 			writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no search report (static tier, netcalc, not started, cache hit without one, or tracing disabled)", id))

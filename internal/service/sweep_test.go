@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"buffy/internal/qm"
+	"buffy/internal/telemetry"
 )
 
 func sweepReq(mode string, maxT int) *Request {
@@ -406,5 +407,52 @@ func TestSweepValidation(t *testing.T) {
 		if _, err := e.Submit(req); err == nil {
 			t.Errorf("Submit(%+v) should fail validation", req)
 		}
+	}
+}
+
+// TestSweepSearchSpansCountOwnEffort: a session sweep re-solves one
+// solver per horizon, so each horizon's search span must report that
+// solve's conflicts, not the solver's lifetime count. The spans then sum
+// to the job's search report totals.
+func TestSweepSearchSpansCountOwnEffort(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer shutdown(t, e)
+
+	job, err := e.Submit(&Request{
+		Kind:      KindSweep,
+		Source:    qm.FQFixedQuerySrc,
+		Params:    map[string]int64{"N": 3},
+		MaxT:      5,
+		SweepMode: "verify",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitDone(t, job, 2*time.Minute)
+	if res.Search == nil {
+		t.Fatal("sweep result carries no search report")
+	}
+	var spans, withConflicts int
+	var sum int64
+	var walk func([]*telemetry.SpanView)
+	walk = func(views []*telemetry.SpanView) {
+		for _, sv := range views {
+			if sv.Name == "search" {
+				c, _ := sv.Attrs["conflicts"].(int64)
+				spans++
+				sum += c
+				if c > 0 {
+					withConflicts++
+				}
+			}
+			walk(sv.Spans)
+		}
+	}
+	walk(job.Trace().Snapshot().Spans)
+	if withConflicts < 2 {
+		t.Fatalf("%d search spans, %d with conflicts: want >= 2 horizons that search", spans, withConflicts)
+	}
+	if sum != res.Search.Totals.Conflicts {
+		t.Errorf("search spans sum to %d conflicts, search report totals %d", sum, res.Search.Totals.Conflicts)
 	}
 }

@@ -176,6 +176,60 @@ func TestSweepWarm(t *testing.T) {
 	}
 }
 
+// TestSweepPerStepQueries sweeps programs whose assert holds at every
+// step (no t == T - 1 guard): a per-step violation is found at its
+// minimal horizon in agreement with the cold loop, and a safe per-step
+// property sweeps dry to Holds.
+func TestSweepPerStepQueries(t *testing.T) {
+	sweep := func(src string, maxT int) *session.SweepResult {
+		t.Helper()
+		info := load(t, src)
+		sess, err := session.New(info, session.Options{IR: ir.Options{T: maxT}})
+		if err != nil {
+			t.Fatalf("session.New: %v", err)
+		}
+		sr, err := session.Sweep(context.Background(), info, sess, session.SweepOptions{
+			MaxT: maxT, Mode: smtbe.Verify,
+		})
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		if !sr.Warm {
+			t.Error("sweep with a live session should be fully warm")
+		}
+		return sr
+	}
+
+	src := `p(buffer a, buffer b) {
+		move-p(a, b, 1);
+		assert(backlog-p(b) < 3);
+	}`
+	sr := sweep(src, 8)
+	// backlog(b) reaches 3 after 3 serviced steps: minimal failing horizon 3.
+	if sr.Final.Status != smtbe.CounterexampleFound || sr.FoundAt != 3 {
+		t.Fatalf("status=%v T=%d, want counterexample at 3", sr.Final.Status, sr.FoundAt)
+	}
+	if len(sr.Final.Trace.Packets) < 3 {
+		t.Errorf("counterexample needs >= 3 arrivals, got %d", len(sr.Final.Trace.Packets))
+	}
+	cold, coldT, err := smtbe.FindMinHorizon(load(t, src), smtbe.Options{Mode: smtbe.Verify}, 8)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	if cold.Status != sr.Final.Status || coldT != sr.FoundAt {
+		t.Errorf("FindMinHorizon disagrees: %v at %d", cold.Status, coldT)
+	}
+
+	safe := sweep(`p(buffer a, buffer b) {
+		move-p(a, b, backlog-p(a));
+		assert(backlog-p(a) == 0);
+	}`, 5)
+	if safe.Final.Status != smtbe.Holds || safe.FoundAt != 0 || len(safe.Verdicts) != 5 {
+		t.Errorf("safe property: %v, found at %d after %d horizons; want Holds through T=5",
+			safe.Final.Status, safe.FoundAt, len(safe.Verdicts))
+	}
+}
+
 // TestSweepEvictionDegradesCold: closing the session mid-sweep (what pool
 // eviction does) degrades the remaining horizons to cold solves with
 // identical verdicts — never a wrong answer, never an error.

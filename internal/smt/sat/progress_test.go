@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"buffy/internal/telemetry"
 )
 
 // TestProgressPublishedDuringSolve pins the live-progress contract: while
@@ -125,21 +123,5 @@ func TestNilProgressIsFree(t *testing.T) {
 	var p *Progress
 	if snap := p.Snapshot(); snap != (ProgressSnapshot{}) {
 		t.Errorf("nil Progress snapshot = %+v, want zero", snap)
-	}
-}
-
-// TestSearchSpansRecorded pins the Limits.Span plumbing: a busy solve
-// with a restart-heavy schedule records sat.restart (and, with a tight
-// learnt limit, sat.simplify) child spans.
-func TestSearchSpansRecorded(t *testing.T) {
-	tr := telemetry.NewTraceN("sat", 4096)
-	root := tr.StartSpan(nil, "search")
-	s := New()
-	loadHardRandom3SAT(s, 300, 1278, 0xdeadbeef12345)
-	s.SolveLimited(Limits{MaxConflicts: 2000, Span: root})
-	root.End()
-	d := tr.Durations()
-	if _, ok := d["sat.restart"]; !ok {
-		t.Errorf("no sat.restart spans recorded in %v", d)
 	}
 }

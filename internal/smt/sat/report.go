@@ -4,66 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// SearchRecorder turns the live Progress feed into a retrospective
-// SearchReport: a bounded timeline of effort samples, restart/simplify
-// event marks, decision-depth and learnt-clause LBD distributions, and a
-// per-configuration effort breakdown for portfolio races.
-//
-// The recorder rides on Progress (SetRecorder), so it reaches every
-// solver the Progress reaches — portfolio goroutines, fperf's sequential
-// checks, session re-solves — with no extra plumbing. Solvers feed it
-// only on the amortized budget-check cadence (the same publish calls that
-// update Progress) plus one call per restart/simplify/solve boundary, so
-// the CDCL hot loop never sees it. All methods are nil-safe and
-// mutex-guarded; Report may be called concurrently with live solving.
-type SearchRecorder struct {
-	start time.Time
-
-	mu            sync.Mutex
-	samples       []SearchSample
-	stride        int // publishes per kept sample; doubles on decimation
-	skip          int // publishes to skip before the next kept sample
-	events        []SearchEvent
-	eventsDropped int64
-	depth         [len(depthBucketBounds) + 1]int64
-	lbd           [lbdOverflowBucket + 1]int64
-	totals        Stats
-	maxBudget     float64
-	solves        int64
-	configs       map[string]*ConfigEffort
-}
-
-// maxSamples bounds the timeline; when full the recorder drops every
-// other sample and doubles its stride, so long solves keep a
-// shape-preserving, progressively coarser timeline instead of losing the
-// tail. maxEvents bounds event marks the same way drops are counted for
-// spans: overflow increments EventsDropped instead of growing without
-// bound.
-const (
-	maxSamples = 512
-	maxEvents  = 512
-)
-
-// depthBucketBounds are the inclusive upper bounds of the decision-depth
-// histogram buckets; a final overflow bucket catches deeper samples.
-var depthBucketBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-// lbdOverflowBucket is the index of the "LBD >= 17" bucket; buckets
-// 0..15 hold exact LBDs 1..16.
-const lbdOverflowBucket = 16
-
-// NewSearchRecorder returns an empty recorder whose timeline starts now.
-func NewSearchRecorder() *SearchRecorder {
-	return &SearchRecorder{
-		start:   time.Now(),
-		stride:  1,
-		configs: make(map[string]*ConfigEffort),
-	}
-}
 
 // SearchSample is one point on the job-wide effort timeline. The
 // counters are cumulative across every solver attached to the job's
@@ -142,111 +84,8 @@ type SearchReport struct {
 	Configs       []ConfigEffort   `json:"configs,omitempty"`
 	// Winner names the portfolio configuration that produced the answer;
 	// empty for single-config solves. Set by the caller that knows the
-	// race outcome (service / buffyc), not by the recorder.
+	// race outcome (service / buffyc), not by Progress.
 	Winner string `json:"winner,omitempty"`
-}
-
-// observe ingests one publish-cadence point from a solver: the effort
-// delta since that solver's previous publish, the job-wide progress it
-// was applied to, the solver's current decision depth, and the delta of
-// its LBD histogram. The progress is snapshotted under r.mu, so racing
-// solvers' samples are cumulative in the order they are recorded.
-func (r *SearchRecorder) observe(config string, d Stats, p *Progress, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	at := time.Since(r.start)
-	snap := p.Snapshot()
-
-	r.totals.Conflicts += d.Conflicts
-	r.totals.Decisions += d.Decisions
-	r.totals.Propagations += d.Propagations
-	r.totals.Restarts += d.Restarts
-	r.totals.Learnt += d.Learnt
-	r.totals.LearntBytes += d.LearntBytes
-	if snap.BudgetFraction > r.maxBudget {
-		r.maxBudget = snap.BudgetFraction
-	}
-
-	ce := r.effortLocked(config)
-	ce.Conflicts += d.Conflicts
-	ce.Decisions += d.Decisions
-	ce.Propagations += d.Propagations
-	ce.Restarts += d.Restarts
-	ce.Learnt += d.Learnt
-
-	r.depth[depthBucket(int64(depth))]++
-	if lbdDelta != nil {
-		for i, n := range lbdDelta {
-			r.lbd[i] += n
-		}
-	}
-
-	if r.skip > 0 {
-		r.skip--
-		return
-	}
-	r.samples = append(r.samples, SearchSample{
-		AtMS:           float64(at.Microseconds()) / 1000,
-		Conflicts:      snap.Conflicts,
-		Decisions:      snap.Decisions,
-		Propagations:   snap.Propagations,
-		Restarts:       snap.Restarts,
-		Learnt:         snap.Learnt,
-		LearntBytes:    snap.LearntBytes,
-		BudgetFraction: snap.BudgetFraction,
-		Depth:          depth,
-		Config:         config,
-	})
-	r.skip = r.stride - 1
-	if len(r.samples) >= maxSamples {
-		// Decimate: keep every other sample, double the stride. The
-		// timeline keeps its overall shape at half the resolution.
-		kept := r.samples[:0]
-		for i := 0; i < len(r.samples); i += 2 {
-			kept = append(kept, r.samples[i])
-		}
-		r.samples = kept
-		r.stride *= 2
-		r.skip = r.stride - 1
-	}
-}
-
-// event records a discrete search event mark.
-func (r *SearchRecorder) event(kind, config string, conflicts, detail int64) {
-	if r == nil {
-		return
-	}
-	at := time.Since(r.start)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if kind == "solve_start" {
-		r.solves++
-		r.effortLocked(config).Solves++
-	}
-	if len(r.events) >= maxEvents {
-		r.eventsDropped++
-		return
-	}
-	r.events = append(r.events, SearchEvent{
-		AtMS:      float64(at.Microseconds()) / 1000,
-		Kind:      kind,
-		Config:    config,
-		Conflicts: conflicts,
-		Detail:    detail,
-	})
-}
-
-// effortLocked returns (creating if needed) the per-config aggregate.
-func (r *SearchRecorder) effortLocked(config string) *ConfigEffort {
-	ce := r.configs[config]
-	if ce == nil {
-		ce = &ConfigEffort{Name: config}
-		r.configs[config] = ce
-	}
-	return ce
 }
 
 // depthBucket maps a decision depth to its histogram bucket index.
@@ -259,36 +98,36 @@ func depthBucket(d int64) int {
 	return len(depthBucketBounds)
 }
 
-// Report snapshots the recorder into a standalone SearchReport. Safe to
+// Report snapshots the search into a standalone SearchReport. Safe to
 // call while solvers are still publishing; the result is internally
-// consistent under the recorder's lock. Nil-safe (returns nil).
-func (r *SearchRecorder) Report() *SearchReport {
-	if r == nil {
+// consistent under the Progress lock. Nil-safe (returns nil).
+func (p *Progress) Report() *SearchReport {
+	if p == nil {
 		return nil
 	}
-	dur := time.Since(r.start)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	end := p.end
+	if p.running > 0 {
+		end = time.Now()
+	}
+	var dur float64
+	if !end.IsZero() {
+		dur = p.atLocked(end)
+	}
+	totals := p.snapshotLocked()
+	totals.Running = 0 // the report records effort, not liveness
 
 	rep := &SearchReport{
-		DurationMS:    float64(dur.Microseconds()) / 1000,
-		SampleStride:  r.stride,
-		Samples:       append([]SearchSample(nil), r.samples...),
-		Events:        append([]SearchEvent(nil), r.events...),
-		EventsDropped: r.eventsDropped,
-		Totals: ProgressSnapshot{
-			Conflicts:      r.totals.Conflicts,
-			Decisions:      r.totals.Decisions,
-			Propagations:   r.totals.Propagations,
-			Restarts:       r.totals.Restarts,
-			Learnt:         r.totals.Learnt,
-			LearntBytes:    r.totals.LearntBytes,
-			Solves:         r.solves,
-			BudgetFraction: r.maxBudget,
-		},
+		DurationMS:    dur,
+		SampleStride:  max(p.stride, 1),
+		Samples:       append([]SearchSample(nil), p.samples...),
+		Events:        append([]SearchEvent(nil), p.events...),
+		EventsDropped: p.eventsDropped,
+		Totals:        totals,
 	}
 
-	for i, n := range r.depth {
+	for i, n := range p.depth {
 		rep.Depth.Count += n
 		if n == 0 {
 			continue
@@ -299,7 +138,7 @@ func (r *SearchRecorder) Report() *SearchReport {
 		}
 		rep.Depth.Buckets = append(rep.Depth.Buckets, DistBucket{Le: le, Count: n})
 	}
-	for i, n := range r.lbd {
+	for i, n := range p.lbd {
 		rep.LBD.Count += n
 		if n == 0 {
 			continue
@@ -311,7 +150,7 @@ func (r *SearchRecorder) Report() *SearchReport {
 		rep.LBD.Buckets = append(rep.LBD.Buckets, DistBucket{Le: le, Count: n})
 	}
 
-	for _, ce := range r.configs {
+	for _, ce := range p.configs {
 		rep.Configs = append(rep.Configs, *ce)
 	}
 	sort.Slice(rep.Configs, func(i, j int) bool {

@@ -14,11 +14,9 @@ func TestRecorderThroughSolve(t *testing.T) {
 	s := New()
 	s.opts.Name = "unit-cfg"
 	loadHardRandom3SAT(s, 300, 1278, 0x2545f4914f6cdd1d)
-	p := &Progress{}
-	rec := NewSearchRecorder()
-	p.SetRecorder(rec)
+	rec := &Progress{}
 
-	if got := s.SolveLimited(Limits{MaxConflicts: 3000, Progress: p}); got != Unknown {
+	if got := s.SolveLimited(Limits{MaxConflicts: 3000, Progress: rec}); got != Unknown {
 		t.Fatalf("status = %v, want Unknown (budget)", got)
 	}
 
@@ -57,6 +55,14 @@ func TestRecorderThroughSolve(t *testing.T) {
 	if len(rep.Configs) != 1 || rep.Configs[0].Name != "unit-cfg" {
 		t.Errorf("configs = %+v, want the single named config", rep.Configs)
 	}
+	// The clock runs from solve_start to solve_end: nothing before the
+	// search is billed to it.
+	if first := rep.Events[0]; first.Kind != "solve_start" || first.AtMS != 0 {
+		t.Errorf("first event = %+v, want solve_start at 0ms", first)
+	}
+	if last := rep.Events[len(rep.Events)-1]; last.Kind != "solve_end" || rep.DurationMS != last.AtMS {
+		t.Errorf("duration %vms, last event %+v: want the solve_end mark's at_ms", rep.DurationMS, last)
+	}
 	// Samples are monotone in time and cumulative counters.
 	for i := 1; i < len(rep.Samples); i++ {
 		if rep.Samples[i].Conflicts < rep.Samples[i-1].Conflicts {
@@ -72,12 +78,10 @@ func TestRecorderThroughSolve(t *testing.T) {
 // the shape-preserving coarsening: never above maxSamples, stride
 // doubling, first sample retained.
 func TestRecorderDecimation(t *testing.T) {
-	rec := NewSearchRecorder()
-	p := &Progress{}
+	rec := &Progress{}
 	const pubs = maxSamples*4 + 37
 	for i := 0; i < pubs; i++ {
-		p.add(Stats{Conflicts: 1})
-		rec.observe("", Stats{Conflicts: 1}, p, i%40, nil)
+		rec.observe("", Stats{Conflicts: 1}, 0, i%40, nil)
 	}
 	rec.mu.Lock()
 	n, stride := len(rec.samples), rec.stride
@@ -103,7 +107,7 @@ func TestRecorderDecimation(t *testing.T) {
 
 // TestRecorderEventCap: overflow marks are counted, not kept.
 func TestRecorderEventCap(t *testing.T) {
-	rec := NewSearchRecorder()
+	rec := &Progress{}
 	for i := 0; i < maxEvents+25; i++ {
 		rec.event("restart", "", int64(i), 0)
 	}
@@ -119,14 +123,11 @@ func TestRecorderEventCap(t *testing.T) {
 // TestRecorderConfigAttribution: effort lands on the config that
 // published it, and solve_start counts per-config solves.
 func TestRecorderConfigAttribution(t *testing.T) {
-	rec := NewSearchRecorder()
+	rec := &Progress{}
 	rec.event("solve_start", "geom", 0, 0)
 	rec.event("solve_start", "luby", 0, 0)
-	p := &Progress{}
-	p.add(Stats{Conflicts: 100})
-	rec.observe("geom", Stats{Conflicts: 100}, p, 3, nil)
-	p.add(Stats{Conflicts: 40})
-	rec.observe("luby", Stats{Conflicts: 40}, p, 5, nil)
+	rec.observe("geom", Stats{Conflicts: 100}, 0, 3, nil)
+	rec.observe("luby", Stats{Conflicts: 40}, 0, 5, nil)
 	rep := rec.Report()
 	if len(rep.Configs) != 2 {
 		t.Fatalf("configs = %+v, want 2", rep.Configs)
@@ -143,13 +144,10 @@ func TestRecorderConfigAttribution(t *testing.T) {
 // TestReportJSONRoundTrip: the report rides the durable result store,
 // so a decode of its encode must be lossless.
 func TestReportJSONRoundTrip(t *testing.T) {
-	rec := NewSearchRecorder()
+	rec := &Progress{}
 	rec.event("solve_start", "cfg", 0, 0)
-	p := &Progress{}
 	d := Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640}
-	p.add(d)
-	p.observeBudget(0.25)
-	rec.observe("cfg", d, p, 7, nil)
+	rec.observe("cfg", d, 0.25, 7, nil)
 	rec.event("restart", "cfg", 64, 128)
 	rep := rec.Report()
 	rep.Winner = "cfg"
@@ -176,10 +174,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestReportRender(t *testing.T) {
 	s := New()
 	loadHardRandom3SAT(s, 300, 1278, 0xdeadbeef12345)
-	p := &Progress{}
-	rec := NewSearchRecorder()
-	p.SetRecorder(rec)
-	s.SolveLimited(Limits{MaxConflicts: 3000, Progress: p})
+	rec := &Progress{}
+	s.SolveLimited(Limits{MaxConflicts: 3000, Progress: rec})
 
 	out := rec.Report().Render()
 	for _, want := range []string{"search:", "timeline", "events:", "decision depth", "LBD"} {
@@ -193,19 +189,11 @@ func TestReportRender(t *testing.T) {
 	}
 }
 
-// TestRecorderNilSafe: solvers publish through nil-guards; a Progress
-// without a recorder and a nil recorder must both be free.
+// TestRecorderNilSafe: readers poll through nil-guards; a nil Progress
+// must be free.
 func TestRecorderNilSafe(t *testing.T) {
-	var rec *SearchRecorder
-	rec.observe("", Stats{}, nil, 0, nil)
-	rec.event("restart", "", 0, 0)
+	var rec *Progress
 	if rec.Report() != nil {
 		t.Error("nil recorder produced a report")
 	}
-	p := &Progress{}
-	if p.Recorder() != nil {
-		t.Error("fresh Progress has a recorder attached")
-	}
-	var np *Progress
-	np.SetRecorder(NewSearchRecorder()) // must not panic
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"buffy/internal/smt/cnf"
-	"buffy/internal/telemetry"
 )
 
 // Fingerprint names the decision procedure's semantics for the durable
@@ -150,16 +149,12 @@ type Limits struct {
 	// same amortized cadence as MaxConflicts, so Solve returns Unknown
 	// within a bounded number of search steps after cancellation.
 	Cancel <-chan struct{}
-	// Progress, when set, receives a lock-free live snapshot of search
-	// effort: the solver publishes counter deltas on the amortized
-	// budget-check cadence, so concurrent readers (a service progress
-	// endpoint) never touch the hot-path Stats fields. Shareable across
-	// concurrent solves — each publishes only its own delta.
+	// Progress, when set, receives the search's effort deltas and event
+	// marks on the amortized budget-check cadence, so concurrent readers
+	// (a service progress or explain endpoint) never touch the hot-path
+	// Stats fields. Shareable across concurrent solves — each publishes
+	// only its own delta.
 	Progress *Progress
-	// Span, when set, parents search-level telemetry spans: one per
-	// restart and per learnt-DB reduction round. The span's trace bounds
-	// how many are kept.
-	Span *telemetry.Span
 }
 
 // cancelled reports whether the cancel channel is readable.
@@ -211,7 +206,7 @@ type Solver struct {
 	stopReason  StopReason
 	// lbdHist counts learnt clauses by LBD: index i holds LBD i+1, the
 	// last bucket everything >= lbdOverflowBucket+1. One increment per
-	// learnt clause; published as deltas to an attached SearchRecorder.
+	// learnt clause; published as deltas to the attached Progress.
 	lbdHist [lbdOverflowBucket + 1]int64
 
 	// debug enables expensive internal invariant checking after every
@@ -924,20 +919,17 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 	// Live progress: publish effort deltas on the amortized check cadence
 	// and once more on every exit path. The hot loop never touches the
 	// shared Progress outside publish calls, so Stats stays unsynchronized
-	// on the solver's own goroutine while pollers read atomics.
+	// on the solver's own goroutine.
 	solveStart := time.Now()
 	pub := progressPub{p: lim.Progress, name: s.opts.Name}
 	if lim.Progress != nil {
 		pub.last = s.stats
 		pub.last.LearntBytes = s.learntBytes
 		pub.lastLBD = s.lbdHist
-		lim.Progress.solves.Add(1)
-		lim.Progress.running.Add(1)
 		pub.event(s, "solve_start", 0)
 		defer func() {
 			pub.publish(s, s.budgetFraction(lim, conflictsAtStart, propsAtStart, solveStart))
 			pub.event(s, "solve_end", int64(s.stopReason))
-			lim.Progress.running.Add(-1)
 		}()
 	}
 
@@ -1035,25 +1027,15 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 			nextRestart = s.stats.Conflicts + s.restartInterval(restartBase, curRestart, geomInterval)
 			s.backtrackTo(len(assumptions))
 			pub.event(s, "restart", nextRestart-s.stats.Conflicts)
-			rsp := lim.Span.Child("sat.restart")
-			rsp.SetAttrs(
-				telemetry.Int("conflicts", s.stats.Conflicts-conflictsAtStart),
-				telemetry.Int("interval", nextRestart-s.stats.Conflicts))
-			rsp.End()
 		}
 
 		// Reduce learnt DB? Watch re-attachment is only sound at level 0,
 		// so force a full restart first.
 		if int64(len(s.learnts)) > learntLimit {
 			s.backtrackTo(0)
-			ssp := lim.Span.Child("sat.simplify")
 			before := int64(len(s.learnts))
 			s.reduceDB()
 			pub.event(s, "simplify", before-int64(len(s.learnts)))
-			ssp.SetAttrs(
-				telemetry.Int("learnt_before", before),
-				telemetry.Int("learnt_after", int64(len(s.learnts))))
-			ssp.End()
 			learntLimit = int64(float64(learntLimit) * s.opts.LearntGrowth)
 		}
 

@@ -206,14 +206,16 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 		lim.Deadline = d
 	}
 	_, span := telemetry.StartSpan(ctx, "search")
-	lim.Span = span
+	before := s.sat.Stats()
 	res := s.sat.SolveLimited(lim, lits...)
 	if span != nil {
-		st := s.sat.Stats()
+		// This call's effort only: a session re-solves one solver, whose
+		// Stats are lifetime counts.
+		after := s.sat.Stats()
 		span.SetAttrs(
 			telemetry.String("result", res.String()),
-			telemetry.Int("conflicts", st.Conflicts),
-			telemetry.Int("decisions", st.Decisions))
+			telemetry.Int("conflicts", after.Conflicts-before.Conflicts),
+			telemetry.Int("decisions", after.Decisions-before.Decisions))
 		span.End()
 	}
 	switch res {
