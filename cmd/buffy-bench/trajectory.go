@@ -62,12 +62,14 @@ func trajectoryProbes() []trajectoryProbe {
 			}
 			s := res.SatStats
 			return map[string]int64{
-				"conflicts":    s.Conflicts,
-				"decisions":    s.Decisions,
-				"propagations": s.Propagations,
-				"learnt":       s.Learnt,
-				"clauses":      int64(res.NumClauses),
-				"vars":         int64(res.NumVars),
+				"conflicts":      s.Conflicts,
+				"decisions":      s.Decisions,
+				"propagations":   s.Propagations,
+				"learnt":         s.Learnt,
+				"clauses":        int64(res.NumClauses),
+				"vars":           int64(res.NumVars),
+				"terms":          int64(res.Terms),
+				"intern_lookups": res.InternLookups,
 			}, nil
 		}
 	}

@@ -155,6 +155,9 @@ type Result struct {
 	// Encoding sizes, for scalability experiments.
 	NumClauses int
 	NumVars    int
+	// Compile work (ir.Compiled.Terms and InternLookups).
+	Terms         int
+	InternLookups int64
 	// Tier names the analysis tier that produced the answer: "" or "smt"
 	// for a solver run, "static" when the pre-solve static analyzer
 	// (internal/lang/sema) decided the query without solving.
@@ -263,6 +266,7 @@ func (e *Encoded) solveOn(ctx context.Context, s *solver.Solver, start time.Time
 	res.SatStats = s.Stats()
 	res.NumClauses = s.NumClauses()
 	res.NumVars = s.NumVars()
+	res.Terms, res.InternLookups = e.C.Terms, e.C.InternLookups
 	switch {
 	case outcome == solver.Unknown:
 		res.Status = Unknown

@@ -171,8 +171,31 @@ func (s *listState) FilterBacklogB(c *Ctx, f Filter) (*term.Term, error) {
 	return c.B.Add(terms...), nil
 }
 
+// lazy is a table of terms filled on first use. Filling it in the order
+// the terms would otherwise first be built keeps every term id, and so the
+// emitted CNF, the same as rebuilding each term per use and letting the
+// builder intern it.
+type lazy []*term.Term
+
+func (l lazy) get(i int, build func() *term.Term) *term.Term {
+	if l[i] == nil {
+		l[i] = build()
+	}
+	return l[i]
+}
+
+func lazyTable(rows, cols int) []lazy {
+	t := make([]lazy, rows)
+	for r := range t {
+		t[r] = make(lazy, cols)
+	}
+	return t
+}
+
 // move is the shared implementation of MoveP/MoveB: want[i] marks the
 // packets that leave the receiver and are appended, in order, to dst.
+// Each selector below depends on fewer indices than the loops that use
+// it, so it sits in a lazy table instead of being rebuilt per use.
 func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 	d, ok := dst.(*listState)
 	if !ok {
@@ -192,14 +215,6 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 		wantRank[i] = movedCount
 		movedCount = b.Add(movedCount, boolToInt(b, w))
 	}
-	selMoved := func(k int, proj func(i int) *term.Term) *term.Term {
-		out := zero
-		for i := len(want) - 1; i >= 0; i-- {
-			hit := b.And(want[i], b.Eq(wantRank[i], b.IntConst(int64(k))))
-			out = b.Ite(hit, proj(i), out)
-		}
-		return out
-	}
 
 	// Compact the receiver: keep = valid && !want.
 	keep := make([]*term.Term, len(s.valid))
@@ -214,18 +229,19 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 	newFields := make([][]*term.Term, s.cfg.Cap)
 	newBytes := make([]*term.Term, s.cfg.Cap)
 	for j := 0; j < s.cfg.Cap; j++ {
-		newValid[j] = b.Lt(b.IntConst(int64(j)), keepCount)
+		jT := b.IntConst(int64(j))
+		newValid[j] = b.Lt(jT, keepCount)
+		keepHit := make(lazy, len(keep)) // packet i lands in slot j
 		selKeep := func(proj func(i int) *term.Term) *term.Term {
 			out := zero
 			for i := len(keep) - 1; i >= 0; i-- {
-				hit := b.And(keep[i], b.Eq(keepRank[i], b.IntConst(int64(j))))
+				hit := keepHit.get(i, func() *term.Term { return b.And(keep[i], b.Eq(keepRank[i], jT)) })
 				out = b.Ite(hit, proj(i), out)
 			}
 			return out
 		}
 		fs := make([]*term.Term, s.cfg.NumFields)
-		for f := 0; f < s.cfg.NumFields; f++ {
-			f := f
+		for f := range fs {
 			fs[f] = selKeep(func(i int) *term.Term { return s.fields[i][f] })
 		}
 		newFields[j] = fs
@@ -233,14 +249,30 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 	}
 
 	// Append the moved packets to dst (which may be the same shape but a
-	// different capacity). Drops happen past dst capacity.
+	// different capacity). Drops happen past dst capacity. Fields dst has
+	// but the receiver lacks arrive as zero.
 	dCount := d.count(c)
 	dValid := make([]*term.Term, d.cfg.Cap)
 	dFields := make([][]*term.Term, d.cfg.Cap)
 	dBytes := make([]*term.Term, d.cfg.Cap)
-	nf := d.cfg.NumFields
-	if nf > s.cfg.NumFields {
-		nf = s.cfg.NumFields
+	nf := min(d.cfg.NumFields, s.cfg.NumFields)
+	// moved[f][k] is moved slot k's field f, with bytes at f == nf;
+	// movedHit[k][i] says packet i is moved slot k. Neither depends on
+	// the dst slot.
+	moved := lazyTable(nf+1, len(want))
+	movedHit := lazyTable(len(want), len(want))
+	selMoved := func(k, f int) *term.Term {
+		out := zero
+		kT := b.IntConst(int64(k))
+		for i := len(want) - 1; i >= 0; i-- {
+			hit := movedHit[k].get(i, func() *term.Term { return b.And(want[i], b.Eq(wantRank[i], kT)) })
+			v := s.bytes[i]
+			if f < nf {
+				v = s.fields[i][f]
+			}
+			out = b.Ite(hit, v, out)
+		}
+		return out
 	}
 	for j := 0; j < d.cfg.Cap; j++ {
 		jT := b.IntConst(int64(j))
@@ -248,27 +280,25 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 		appIdx := b.Sub(jT, dCount) // index into the moved sequence
 		isNew := b.And(b.Not(isOld), b.Lt(appIdx, movedCount))
 		dValid[j] = b.Or(d.valid[j], isNew)
-		selApp := func(proj func(i int) *term.Term) *term.Term {
+		appHit := make(lazy, len(want)) // moved slot k lands in slot j
+		selApp := func(f int) *term.Term {
 			out := zero
 			for k := len(want) - 1; k >= 0; k-- {
-				hit := b.Eq(appIdx, b.IntConst(int64(k)))
-				out = b.Ite(hit, selMoved(k, proj), out)
+				hit := appHit.get(k, func() *term.Term { return b.Eq(appIdx, b.IntConst(int64(k))) })
+				out = b.Ite(hit, moved[f].get(k, func() *term.Term { return selMoved(k, f) }), out)
 			}
 			return out
 		}
 		fs := make([]*term.Term, d.cfg.NumFields)
-		for f := 0; f < d.cfg.NumFields; f++ {
-			f := f
-			var app *term.Term
+		for f := range fs {
+			app := zero
 			if f < nf {
-				app = selApp(func(i int) *term.Term { return s.fields[i][f] })
-			} else {
-				app = zero
+				app = selApp(f)
 			}
 			fs[f] = b.Ite(isNew, app, d.fields[j][f])
 		}
 		dFields[j] = fs
-		dBytes[j] = b.Ite(isNew, selApp(func(i int) *term.Term { return s.bytes[i] }), d.bytes[j])
+		dBytes[j] = b.Ite(isNew, selApp(nf), d.bytes[j])
 	}
 	// Packets that did not fit into dst are dropped there.
 	overflow := b.Sub(b.Add(dCount, movedCount), b.IntConst(int64(d.cfg.Cap)))

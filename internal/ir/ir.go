@@ -179,6 +179,13 @@ type Compiled struct {
 	// InputNames and OutputNames list buffer instance names by direction.
 	InputNames  []string
 	OutputNames []string
+
+	// Terms and InternLookups are CompileContext's work: the distinct
+	// terms it added to B and the intern lookups it made there, hits
+	// included. Both are deltas, so a shared builder counts only this
+	// compile.
+	Terms         int
+	InternLookups int64
 }
 
 // AssumeAll returns the conjunction of all assumptions.
@@ -285,6 +292,7 @@ func Compile(info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, er
 func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, error) {
 	_, span := telemetry.StartSpan(ctx, "compile")
 	defer span.End()
+	terms0, lookups0 := b.NumTerms(), b.Lookups()
 	m, err := NewMachine(info, b, opts)
 	if err != nil {
 		return nil, err
@@ -297,8 +305,14 @@ func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, 
 			return nil, err
 		}
 	}
-	span.SetAttrs(telemetry.Int("steps", int64(m.opts.T)))
-	return m.Result(), nil
+	c := m.Result()
+	c.Terms = b.NumTerms() - terms0
+	c.InternLookups = b.Lookups() - lookups0
+	span.SetAttrs(
+		telemetry.Int("steps", int64(m.opts.T)),
+		telemetry.Int("terms", int64(c.Terms)),
+		telemetry.Int("intern_lookups", c.InternLookups))
+	return c, nil
 }
 
 // sortedNames returns map keys in sorted order (deterministic output).

@@ -234,8 +234,8 @@ func (e *VetError) Error() string {
 // Excerpt renders the source line at pos with a caret column marker, the
 // classic compiler fix-it layout:
 //
-//	  7 |   assume(x < 3);
-//	    |          ^
+//	7 |   assume(x < 3);
+//	  |          ^
 func Excerpt(src string, pos token.Pos) string {
 	if !pos.IsValid() {
 		return ""

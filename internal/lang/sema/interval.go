@@ -25,8 +25,8 @@ const (
 	triFalse
 )
 
-func (a ival) empty() bool          { return a.lo > a.hi }
-func (a ival) isConst() bool        { return a.lo == a.hi }
+func (a ival) empty() bool           { return a.lo > a.hi }
+func (a ival) isConst() bool         { return a.lo == a.hi }
 func (a ival) contains(v int64) bool { return a.lo <= v && v <= a.hi }
 
 func single(v int64) ival { return ival{v, v} }

@@ -81,8 +81,10 @@ type Solver struct {
 	// model holds variable values snapshotted at the last Sat result.
 	// Snapshotting (rather than lazily reading SAT literals) keeps Value
 	// safe for terms that were never blasted: they are evaluated
-	// structurally over the snapshot.
+	// structurally over the snapshot, by eval, whose cache belongs to
+	// this snapshot alone.
 	model term.Assignment
+	eval  *term.Evaluator
 }
 
 // New returns a Solver with a fresh term builder.
@@ -244,6 +246,7 @@ func (s *Solver) snapshotModel() {
 		}
 	}
 	s.model = m
+	s.eval = term.NewEvaluator(m, s.opts.Width)
 }
 
 // BoolValue returns the model value of a boolean term after Sat. The term
@@ -256,10 +259,10 @@ func (s *Solver) IntValue(t *term.Term) int64 { return s.Value(t).Int }
 
 // Value returns the model value of t after Sat.
 func (s *Solver) Value(t *term.Term) term.Value {
-	if s.model == nil {
+	if s.eval == nil {
 		panic("solver: Value called before a Sat result")
 	}
-	return term.Eval(t, s.model, s.opts.Width)
+	return s.eval.Eval(t)
 }
 
 // Model returns the values of all variables created in the builder as of

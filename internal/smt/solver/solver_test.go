@@ -363,3 +363,58 @@ func TestForkOfUnsat(t *testing.T) {
 		t.Fatalf("fork of unsat parent: got %v, want unsat", got)
 	}
 }
+
+// modelSwitch asserts p => x == 1 and !p => x == 5 and returns p, x and
+// the unasserted term x*x + 1, which Value evaluates structurally.
+func modelSwitch(s *Solver) (p, x, y *term.Term) {
+	b := s.Builder()
+	p = b.Var("p", term.Bool)
+	x = b.Var("x", term.Int)
+	s.Assert(b.Implies(p, b.Eq(x, b.IntConst(1))))
+	s.Assert(b.Implies(b.Not(p), b.Eq(x, b.IntConst(5))))
+	return p, x, b.Add(b.Mul(x, x), b.IntConst(1))
+}
+
+// TestValueReadsCurrentModel re-solves one solver under different
+// assumptions, as a warm session does, and checks that Value reads each
+// new model rather than values cached from the previous one.
+func TestValueReadsCurrentModel(t *testing.T) {
+	s := newSolver()
+	p, x, y := modelSwitch(s)
+	b := s.Builder()
+	for i, c := range []struct {
+		assume *term.Term
+		x, y   int64
+	}{{p, 1, 2}, {b.Not(p), 5, 26}, {p, 1, 2}} {
+		if got := s.CheckAssuming(c.assume); got != Sat {
+			t.Fatalf("solve %d: got %v, want sat", i, got)
+		}
+		if xv, yv := s.IntValue(x), s.IntValue(y); xv != c.x || yv != c.y {
+			t.Errorf("solve %d: x=%d x*x+1=%d, want %d, %d", i, xv, yv, c.x, c.y)
+		}
+	}
+}
+
+// TestForksKeepOwnEvalCache reads two forks' different models in
+// interleaved order: a shared eval cache would hand one fork the other's
+// values.
+func TestForksKeepOwnEvalCache(t *testing.T) {
+	s := newSolver()
+	p, _, y := modelSwitch(s)
+	b := s.Builder()
+	f1, f2 := s.Fork(sat.Options{}), s.Fork(sat.Options{RandSeed: 3})
+	if got := f1.CheckAssuming(p); got != Sat {
+		t.Fatalf("fork 1: got %v, want sat", got)
+	}
+	if got := f2.CheckAssuming(b.Not(p)); got != Sat {
+		t.Fatalf("fork 2: got %v, want sat", got)
+	}
+	for round := 0; round < 2; round++ {
+		if v := f1.IntValue(y); v != 2 {
+			t.Errorf("round %d: fork 1 x*x+1 = %d, want 2", round, v)
+		}
+		if v := f2.IntValue(y); v != 26 {
+			t.Errorf("round %d: fork 2 x*x+1 = %d, want 26", round, v)
+		}
+	}
+}

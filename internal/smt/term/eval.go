@@ -30,9 +30,26 @@ type Assignment map[*Term]Value
 // arithmetic wraps to width bits in two's complement, matching the
 // bit-blasted semantics; pass width <= 0 for unbounded evaluation.
 func Eval(t *Term, a Assignment, width int) Value {
-	cache := make(map[*Term]Value)
-	return eval(t, a, width, cache)
+	return NewEvaluator(a, width).Eval(t)
 }
+
+// Evaluator evaluates terms under one fixed assignment and keeps every
+// sub-term value it computes, so a sub-DAG shared by many queried terms is
+// evaluated once. The assignment must not change while the Evaluator is in
+// use.
+type Evaluator struct {
+	a     Assignment
+	width int
+	cache map[*Term]Value
+}
+
+// NewEvaluator returns an Evaluator over a with Eval's width convention.
+func NewEvaluator(a Assignment, width int) *Evaluator {
+	return &Evaluator{a: a, width: width, cache: make(map[*Term]Value)}
+}
+
+// Eval evaluates t, as the package-level Eval does.
+func (e *Evaluator) Eval(t *Term) Value { return eval(t, e.a, e.width, e.cache) }
 
 func wrap(v int64, width int) int64 {
 	if width <= 0 || width >= 64 {

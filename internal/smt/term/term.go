@@ -11,6 +11,7 @@
 package term
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -171,7 +172,7 @@ type key struct {
 	a0   *Term
 	a1   *Term
 	a2   *Term
-	rest string // ids of args beyond 3, rare
+	rest string // ids of args beyond 3, fixed-width little-endian
 }
 
 // Builder interns terms and performs local simplification. The zero value is
@@ -180,6 +181,8 @@ type Builder struct {
 	interned map[key]*Term
 	vars     map[string]*Term
 	next     int32
+	lookups  int64
+	keyBuf   []byte // scratch for key.rest
 
 	trueT  *Term
 	falseT *Term
@@ -199,6 +202,11 @@ func NewBuilder() *Builder {
 // NumTerms returns the number of distinct terms created so far.
 func (b *Builder) NumTerms() int { return int(b.next) }
 
+// Lookups returns the number of intern-table lookups so far, hits and
+// misses alike. Interning hides rebuilt terms from NumTerms; this count is
+// the construction work that produced them.
+func (b *Builder) Lookups() int64 { return b.lookups }
+
 func (b *Builder) mk(k Kind, s Sort, args []*Term, ival int64, name string) *Term {
 	ky := key{kind: k, sort: s, ival: ival, name: name}
 	switch len(args) {
@@ -211,12 +219,14 @@ func (b *Builder) mk(k Kind, s Sort, args []*Term, ival int64, name string) *Ter
 		ky.a0, ky.a1, ky.a2 = args[0], args[1], args[2]
 	default:
 		ky.a0, ky.a1, ky.a2 = args[0], args[1], args[2]
-		var sb strings.Builder
+		buf := b.keyBuf[:0]
 		for _, a := range args[3:] {
-			fmt.Fprintf(&sb, "%d,", a.id)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(a.id))
 		}
-		ky.rest = sb.String()
+		b.keyBuf = buf
+		ky.rest = string(buf)
 	}
+	b.lookups++
 	if t, ok := b.interned[ky]; ok {
 		return t
 	}

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,88 @@ func TestHashConsing(t *testing.T) {
 	}
 	if b.IntConst(5) != b.IntConst(5) {
 		t.Error("identical constants should be pointer-equal")
+	}
+}
+
+// TestNaryInterning covers the intern key of terms with more than three
+// arguments, whose ids past the third are packed into the key: rebuilt
+// terms are pointer-equal whatever their ids' width, and a different
+// argument order or arity is a different term.
+func TestNaryInterning(t *testing.T) {
+	b := NewBuilder()
+	// Enough variables that ids cross 255 and 65,535.
+	const nvars = 66000
+	ps := make([]*Term, nvars)
+	xs := make([]*Term, nvars)
+	for i := range ps {
+		ps[i] = b.Var(fmt.Sprintf("p%d", i), Bool)
+		xs[i] = b.Var(fmt.Sprintf("x%d", i), Int)
+	}
+	if last := xs[nvars-1].ID(); last <= 1<<16 {
+		t.Fatalf("largest id %d does not pass 65,535", last)
+	}
+	// pick returns n terms from ts spread over the whole id range, so the
+	// arguments past the third have 1-, 2- and 3-byte ids.
+	pick := func(ts []*Term, n int) []*Term {
+		out := make([]*Term, n)
+		for i := range out {
+			out[i] = ts[(i*7919+1)%len(ts)]
+		}
+		return out
+	}
+	for _, n := range []int{4, 5, 17, 256, 333} {
+		for _, c := range []struct {
+			name string
+			mk   func(...*Term) *Term
+			ts   []*Term
+		}{{"And", b.And, ps}, {"Add", b.Add, xs}} {
+			args := pick(c.ts, n)
+			first := c.mk(args...)
+			if first.NumArgs() != n {
+				t.Fatalf("%s/%d: built %d args, want %d", c.name, n, first.NumArgs(), n)
+			}
+			l0, terms0 := b.Lookups(), b.NumTerms()
+			if again := c.mk(append([]*Term(nil), args...)...); again != first {
+				t.Errorf("%s/%d: rebuilt term is not pointer-equal", c.name, n)
+			}
+			if b.Lookups() != l0+1 || b.NumTerms() != terms0 {
+				t.Errorf("%s/%d: rebuild made %d lookups and %d terms, want 1 hit and 0 terms",
+					c.name, n, b.Lookups()-l0, b.NumTerms()-terms0)
+			}
+			swapped := append([]*Term(nil), args...)
+			swapped[n-1], swapped[n-2] = swapped[n-2], swapped[n-1]
+			if c.mk(swapped...) == first {
+				t.Errorf("%s/%d: swapping the last two arguments gave the same term", c.name, n)
+			}
+			if c.mk(args[:n-1]...) == first {
+				t.Errorf("%s/%d: dropping the last argument gave the same term", c.name, n)
+			}
+			if grown := c.mk(append(append([]*Term(nil), args...), c.ts[300])...); grown == first || grown.NumArgs() != n+1 {
+				t.Errorf("%s/%d: adding an argument gave the same term", c.name, n)
+			}
+		}
+	}
+	// The key holds binary ids, not formatted strings: rebuilding a wide
+	// term allocates only the operand list and the key.
+	args := pick(xs, 300)
+	b.Add(args...)
+	if a := testing.AllocsPerRun(20, func() { b.Add(args...) }); a > 3 {
+		t.Errorf("rebuilding a 300-argument Add allocates %.0f times, want at most 3", a)
+	}
+}
+
+func TestLookupsCountHitsAndMisses(t *testing.T) {
+	b := NewBuilder()
+	l0, n0 := b.Lookups(), b.NumTerms()
+	x := b.Var("x", Int)    // miss
+	b.Var("x", Int)         // found in the variable table: no lookup
+	y := b.Var("y", Int)    // miss
+	b.Add(x, y)             // miss
+	b.Add(x, y)             // hit
+	b.Add(x, b.IntConst(0)) // IntConst(0) misses; Add folds to x without a lookup
+	lookups, misses := b.Lookups()-l0, int64(b.NumTerms()-n0)
+	if lookups != 5 || misses != 4 {
+		t.Errorf("got %d lookups and %d new terms, want 5 and 4", lookups, misses)
 	}
 }
 
