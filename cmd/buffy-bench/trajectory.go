@@ -15,6 +15,7 @@ import (
 	"buffy/internal/bench"
 	"buffy/internal/core"
 	"buffy/internal/qm"
+	"buffy/internal/telemetry"
 )
 
 // trajectoryOut is where -exp trajectory (and therefore -exp all) writes
@@ -56,21 +57,11 @@ func trajectoryProbes() []trajectoryProbe {
 			if witness {
 				query = prog.FindWitnessContext
 			}
-			res, err := query(ctx, core.Analysis{T: t, Params: params})
-			if err != nil {
+			tr := telemetry.NewTrace("trajectory")
+			if _, err := query(telemetry.WithTrace(ctx, tr), core.Analysis{T: t, Params: params}); err != nil {
 				return nil, err
 			}
-			s := res.SatStats
-			return map[string]int64{
-				"conflicts":      s.Conflicts,
-				"decisions":      s.Decisions,
-				"propagations":   s.Propagations,
-				"learnt":         s.Learnt,
-				"clauses":        int64(res.NumClauses),
-				"vars":           int64(res.NumVars),
-				"terms":          int64(res.Terms),
-				"intern_lookups": res.InternLookups,
-			}, nil
+			return tr.Work(), nil
 		}
 	}
 	return []trajectoryProbe{

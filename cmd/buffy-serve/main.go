@@ -79,7 +79,7 @@ func main() {
 	sessionBytes := flag.Int64("session-bytes", 256<<20, "warm-session pool memory budget, estimated bytes (must be positive)")
 	storeDir := flag.String("store-dir", "", "durable result store directory (empty disables the disk cache tier)")
 	storeBytes := flag.Int64("store-bytes", 1<<30, "durable result store byte budget, LRU-evicted beyond it (must be positive)")
-	traceSpans := flag.Int("trace-spans", 0, "max spans per job trace (0 default, <0 disables tracing)")
+	traceSpans := flag.Int("trace-spans", 0, "max spans per job trace (0 default)")
 	traceKeep := flag.Int("trace-retention", 128, "finished traces kept for /v1/traces")
 	otlpEndpoint := flag.String("otlp-endpoint", "", "OTLP/HTTP traces URL to push finished job traces to, e.g. http://localhost:4318/v1/traces (empty disables)")
 	traceDir := flag.String("trace-dir", "", "directory for OTLP-shaped NDJSON trace spool files (empty disables)")

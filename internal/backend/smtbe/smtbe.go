@@ -155,9 +155,6 @@ type Result struct {
 	// Encoding sizes, for scalability experiments.
 	NumClauses int
 	NumVars    int
-	// Compile work (ir.Compiled.Terms and InternLookups).
-	Terms         int
-	InternLookups int64
 	// Tier names the analysis tier that produced the answer: "" or "smt"
 	// for a solver run, "static" when the pre-solve static analyzer
 	// (internal/lang/sema) decided the query without solving.
@@ -242,8 +239,8 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 		s.Assert(c.AssertReached())
 	}
 	bsp.SetAttrs(
-		telemetry.Int("clauses", int64(s.NumClauses())),
-		telemetry.Int("vars", int64(s.NumVars())))
+		telemetry.Count("clauses", int64(s.NumClauses())),
+		telemetry.Count("vars", int64(s.NumVars())))
 	bsp.End()
 	return &Encoded{Mode: opts.Mode, C: c, S: s}, nil
 }
@@ -266,7 +263,6 @@ func (e *Encoded) solveOn(ctx context.Context, s *solver.Solver, start time.Time
 	res.SatStats = s.Stats()
 	res.NumClauses = s.NumClauses()
 	res.NumVars = s.NumVars()
-	res.Terms, res.InternLookups = e.C.Terms, e.C.InternLookups
 	switch {
 	case outcome == solver.Unknown:
 		res.Status = Unknown

@@ -22,10 +22,10 @@ import (
 	"buffy/internal/telemetry"
 )
 
-// semaOptions derives the static-analyzer configuration from an
+// SemaOptions derives the static-analyzer configuration from an
 // Analysis, mirroring the ir bounds so the abstract semantics match what
 // the solver would encode.
-func (a Analysis) semaOptions() sema.Options {
+func (a Analysis) SemaOptions() sema.Options {
 	return sema.Options{
 		T:               a.T,
 		Params:          a.Params,
@@ -41,15 +41,14 @@ func (a Analysis) semaOptions() sema.Options {
 // Vet runs the static analyzer over the program with this analysis
 // configuration and returns the full diagnostic report.
 func (p *Program) Vet(a Analysis) *sema.Report {
-	return sema.Analyze(p.Info, a.semaOptions())
+	return sema.Analyze(p.Info, a.SemaOptions())
 }
 
-// staticTier is the pre-solve gate. It returns a conclusive static
-// result for the given query mode, or nil when the query needs a solver.
-// The gate declines to run when the context is already done (the solver
-// path reports cancellation uniformly) or when parameters are unbound
+// vetSpan is the one pre-solve vet site: it runs the analyzer under a
+// "vet" span, or returns nil when the context is already done (the
+// solver path reports cancellation uniformly) or parameters are unbound
 // (the ir path reports the missing binding as an error).
-func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *smtbe.Result {
+func (p *Program) vetSpan(ctx context.Context, a Analysis) *sema.Report {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -59,19 +58,25 @@ func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *
 		}
 	}
 	_, span := telemetry.StartSpan(ctx, "vet")
-	start := time.Now()
-	rep := sema.Analyze(p.Info, a.semaOptions())
-	v := rep.Verdict
+	rep := p.Vet(a)
 	span.SetAttrs(
-		telemetry.Int("diags", int64(len(rep.Diags))),
-		telemetry.String("verdict", v.Reason))
+		telemetry.Count("diags", int64(len(rep.Diags))),
+		telemetry.String("verdict", rep.Verdict.Reason))
 	span.End()
+	return rep
+}
 
-	if v.Reason == sema.ReasonNoAsserts {
+// staticTier is the pre-solve gate. It returns a conclusive static
+// result for the given query mode, or nil when the query needs a solver.
+func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *smtbe.Result {
+	start := time.Now()
+	rep := p.vetSpan(ctx, a)
+	if rep == nil || rep.Verdict.Reason == sema.ReasonNoAsserts {
 		// Let smtbe report its "program has no assert()" error; a silent
 		// static Holds would mask a malformed query.
 		return nil
 	}
+	v := rep.Verdict
 	var status smtbe.Status
 	switch {
 	case mode == smtbe.Verify && v.Verify == "holds":
@@ -94,26 +99,15 @@ func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *
 // expensive backend runs. Used by the backends that cannot otherwise
 // consume a static verdict (workload synthesis, bound computation).
 func (p *Program) vetGate(ctx context.Context, a Analysis) error {
-	if ctx.Err() != nil {
+	rep := p.vetSpan(ctx, a)
+	if rep == nil || !rep.HasErrors() {
 		return nil
 	}
-	for _, name := range p.Info.Params {
-		if _, ok := a.Params[name]; !ok {
-			return nil
+	var errDiags []sema.Diagnostic
+	for _, d := range rep.Diags {
+		if d.Severity == sema.Error {
+			errDiags = append(errDiags, d)
 		}
 	}
-	_, span := telemetry.StartSpan(ctx, "vet")
-	rep := sema.Analyze(p.Info, a.semaOptions())
-	span.SetAttrs(telemetry.Int("diags", int64(len(rep.Diags))))
-	span.End()
-	if rep.HasErrors() {
-		var errDiags []sema.Diagnostic
-		for _, d := range rep.Diags {
-			if d.Severity == sema.Error {
-				errDiags = append(errDiags, d)
-			}
-		}
-		return &sema.VetError{Diags: errDiags}
-	}
-	return nil
+	return &sema.VetError{Diags: errDiags}
 }

@@ -179,13 +179,6 @@ type Compiled struct {
 	// InputNames and OutputNames list buffer instance names by direction.
 	InputNames  []string
 	OutputNames []string
-
-	// Terms and InternLookups are CompileContext's work: the distinct
-	// terms it added to B and the intern lookups it made there, hits
-	// included. Both are deltas, so a shared builder counts only this
-	// compile.
-	Terms         int
-	InternLookups int64
 }
 
 // AssumeAll returns the conjunction of all assumptions.
@@ -305,14 +298,14 @@ func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, 
 			return nil, err
 		}
 	}
-	c := m.Result()
-	c.Terms = b.NumTerms() - terms0
-	c.InternLookups = b.Lookups() - lookups0
+	// The compile's work: the distinct terms it added to b and the intern
+	// lookups it made there, hits included. Both are deltas, so a shared
+	// builder counts only this compile.
 	span.SetAttrs(
 		telemetry.Int("steps", int64(m.opts.T)),
-		telemetry.Int("terms", int64(c.Terms)),
-		telemetry.Int("intern_lookups", c.InternLookups))
-	return c, nil
+		telemetry.Count("terms", int64(b.NumTerms()-terms0)),
+		telemetry.Count("intern_lookups", b.Lookups()-lookups0))
+	return m.Result(), nil
 }
 
 // sortedNames returns map keys in sorted order (deterministic output).

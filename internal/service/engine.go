@@ -217,8 +217,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Logger receives structured job-lifecycle logs (default: discard).
 	Logger *slog.Logger
-	// TraceSpans bounds each job trace's span count (default
-	// telemetry.DefaultMaxSpans; negative disables tracing).
+	// TraceSpans bounds each job trace's span count (<= 0:
+	// telemetry.DefaultMaxSpans). Every solving job is traced: /metrics
+	// folds its layer work from the trace.
 	TraceSpans int
 	// TraceRetention caps how many finished traces stay browsable via
 	// /v1/traces after their jobs are pruned (default 128).
@@ -268,9 +269,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.TraceSpans == 0 {
-		c.TraceSpans = telemetry.DefaultMaxSpans
 	}
 	if c.TraceRetention <= 0 {
 		c.TraceRetention = 128
@@ -428,19 +426,18 @@ func (e *Engine) serveCachedLocked(req *Request, cached *Result, tier string) *J
 func (e *Engine) newJobLocked(req *Request) *Job {
 	e.nextID++
 	ctx, cancel := context.WithCancel(e.baseCtx)
+	id := fmt.Sprintf("j%08d", e.nextID)
 	job := &Job{
-		ID:        fmt.Sprintf("j%08d", e.nextID),
+		ID:        id,
 		Req:       req,
 		engine:    e,
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
+		trace:     telemetry.NewTraceN(id, e.cfg.TraceSpans),
+		progress:  &sat.Progress{},
 		state:     StateQueued,
 		submitted: time.Now(),
-	}
-	if e.cfg.TraceSpans > 0 {
-		job.trace = telemetry.NewTraceN(job.ID, e.cfg.TraceSpans)
-		job.progress = &sat.Progress{}
 	}
 	if kinds[req.Kind].streams {
 		job.verdicts = make(chan SweepVerdict, MaxHorizon+1)
@@ -599,12 +596,12 @@ func (e *Engine) runJob(job *Job) {
 		asp.End()
 		class, reason = classify(res, err)
 		if strings.HasPrefix(reason, "budget-") {
-			e.met.recordBudget(strings.TrimPrefix(reason, "budget-"))
+			e.met.count(e.met.budgetBy, strings.TrimPrefix(reason, "budget-"))
 		}
 		if !spec.retries || class != failTransient || attempt > e.cfg.MaxRetries {
 			break
 		}
-		e.met.recordRetry(reason)
+		e.met.count(e.met.retriesBy, reason)
 		if step := degradeForRetry(req, reason); step != "" {
 			degraded = step
 			e.met.degradedJobs.Add(1)
@@ -636,6 +633,11 @@ func (e *Engine) runJob(job *Job) {
 	}
 	jobSpan.SetAttrs(telemetry.Int("attempts", int64(attempt)))
 	jobSpan.End()
+	// Fold the finished trace into the stage histograms and the layer
+	// work counters before the job turns terminal, so a caller that saw
+	// it finish reads metrics that include it.
+	e.met.recordStages(job.trace.Durations())
+	e.met.recordWork(job.trace.Work())
 
 	switch class {
 	case failNone, failTransient:
@@ -648,7 +650,7 @@ func (e *Engine) runJob(job *Job) {
 		// Either a definite answer or an Unknown the caller must interpret
 		// (budget exhausted with no retries left is still a valid Unknown).
 		e.met.completed.Add(1)
-		e.met.recordSolve(elapsed, res.SatStats)
+		e.met.recordSolve(elapsed)
 		e.admit.observe(job.Req.Kind, elapsed)
 		if res.Tier == "static" {
 			e.met.staticAnswered.Add(1)
@@ -690,31 +692,28 @@ func (e *Engine) runJob(job *Job) {
 		job.finishFrom(StateRunning, StateFailed, nil, err)
 	}
 
-	if job.trace != nil {
-		// Fold the finished trace into the stage histograms and retain it
-		// for /v1/traces (the Job itself is pruned by retention earlier).
-		e.met.recordStages(job.trace.Durations())
-		snap := job.trace.Snapshot()
-		if snap.Dropped > 0 {
-			// Span truncation is invisible in the tree itself; count it so
-			// an undersized -trace-spans shows up on /metrics.
-			e.met.traceSpansDropped.Add(int64(snap.Dropped))
-		}
-		e.traces.add(TraceSummary{
-			JobID:      job.ID,
-			Kind:       string(job.Req.Kind),
-			State:      string(job.State()),
-			StartedAt:  snap.StartedAt,
-			DurationMS: elapsed.Milliseconds(),
-			NumSpans:   snap.NumSpans,
-		}, job.trace)
-		// Ship the finished trace to the OTLP exporter (if configured).
-		// Enqueue never blocks: a slow or down collector costs dropped
-		// snapshots, never solver latency.
-		e.cfg.Exporter.Enqueue(snap,
-			telemetry.String("buffy.job_kind", string(job.Req.Kind)),
-			telemetry.String("buffy.job_state", string(job.State())))
+	// Retain the finished trace for /v1/traces (the Job itself is pruned
+	// by retention earlier).
+	snap := job.trace.Snapshot()
+	if snap.Dropped > 0 {
+		// Span truncation is invisible in the tree itself; count it so
+		// an undersized -trace-spans shows up on /metrics.
+		e.met.traceSpansDropped.Add(int64(snap.Dropped))
 	}
+	e.traces.add(TraceSummary{
+		JobID:      job.ID,
+		Kind:       string(job.Req.Kind),
+		State:      string(job.State()),
+		StartedAt:  snap.StartedAt,
+		DurationMS: elapsed.Milliseconds(),
+		NumSpans:   snap.NumSpans,
+	}, job.trace)
+	// Ship the finished trace to the OTLP exporter (if configured).
+	// Enqueue never blocks: a slow or down collector costs dropped
+	// snapshots, never solver latency.
+	e.cfg.Exporter.Enqueue(snap,
+		telemetry.String("buffy.job_kind", string(job.Req.Kind)),
+		telemetry.String("buffy.job_state", string(job.State())))
 	switch st := job.State(); st {
 	case StateDone:
 		log.Info("job finished", "state", string(st), "result", res.Status,

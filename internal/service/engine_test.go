@@ -85,7 +85,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if m.SolveCount != 1 {
 		t.Errorf("solve count = %d, want 1 (cache hit must not re-solve)", m.SolveCount)
 	}
-	if m.SatConflicts == 0 || m.SatPropagations == 0 {
+	if m.LayerWork["search.conflicts"] == 0 || m.LayerWork["search.propagations"] == 0 {
 		t.Errorf("cumulative sat stats not recorded: %+v", m)
 	}
 	if m.CacheHitRate != 0.5 {

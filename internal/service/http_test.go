@@ -111,7 +111,7 @@ func TestHTTPWitnessCacheFlow(t *testing.T) {
 	if !strings.Contains(string(prom), `buffy_jobs_submitted_total{kind="witness"} 2`) {
 		t.Errorf("metrics missing submit counter:\n%s", prom)
 	}
-	if !strings.Contains(string(prom), "buffy_sat_conflicts_total") ||
+	if !strings.Contains(string(prom), `buffy_layer_work_total{counter="search.conflicts"}`) ||
 		!strings.Contains(string(prom), "buffy_solve_duration_seconds_count 1") {
 		t.Errorf("metrics missing solver effort:\n%s", prom)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"buffy/internal/smt/sat"
 	"buffy/internal/store"
 	"buffy/internal/telemetry"
 )
@@ -71,13 +70,16 @@ type metrics struct {
 	admissionRejected atomic.Int64 // subset of rejected: deadline-aware admission
 	degradedJobs      atomic.Int64 // retries that stepped down the degradation ladder
 
-	// Labeled failure-taxonomy counters: failure reasons, retry reasons
-	// and exhausted budget resources. One mutex guards all three maps;
-	// they are touched once per job outcome, not per solver step.
-	labMu     sync.Mutex
-	failedBy  map[string]int64 // reason  → jobs failed (deadline, input, panic, ...)
-	retriesBy map[string]int64 // reason  → retries attempted
-	budgetBy  map[string]int64 // resource → solves stopped by that budget
+	// Labeled counters: failure reasons, retry reasons, exhausted budget
+	// resources, session evictions, and the layers' work folded from
+	// finished traces. One mutex guards all five maps; they are touched
+	// once per job outcome or eviction, not per solver step.
+	labMu       sync.Mutex
+	failedBy    map[string]int64 // reason  → jobs failed (deadline, input, panic, ...)
+	retriesBy   map[string]int64 // reason  → retries attempted
+	budgetBy    map[string]int64 // resource → solves stopped by that budget
+	evictionsBy map[string]int64 // reason  → pooled sessions evicted
+	work        map[string]int64 // layer.counter → summed over job traces
 
 	// Static-tier telemetry: /v1/vet traffic and how many of those
 	// programs the analyzer rejected, plus solver jobs the pre-solve
@@ -95,21 +97,13 @@ type metrics struct {
 	traceSpansDropped atomic.Int64
 
 	// Warm-session pool telemetry: sweep jobs served by an already-built
-	// session vs. builds, and evictions by reason ("entries": LRU slot
-	// pressure, "memory": byte-budget pressure, learnt-DB growth included).
+	// session vs. builds. Evictions count by reason in evictionsBy
+	// ("entries": LRU slot pressure, "memory": byte-budget pressure,
+	// learnt-DB growth included).
 	sessionHits   atomic.Int64
 	sessionMisses atomic.Int64
-	evictMu       sync.Mutex
-	evictionsBy   map[string]int64
 
 	workersBusy atomic.Int64
-
-	// Cumulative solver effort across all jobs (satellite: surfaced
-	// sat.Stats, aggregated service-wide).
-	satConflicts    atomic.Int64
-	satDecisions    atomic.Int64
-	satPropagations atomic.Int64
-	satRestarts     atomic.Int64
 
 	latMu sync.Mutex
 	solve histogram
@@ -137,6 +131,7 @@ func newMetrics() *metrics {
 		failedBy:    make(map[string]int64),
 		retriesBy:   make(map[string]int64),
 		budgetBy:    make(map[string]int64),
+		work:        make(map[string]int64),
 		stages:      make(map[string]*histogram),
 		start:       time.Now(),
 	}
@@ -166,44 +161,33 @@ func (m *metrics) recordStages(stages map[string]time.Duration) {
 	m.stageMu.Unlock()
 }
 
-// recordSessionEviction counts one pool eviction under its reason.
-func (m *metrics) recordSessionEviction(reason string) {
-	m.evictMu.Lock()
-	m.evictionsBy[reason]++
-	m.evictMu.Unlock()
+// count adds one event under its label to a labeled map (failedBy,
+// retriesBy, budgetBy, evictionsBy).
+func (m *metrics) count(by map[string]int64, label string) {
+	m.labMu.Lock()
+	by[label]++
+	m.labMu.Unlock()
 }
 
 // recordFailed counts one failed job under its taxonomy reason.
 func (m *metrics) recordFailed(reason string) {
 	m.failed.Add(1)
-	m.labMu.Lock()
-	m.failedBy[reason]++
-	m.labMu.Unlock()
+	m.count(m.failedBy, reason)
 }
 
-// recordRetry counts one retry attempt under the transient reason that
-// triggered it.
-func (m *metrics) recordRetry(reason string) {
+// recordWork folds one finished job's trace work (Trace.Work) into the
+// engine-wide layer counters.
+func (m *metrics) recordWork(work map[string]int64) {
 	m.labMu.Lock()
-	m.retriesBy[reason]++
-	m.labMu.Unlock()
-}
-
-// recordBudget counts one solver run stopped by a resource budget.
-func (m *metrics) recordBudget(resource string) {
-	m.labMu.Lock()
-	m.budgetBy[resource]++
+	for k, n := range work {
+		m.work[k] += n
+	}
 	m.labMu.Unlock()
 }
 
 func (m *metrics) recordSubmit(kind Kind) { m.submitted[kind].Add(1) }
 
-func (m *metrics) recordSolve(d time.Duration, stats sat.Stats) {
-	m.satConflicts.Add(stats.Conflicts)
-	m.satDecisions.Add(stats.Decisions)
-	m.satPropagations.Add(stats.Propagations)
-	m.satRestarts.Add(stats.Restarts)
-
+func (m *metrics) recordSolve(d time.Duration) {
 	m.latMu.Lock()
 	m.solve.observe(d)
 	m.latMu.Unlock()
@@ -264,10 +248,10 @@ type Snapshot struct {
 	SessionMisses    int64            `json:"session_misses"`
 	SessionEvictions map[string]int64 `json:"session_evictions,omitempty"`
 
-	SatConflicts    int64 `json:"sat_conflicts"`
-	SatDecisions    int64 `json:"sat_decisions"`
-	SatPropagations int64 `json:"sat_propagations"`
-	SatRestarts     int64 `json:"sat_restarts"`
+	// LayerWork sums every finished job's layer work counters, keyed
+	// layer.counter (search.conflicts, compile.terms): the fold of the
+	// jobs' traces, portfolio losers and failed attempts included.
+	LayerWork map[string]int64 `json:"layer_work,omitempty"`
 
 	SolveCount      int64            `json:"solve_count"`
 	SolveSecondsSum float64          `json:"solve_seconds_sum"`
@@ -315,11 +299,6 @@ func (m *metrics) snapshot(queueDepth, workers, cacheEntries, sessionsLive int, 
 		SessionHits:   m.sessionHits.Load(),
 		SessionMisses: m.sessionMisses.Load(),
 
-		SatConflicts:    m.satConflicts.Load(),
-		SatDecisions:    m.satDecisions.Load(),
-		SatPropagations: m.satPropagations.Load(),
-		SatRestarts:     m.satRestarts.Load(),
-
 		TraceSpansDropped: m.traceSpansDropped.Load(),
 	}
 	for k, n := range m.submitted {
@@ -332,10 +311,8 @@ func (m *metrics) snapshot(queueDepth, workers, cacheEntries, sessionsLive int, 
 	// an empty map just like a nil one).
 	m.labMu.Lock()
 	s.JobsFailedBy, s.JobRetries, s.BudgetExhausted = maps.Clone(m.failedBy), maps.Clone(m.retriesBy), maps.Clone(m.budgetBy)
+	s.SessionEvictions, s.LayerWork = maps.Clone(m.evictionsBy), maps.Clone(m.work)
 	m.labMu.Unlock()
-	m.evictMu.Lock()
-	s.SessionEvictions = maps.Clone(m.evictionsBy)
-	m.evictMu.Unlock()
 	m.latMu.Lock()
 	s.SolveCount, s.SolveSecondsSum, s.SolveBuckets = m.solve.snapshot()
 	m.latMu.Unlock()
@@ -456,10 +433,8 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		counter("buffy_trace_export_spool_errors_total", "Spool write/marshal failures.", ex.SpoolErrors)
 	}
 
-	counter("buffy_sat_conflicts_total", "Cumulative CDCL conflicts.", s.SatConflicts)
-	counter("buffy_sat_decisions_total", "Cumulative CDCL decisions.", s.SatDecisions)
-	counter("buffy_sat_propagations_total", "Cumulative unit propagations.", s.SatPropagations)
-	counter("buffy_sat_restarts_total", "Cumulative CDCL restarts.", s.SatRestarts)
+	labeled("buffy_layer_work_total", "Work counters of the pipeline layers, summed over finished job traces.",
+		"counter", s.LayerWork)
 
 	fmt.Fprintf(w, "# HELP buffy_solve_duration_seconds Analysis solve wall time.\n# TYPE buffy_solve_duration_seconds histogram\n")
 	hist("buffy_solve_duration_seconds", "", s.SolveCount, s.SolveSecondsSum, s.SolveBuckets)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"buffy/internal/telemetry"
 )
 
 // TestMetricsLabelSets drives a representative job mix through the engine
@@ -93,10 +95,10 @@ func TestMetricsLabelSets(t *testing.T) {
 		"buffy_cache_entries",
 		"buffy_cache_hit_rate",
 		// Solver-effort counters.
-		"buffy_sat_conflicts_total",
-		"buffy_sat_decisions_total",
-		"buffy_sat_propagations_total",
-		"buffy_sat_restarts_total",
+		`buffy_layer_work_total{counter="search.conflicts"}`,
+		`buffy_layer_work_total{counter="search.decisions"}`,
+		`buffy_layer_work_total{counter="search.propagations"}`,
+		`buffy_layer_work_total{counter="search.restarts"}`,
 		// Solve latency histogram.
 		`buffy_solve_duration_seconds_bucket{le="+Inf"}`,
 		"buffy_solve_duration_seconds_sum",
@@ -172,5 +174,67 @@ func TestMetricsLabelSets(t *testing.T) {
 	}
 	if m.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %v, want > 0", m.UptimeSeconds)
+	}
+}
+
+// spanSum sums one int64 attribute over every span of the trace with the
+// given name, walking the tree as a trace reader would.
+func spanSum(tr *telemetry.Trace, name, attr string) int64 {
+	var sum int64
+	var walk func([]*telemetry.SpanView)
+	walk = func(views []*telemetry.SpanView) {
+		for _, sv := range views {
+			if sv.Name == name {
+				n, _ := sv.Attrs[attr].(int64)
+				sum += n
+			}
+			walk(sv.Spans)
+		}
+	}
+	walk(tr.Snapshot().Spans)
+	return sum
+}
+
+// TestLayerWorkFoldsTraces: /metrics' layer work is the fold of the
+// finished jobs' traces, so search.conflicts equals the conflicts their
+// search spans record. Each case is a job shape whose effort a per-result
+// counter got wrong: warm sweeps on one pooled session (each job's
+// result read the session's lifetime count), a portfolio race (the
+// losers' searches carry no result of their own), and a workload
+// synthesis (its result carries no solver stats at all).
+func TestLayerWorkFoldsTraces(t *testing.T) {
+	synth := fqWitnessReq(4)
+	synth.Kind = KindSynthesize
+	race := fqWitnessReq(6)
+	race.Portfolio = 4
+	for _, tc := range []struct {
+		name string
+		reqs []*Request
+	}{
+		{"pooled-sweeps", []*Request{sweepReq("verify", 6), sweepReq("verify", 6), sweepReq("verify", 6)}},
+		{"portfolio", []*Request{race}},
+		{"synthesize", []*Request{synth}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The cache is off, so repeated sweeps re-solve on the pooled
+			// session instead of replaying the first answer.
+			e := New(Config{Workers: 1, CacheEntries: -1})
+			defer shutdown(t, e)
+			var want int64
+			for _, req := range tc.reqs {
+				job, err := e.Submit(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitDone(t, job, 2*time.Minute)
+				want += spanSum(job.Trace(), "search", "conflicts")
+			}
+			if want == 0 {
+				t.Fatal("the jobs' search spans record no conflicts")
+			}
+			if got := e.Metrics().LayerWork["search.conflicts"]; got != want {
+				t.Errorf("layer work search.conflicts = %d, search spans sum to %d", got, want)
+			}
+		})
 	}
 }

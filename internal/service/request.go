@@ -468,8 +468,8 @@ func resultFromBound(r *netcalc.Result) *Result {
 
 // resultFromSweep flattens a sweep outcome into the wire result. The
 // top-level status, trace and solver-effort fields are the final
-// horizon's (the one that ended the sweep); the per-horizon story rides
-// in Verdicts.
+// horizon's (the one that ended the sweep): its own search, not the warm
+// session's lifetime. The per-horizon story rides in Verdicts.
 func resultFromSweep(sr *session.SweepResult, hit bool) *Result {
 	res := resultFromCheck(KindSweep, sr.Final)
 	res.DurationMS = sr.Duration.Milliseconds()

@@ -178,7 +178,7 @@ func (p *sessionPool) evictOldestLocked(reason string) bool {
 		}
 		p.removeLocked(ent)
 		ent.sess.Close()
-		p.met.recordSessionEviction(reason)
+		p.met.count(p.met.evictionsBy, reason)
 		return true
 	}
 	return false

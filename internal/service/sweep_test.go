@@ -456,3 +456,27 @@ func TestSweepSearchSpansCountOwnEffort(t *testing.T) {
 		t.Errorf("search spans sum to %d conflicts, search report totals %d", sum, res.Search.Totals.Conflicts)
 	}
 }
+
+// TestWarmSweepReportsOwnEffort: a sweep that reuses a pooled session
+// reports its own search effort, not the session's lifetime count. The
+// witness sweep ends at its first horizon, so its one search span is the
+// whole of its effort, and the wire sat_stats must match it.
+func TestWarmSweepReportsOwnEffort(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer shutdown(t, e)
+	var res *Result
+	var job *Job
+	for _, req := range []*Request{sweepReq("verify", 6), sweepReq("witness", 6)} {
+		var err error
+		if job, err = e.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		res = waitDone(t, job, 2*time.Minute)
+	}
+	if !res.SessionHit {
+		t.Fatal("second sweep did not reuse the pooled session")
+	}
+	if want := spanSum(job.Trace(), "search", "conflicts"); res.SatStats.Conflicts != want {
+		t.Errorf("session-hit sweep sat_stats.conflicts = %d, its search spans sum to %d", res.SatStats.Conflicts, want)
+	}
+}

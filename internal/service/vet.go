@@ -41,18 +41,8 @@ func vetHandler(e *Engine) http.HandlerFunc {
 			return
 		}
 
-		a := req.analysis()
 		start := time.Now()
-		res := vet.Source(req.Source, sema.Options{
-			T:               a.T,
-			Params:          a.Params,
-			BufferCap:       a.BufferCap,
-			OutBufferCap:    a.OutBufferCap,
-			ArrivalsPerStep: a.ArrivalsPerStep,
-			MaxBytes:        a.MaxBytes,
-			ListCap:         a.ListCap,
-			Width:           a.Width,
-		})
+		res := vet.Source(req.Source, req.analysis().SemaOptions())
 		elapsed := time.Since(start)
 
 		e.met.vetRequests.Add(1)

@@ -231,7 +231,7 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	ct := c.TruncatedTo(q.T)
 	res := &smtbe.Result{
 		Mode: q.Mode, Compiled: ct, Solver: s.sv,
-		SatStats:   s.sv.Stats(),
+		SatStats:   s.sv.Effort(),
 		NumClauses: s.sv.NumClauses(), NumVars: s.sv.NumVars(),
 	}
 	switch {

@@ -21,8 +21,8 @@ type Verdict struct {
 	// per-horizon compile+solve, either because the program cannot share
 	// an encoding or because the session was evicted mid-sweep).
 	Warm bool
-	// Conflicts is the cumulative CDCL conflict count after this horizon
-	// (session-lifetime for warm verdicts, per-solve for cold ones).
+	// Conflicts is this horizon's own CDCL conflict count, warm or cold:
+	// the conflicts its search span records.
 	Conflicts int64
 }
 

@@ -88,6 +88,21 @@ type Stats struct {
 	LearntBytes  int64
 }
 
+// Sub returns the effort between an earlier reading o and s: the
+// counters are differences, LearntBytes stays s's gauge. A solver that
+// is re-solved (a warm session) reports one call's work this way.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Conflicts:    s.Conflicts - o.Conflicts,
+		Decisions:    s.Decisions - o.Decisions,
+		Propagations: s.Propagations - o.Propagations,
+		Restarts:     s.Restarts - o.Restarts,
+		Learnt:       s.Learnt - o.Learnt,
+		Removed:      s.Removed - o.Removed,
+		LearntBytes:  s.LearntBytes,
+	}
+}
+
 // StopReason explains why a Solve call returned Unknown: which resource
 // budget was exhausted, or that the caller cancelled. StopNone means the
 // last solve was conclusive (or none has run).

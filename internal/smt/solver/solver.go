@@ -78,6 +78,10 @@ type Solver struct {
 	asserted []*term.Term
 	unsat    bool // top-level inconsistency detected during blasting
 
+	// effort is the last check's work: the Stats since the previous check
+	// ended on searched, so the checks on one solver sum to its lifetime.
+	effort, searched sat.Stats
+
 	// model holds variable values snapshotted at the last Sat result.
 	// Snapshotting (rather than lazily reading SAT literals) keeps Value
 	// safe for terms that were never blasted: they are evaluated
@@ -181,6 +185,7 @@ func (s *Solver) CheckAssumingContext(ctx context.Context, assumptions ...*term.
 }
 
 func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions ...*term.Term) Result {
+	s.effort = sat.Stats{}
 	if s.unsat {
 		return Unsat
 	}
@@ -208,18 +213,18 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 		lim.Deadline = d
 	}
 	_, span := telemetry.StartSpan(ctx, "search")
-	before := s.sat.Stats()
 	res := s.sat.SolveLimited(lim, lits...)
-	if span != nil {
-		// This call's effort only: a session re-solves one solver, whose
-		// Stats are lifetime counts.
-		after := s.sat.Stats()
-		span.SetAttrs(
-			telemetry.String("result", res.String()),
-			telemetry.Int("conflicts", after.Conflicts-before.Conflicts),
-			telemetry.Int("decisions", after.Decisions-before.Decisions))
-		span.End()
-	}
+	after := s.sat.Stats()
+	d := after.Sub(s.searched)
+	s.effort, s.searched = d, after
+	span.SetAttrs(
+		telemetry.String("result", res.String()),
+		telemetry.Count("conflicts", d.Conflicts),
+		telemetry.Count("decisions", d.Decisions),
+		telemetry.Count("propagations", d.Propagations),
+		telemetry.Count("learnt", d.Learnt),
+		telemetry.Count("restarts", d.Restarts))
+	span.End()
 	switch res {
 	case sat.Sat:
 		if snapshot {
@@ -271,6 +276,11 @@ func (s *Solver) Model() term.Assignment { return s.model }
 
 // Stats returns the underlying SAT search statistics.
 func (s *Solver) Stats() sat.Stats { return s.sat.Stats() }
+
+// Effort returns the last check's work, the counters its search span
+// records. A warm session re-solves one solver, so it reports this, not
+// the lifetime Stats.
+func (s *Solver) Effort() sat.Stats { return s.effort }
 
 // StopReason reports why the last Check returned Unknown (which resource
 // budget fired, the deadline, or cancellation); sat.StopNone otherwise.

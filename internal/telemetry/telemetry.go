@@ -24,6 +24,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -132,13 +133,20 @@ func (s *Span) End() {
 type Attr struct {
 	Key   string
 	Value any
+	count bool // a work counter: Trace.Work sums it
 }
 
 // String / Int / Bool / Float build typed attributes.
-func String(k, v string) Attr        { return Attr{k, v} }
-func Int(k string, v int64) Attr     { return Attr{k, v} }
-func Bool(k string, v bool) Attr     { return Attr{k, v} }
-func Float(k string, v float64) Attr { return Attr{k, v} }
+func String(k, v string) Attr        { return Attr{Key: k, Value: v} }
+func Int(k string, v int64) Attr     { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr     { return Attr{Key: k, Value: v} }
+func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
+
+// Count builds a work counter: an int64 attribute, like Int, that
+// Trace.Work sums across spans. A layer records its work (terms built,
+// clauses emitted, conflicts) with Count; labels such as a horizon or an
+// attempt number stay Int and are never summed.
+func Count(k string, v int64) Attr { return Attr{Key: k, Value: v, count: true} }
 
 // SetAttrs appends attributes to the span. Setting attributes on an
 // already-ended span is allowed (the portfolio annotates the winner after
@@ -227,8 +235,7 @@ func (t *Trace) Snapshot() View {
 		return View{}
 	}
 	t.mu.Lock()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
+	spans := slices.Clone(t.spans)
 	v := View{ID: t.id, StartedAt: t.start, NumSpans: len(spans), Dropped: t.dropped}
 	t.mu.Unlock()
 
@@ -273,22 +280,42 @@ func (t *Trace) Snapshot() View {
 // it to derive per-stage cost breakdowns (stage histograms, the -exp
 // stages report); in-flight spans are excluded so sums are stable.
 func (t *Trace) Durations() map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	t.eachEnded(func(s *Span) { out[s.name] += s.dur })
+	return out
+}
+
+// Work sums the Count attributes of every *ended* span, keyed
+// "span.counter" (compile.terms, search.conflicts). It is the one reader
+// of layer work counters: the benchmark trajectory and the service's
+// /metrics both fold a trace through it.
+func (t *Trace) Work() map[string]int64 {
+	out := make(map[string]int64)
+	t.eachEnded(func(s *Span) {
+		for _, a := range s.attrs {
+			if a.count {
+				out[s.name+"."+a.Key] += a.Value.(int64)
+			}
+		}
+	})
+	return out
+}
+
+// eachEnded calls f on every ended span, under that span's lock.
+func (t *Trace) eachEnded(f func(*Span)) {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
+	spans := slices.Clone(t.spans)
 	t.mu.Unlock()
-	out := make(map[string]time.Duration)
 	for _, s := range spans {
 		s.mu.Lock()
 		if s.ended {
-			out[s.name] += s.dur
+			f(s)
 		}
 		s.mu.Unlock()
 	}
-	return out
 }
 
 // Render pretty-prints the span tree with durations and attributes, for

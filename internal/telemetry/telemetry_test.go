@@ -108,6 +108,7 @@ func TestConcurrentSpans(t *testing.T) {
 			default:
 				tr.Snapshot()
 				tr.Durations()
+				tr.Work()
 			}
 		}
 	}()
@@ -119,6 +120,7 @@ func TestConcurrentSpans(t *testing.T) {
 				sp := root.Child("config")
 				sp.SetAttrs(Int("i", int64(i)))
 				sp.End()
+				sp.SetAttrs(Count("n", 1)) // annotated after End, as portfolio winners are
 			}
 		}(i)
 	}
@@ -131,6 +133,9 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	if n := tr.Snapshot().NumSpans; n != 801 {
 		t.Fatalf("span count %d, want 801", n)
+	}
+	if n := tr.Work()["config.n"]; n != 800 {
+		t.Fatalf("work config.n = %d, want 800", n)
 	}
 }
 
@@ -149,5 +154,29 @@ func TestDurations(t *testing.T) {
 	}
 	if _, ok := d["open"]; ok {
 		t.Error("unended span must not contribute a duration")
+	}
+}
+
+// TestWork: Work sums Count attributes over ended spans, keyed
+// span.counter; plain Int labels and in-flight spans never count, and a
+// counter still reads as an int64 in the snapshot.
+func TestWork(t *testing.T) {
+	tr := NewTrace("w")
+	for _, n := range []int64{3, 4} {
+		s := tr.StartSpan(nil, "search")
+		s.SetAttrs(Count("conflicts", n), Int("t", n))
+		s.End()
+	}
+	tr.StartSpan(nil, "search").SetAttrs(Count("conflicts", 100)) // never ended
+	w := tr.Work()
+	if len(w) != 1 || w["search.conflicts"] != 7 {
+		t.Errorf("Work() = %v, want map[search.conflicts:7]", w)
+	}
+	if c, ok := tr.Snapshot().Spans[0].Attrs["conflicts"].(int64); !ok || c != 3 {
+		t.Errorf("snapshot conflicts = %v, want int64 3", tr.Snapshot().Spans[0].Attrs["conflicts"])
+	}
+	var nilTrace *Trace
+	if len(nilTrace.Work()) != 0 {
+		t.Error("a nil trace has no work")
 	}
 }
