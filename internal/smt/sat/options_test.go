@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"buffy/internal/smt/cnf"
@@ -18,6 +19,16 @@ func diversifiedConfigs() map[string]Options {
 		"random":       {RandSeed: 0x9E3779B97F4A7C15, RandFreq: 0.2},
 		"tiny-db":      {LearntFrac: 0.05, LearntBase: 20, LearntGrowth: 1.05, GeomRestarts: true},
 	}
+}
+
+// configNames lists diversifiedConfigs' names in sorted order.
+func configNames() []string {
+	names := make([]string, 0, len(diversifiedConfigs()))
+	for n := range diversifiedConfigs() {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func TestOptionsZeroValueMatchesClassic(t *testing.T) {

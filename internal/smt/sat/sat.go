@@ -14,8 +14,11 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"time"
 
 	"buffy/internal/smt/cnf"
@@ -56,22 +59,37 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// Clauses live in one flat arena, Solver.ca, addressed by a cref: the
+// index of the clause's header word. Each clause is clauseHdr words of
+// header followed by its literals:
+//
+//	ca[c]   size<<2 | flags (hdrLocked, hdrDeleted)
+//	ca[c+1] LBD
+//	ca[c+2] activity, the bits of a float32
+//	ca[c+3:c+3+size] literals, the two watched ones first
+//
+// Neither the arena nor the watch lists hold pointers, so the garbage
+// collector never scans the clause database.
+type cref uint32
 
-type clause struct {
-	lits   []cnf.Lit
-	lbd    uint32
-	act    float32
-	learnt bool
-}
+// crefUndef is the cref of no clause: the reason of a decision, an
+// assumption, a top-level unit or an unassigned variable.
+const crefUndef cref = math.MaxUint32
 
+const (
+	clauseHdr = 3 // header words before a clause's literals
+
+	// Header flags, used only inside reduceDB: hdrLocked marks a clause
+	// that is the reason of a trail literal, hdrDeleted one being removed.
+	hdrLocked  = 1
+	hdrDeleted = 2
+)
+
+// A watcher is 8 bytes with no pointers: the watched clause and a
+// blocker literal from it, whose truth satisfies the clause without a
+// look into the arena.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker cnf.Lit
 }
 
@@ -189,15 +207,16 @@ func (l Limits) cancelled() bool {
 // then call Solve. A Solver may be re-solved after adding more clauses
 // (incremental use); learnt clauses are retained.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause
+	ca      []cnf.Lit // clause arena; see cref
+	clauses []cref    // problem clauses, in arena order
+	learnts []cref    // learnt clauses, in arena order
 
 	watches [][]watcher // indexed by lit
 
-	assign   []lbool // indexed by var
+	vals     []lbool // indexed by lit: the value of each literal
 	level    []int32 // indexed by var
-	reason   []*clause
-	phase    []bool // saved phase, indexed by var
+	reason   []cref  // indexed by var
+	phase    []bool  // saved phase, indexed by var
 	activity []float64
 	varInc   float64
 
@@ -228,9 +247,17 @@ type Solver struct {
 	// propagation fixpoint; used by fuzz-style tests.
 	debug bool
 
-	seen    []bool // analyze scratch
-	minStk  []cnf.Lit
-	clearBf []cnf.Var
+	seen     []bool // analyze scratch
+	minStk   []cnf.Lit
+	clearBf  []cnf.Var
+	learntBf []cnf.Lit // analyze's learnt clause, valid until the next conflict
+	origBf   []cnf.Lit
+	lvlStamp []uint32 // computeLBD: level -> stamp of the last clause that had it
+	lbdStamp uint32
+	litStamp []uint32 // AddClause: lit -> stamp of the last clause that had it
+	addStamp uint32
+	addBf    []cnf.Lit
+	sortBf   []cref // reduceDB's ordering
 
 	claInc float32
 }
@@ -263,10 +290,9 @@ func (s *Solver) NewVar() cnf.Var {
 
 func (s *Solver) ensureVar(v cnf.Var) {
 	need := int(v) + 1
-	for len(s.assign) < need {
-		s.assign = append(s.assign, lUndef)
+	for len(s.level) < need {
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.phase = append(s.phase, s.opts.InitPhase)
 		s.activity = append(s.activity, 0)
 		s.heapPos = append(s.heapPos, -1)
@@ -274,6 +300,8 @@ func (s *Solver) ensureVar(v cnf.Var) {
 	}
 	for len(s.watches) < 2*need {
 		s.watches = append(s.watches, nil)
+		s.vals = append(s.vals, lUndef)
+		s.litStamp = append(s.litStamp, 0)
 	}
 }
 
@@ -308,7 +336,7 @@ func (s *Solver) CloneProblem(opts Options) *Solver {
 		}
 	}
 	for _, c := range s.clauses {
-		if !n.AddClause(c.lits...) {
+		if !n.AddClause(s.lits(c)...) {
 			return n
 		}
 	}
@@ -326,19 +354,37 @@ func (s *Solver) LoadFormula(f *cnf.Formula) bool {
 	return true
 }
 
-func (s *Solver) litValue(l cnf.Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Sign() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
+func (s *Solver) litValue(l cnf.Lit) lbool { return s.vals[l] }
+
+// varValue is the value of v's positive literal.
+func (s *Solver) varValue(v cnf.Var) lbool { return s.vals[cnf.PosLit(v)] }
+
+// --- clause arena ---
+
+// alloc appends a clause with the given literals and LBD to the arena.
+// The literals are copied.
+func (s *Solver) alloc(lits []cnf.Lit, lbd uint32) cref {
+	c := cref(len(s.ca))
+	s.ca = append(s.ca, cnf.Lit(len(lits)<<2), cnf.Lit(lbd), 0)
+	s.ca = append(s.ca, lits...)
+	return c
 }
+
+func (s *Solver) size(c cref) int { return int(s.ca[c] >> 2) }
+
+// lits returns the clause's literals, aliasing the arena: valid until the
+// next alloc or reduceDB.
+func (s *Solver) lits(c cref) []cnf.Lit {
+	b := int(c) + clauseHdr
+	e := b + s.size(c)
+	return s.ca[b:e:e]
+}
+
+func (s *Solver) lbd(c cref) uint32 { return uint32(s.ca[c+1]) }
+
+func (s *Solver) act(c cref) float32 { return math.Float32frombits(uint32(s.ca[c+2])) }
+
+func (s *Solver) setAct(c cref, a float32) { s.ca[c+2] = cnf.Lit(math.Float32bits(a)) }
 
 // AddClause adds a problem clause. It returns false if the clause set is now
 // unsatisfiable at the top level. Must be called at decision level 0 (i.e.
@@ -351,8 +397,13 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	// decision level; new clauses are always added at level 0.
 	s.backtrackTo(0)
 	// Simplify: drop false lits, detect satisfied/tautological clauses.
-	out := make([]cnf.Lit, 0, len(lits))
-	seen := make(map[cnf.Lit]struct{}, len(lits))
+	// litStamp[l] == addStamp marks l as already in this clause.
+	s.addStamp++
+	if s.addStamp == 0 {
+		clear(s.litStamp)
+		s.addStamp = 1
+	}
+	out := s.addBf[:0]
 	for _, l := range lits {
 		if int(l.Var()) > s.numVars {
 			s.ImportVars(int(l.Var()))
@@ -363,75 +414,80 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		case lFalse:
 			continue
 		}
-		if _, dup := seen[l]; dup {
+		if s.litStamp[l] == s.addStamp {
 			continue
 		}
-		if _, taut := seen[l.Neg()]; taut {
+		if s.litStamp[l.Neg()] == s.addStamp {
 			return true
 		}
-		seen[l] = struct{}{}
+		s.litStamp[l] = s.addStamp
 		out = append(out, l)
 	}
+	s.addBf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.alloc(out, 0)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+func (s *Solver) attach(c cref) {
+	l0, l1 := s.ca[c+clauseHdr], s.ca[c+clauseHdr+1]
 	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{c, l1})
 	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{c, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l cnf.Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l cnf.Lit, from cref) {
 	v := l.Var()
-	s.assign[v] = boolToLbool(!l.Sign())
+	s.vals[l] = lTrue
+	s.vals[l.Neg()] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// crefUndef.
+func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
+		falseLit := p.Neg()
 		ws := s.watches[p]
 		i, j := 0, 0
-		var confl *clause
+		confl := crefUndef
 		for i < len(ws) {
 			w := ws[i]
 			// Quick check: blocker already true?
-			if s.litValue(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				i++
 				j++
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Make sure the false literal is lits[1].
-			falseLit := p.Neg()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[j] = watcher{c, first}
 				i++
 				j++
@@ -439,11 +495,11 @@ func (s *Solver) propagate() *clause {
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nl := c.lits[1]
-					s.watches[nl.Neg()] = append(s.watches[nl.Neg()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nl := lits[1].Neg()
+					s.watches[nl] = append(s.watches[nl], watcher{c, first})
 					found = true
 					break
 				}
@@ -456,7 +512,7 @@ func (s *Solver) propagate() *clause {
 			ws[j] = watcher{c, first}
 			i++
 			j++
-			if s.litValue(first) == lFalse {
+			if vals[first] == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 				// copy the remaining watchers
@@ -470,11 +526,11 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // --- VSIDS heap ---
@@ -555,11 +611,14 @@ func (s *Solver) bumpVar(v cnf.Var) {
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+// bumpClause bumps any clause, problem clauses included; the rescale
+// covers only the learnt ones.
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -567,17 +626,19 @@ func (s *Solver) bumpClause(c *clause) {
 
 func (s *Solver) decayClause() { s.claInc /= float32(s.opts.ClauseDecay) }
 
-// clauseBytes estimates a learnt clause's heap footprint: the clause
-// struct + slice header plus 4 bytes per literal, rounded up for the two
-// watcher entries referencing it.
-func clauseBytes(c *clause) int64 { return 64 + 4*int64(len(c.lits)) }
+// clauseBytes is the learnt-DB footprint charged for a clause of n
+// literals. It is a fixed estimate, above the 4n+12 arena bytes and two
+// 8-byte watchers the clause holds, and must stay fixed: MaxLearntBytes
+// budgets and the search.learnt_bytes counter are stated in it.
+func clauseBytes(n int) int64 { return 64 + 4*int64(n) }
 
 // --- conflict analysis ---
 
 // analyze performs first-UIP learning. It returns the learnt clause (with
 // the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{cnf.LitUndef} // reserve slot 0 for the asserting literal
+// The learnt slice is scratch, valid until the next call.
+func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
+	learnt := append(s.learntBf[:0], cnf.LitUndef) // reserve slot 0 for the asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
 	var p cnf.Lit = cnf.LitUndef
@@ -589,7 +650,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 		if p != cnf.LitUndef {
 			start = 1 // skip the asserting literal of the reason
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -616,9 +677,9 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 			break
 		}
 		c = s.reason[v]
-		if c == nil {
+		if c == crefUndef {
 			s.dumpState(p, counter)
-			panic("nil reason in analyze")
+			panic("sat: no reason in analyze")
 		}
 	}
 
@@ -629,11 +690,12 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 	for _, l := range learnt {
 		s.seen[l.Var()] = true
 	}
-	orig := append([]cnf.Lit(nil), learnt...)
+	orig := append(s.origBf[:0], learnt...)
+	s.origBf = orig
 	// Clause minimization: drop literals implied by the rest.
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
-		if s.reason[l.Var()] == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()] == crefUndef || !s.litRedundant(l) {
 			out = append(out, l)
 		}
 	}
@@ -660,6 +722,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 		s.seen[v] = false
 	}
 	s.clearBf = s.clearBf[:0]
+	s.learntBf = learnt
 	return learnt, btLevel
 }
 
@@ -674,7 +737,7 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 		p := s.minStk[len(s.minStk)-1]
 		s.minStk = s.minStk[:len(s.minStk)-1]
 		c := s.reason[p.Var()]
-		if c == nil {
+		if c == crefUndef {
 			// Reached a decision: not redundant, undo marks.
 			for _, v := range s.clearBf[top:] {
 				s.seen[v] = false
@@ -682,12 +745,12 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 			s.clearBf = s.clearBf[:top]
 			return false
 		}
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(c)[1:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil {
+			if s.reason[v] == crefUndef {
 				for _, u := range s.clearBf[top:] {
 					s.seen[u] = false
 				}
@@ -702,12 +765,26 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels among lits.
+// lvlStamp[lv] == lbdStamp marks level lv as already counted.
 func (s *Solver) computeLBD(lits []cnf.Lit) uint32 {
-	levels := make(map[int32]struct{}, len(lits))
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdStamp++
+	if s.lbdStamp == 0 {
+		clear(s.lvlStamp)
+		s.lbdStamp = 1
 	}
-	return uint32(len(levels))
+	n := uint32(0)
+	for _, l := range lits {
+		lv := int(s.level[l.Var()])
+		for lv >= len(s.lvlStamp) {
+			s.lvlStamp = append(s.lvlStamp, 0)
+		}
+		if s.lvlStamp[lv] != s.lbdStamp {
+			s.lvlStamp[lv] = s.lbdStamp
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) backtrackTo(level int) {
@@ -718,9 +795,10 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= int(lim); i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.assign[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l.Neg()] = lUndef
 		s.phase[v] = !l.Sign()
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heapInsert(v)
 	}
 	s.trail = s.trail[:lim]
@@ -779,57 +857,54 @@ func (s *Solver) randChance() bool {
 func (s *Solver) randomUnassigned() cnf.Var {
 	for try := 0; try < 8 && len(s.heap) > 0; try++ {
 		v := s.heap[s.nextRand()%uint64(len(s.heap))]
-		if s.assign[v] == lUndef {
+		if s.varValue(v) == lUndef {
 			return v
 		}
 	}
 	return 0
 }
 
+// reduceOrder returns the learnt clauses worst first: LBD descending,
+// then activity ascending, and among equals the later-learnt first. A
+// stable sort of the reversed list gives that tie order. The slice is
+// scratch, valid until the next call.
+func (s *Solver) reduceOrder() []cref {
+	ls := append(s.sortBf[:0], s.learnts...)
+	slices.Reverse(ls)
+	slices.SortStableFunc(ls, func(a, b cref) int {
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
+			return cmp.Compare(lb, la)
+		}
+		return cmp.Compare(s.act(a), s.act(b))
+	})
+	s.sortBf = ls
+	return ls
+}
+
+// reduceDB removes up to half of the learnt clauses, worst first, never
+// one with LBD <= 2 or one that is the reason of a trail literal. It runs
+// at level 0.
 func (s *Solver) reduceDB() {
-	// Sort learnts: keep low-LBD and active clauses. Simple selection:
-	// remove half with highest LBD (ties by activity), never LBD<=2 or
-	// clauses currently used as reasons.
 	if len(s.learnts) < 2 {
 		return
 	}
-	ls := make([]*clause, len(s.learnts))
-	copy(ls, s.learnts)
-	// insertion sort by (lbd desc, act asc)
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ls[j-1], ls[j]
-			if a.lbd > b.lbd || (a.lbd == b.lbd && a.act < b.act) {
-				break
-			}
-			ls[j-1], ls[j] = b, a
-		}
-	}
-	locked := make(map[*clause]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
-			locked[r] = true
-		}
-	}
-	removed := make(map[*clause]bool)
+	ls := s.reduceOrder()
+	s.markLocked(hdrLocked)
+	removed := false
 	for _, c := range ls[:len(ls)/2] {
-		if c.lbd <= 2 || locked[c] {
+		if s.lbd(c) <= 2 || s.ca[c]&hdrLocked != 0 {
 			continue
 		}
-		removed[c] = true
+		s.ca[c] |= hdrDeleted
+		removed = true
 		s.stats.Removed++
-		s.learntBytes -= clauseBytes(c)
+		s.learntBytes -= clauseBytes(s.size(c))
 	}
-	if len(removed) == 0 {
+	if !removed {
+		s.markLocked(0)
 		return
 	}
-	keep := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !removed[c] {
-			keep = append(keep, c)
-		}
-	}
-	s.learnts = keep
+	s.compact()
 	// Rebuild watches (simplest correct approach).
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
@@ -840,6 +915,61 @@ func (s *Solver) reduceDB() {
 	for _, c := range s.learnts {
 		s.attach(c)
 	}
+}
+
+// markLocked sets (f = hdrLocked) or clears (f = 0) the locked flag of
+// every clause that is the reason of a trail literal.
+func (s *Solver) markLocked(f cnf.Lit) {
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.ca[r] = s.ca[r]&^hdrLocked | f
+		}
+	}
+}
+
+// compact slides the live clauses down over the deleted ones in address
+// order, inside the one arena. clauses and learnts are both in address
+// order, so one merged walk over them visits every clause in the arena
+// and rewrites each list entry as it passes. A locked clause is the
+// reason of exactly its first literal's variable, so that reason is
+// rewritten on the spot too. Flags are cleared on the way.
+func (s *Solver) compact() {
+	to, ci, li, kept := 0, 0, 0, 0
+	for ci < len(s.clauses) || li < len(s.learnts) {
+		learnt := ci == len(s.clauses) || li < len(s.learnts) && s.learnts[li] < s.clauses[ci]
+		var c cref
+		if learnt {
+			c = s.learnts[li]
+			li++
+		} else {
+			c = s.clauses[ci]
+			ci++
+		}
+		hdr := s.ca[c]
+		if hdr&hdrDeleted != 0 {
+			continue
+		}
+		n := clauseHdr + int(hdr>>2)
+		nc := cref(to)
+		copy(s.ca[to:to+n], s.ca[c:int(c)+n])
+		s.ca[to] = hdr &^ (hdrLocked | hdrDeleted)
+		to += n
+		if hdr&hdrLocked != 0 {
+			v := s.ca[nc+clauseHdr].Var()
+			if s.debug && s.reason[v] != c {
+				panic("sat: locked clause is not the reason of its first literal")
+			}
+			s.reason[v] = nc
+		}
+		if learnt {
+			s.learnts[kept] = nc
+			kept++
+		} else {
+			s.clauses[ci-1] = nc
+		}
+	}
+	s.learnts = s.learnts[:kept]
+	s.ca = s.ca[:to]
 }
 
 // --- main search ---
@@ -913,11 +1043,11 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 	s.backtrackTo(0)
 	// (Re)fill the heap with all unassigned vars.
 	for v := cnf.Var(1); int(v) <= s.numVars; v++ {
-		if s.assign[v] == lUndef {
+		if s.varValue(v) == lUndef {
 			s.heapInsert(v)
 		}
 	}
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat
 	}
@@ -950,10 +1080,10 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl == nil && s.debug {
+		if confl == crefUndef && s.debug {
 			s.checkInvariants("afterprop")
 		}
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			// Conflict storms bypass the decision-path budget check below,
 			// so run the full budget/cancel check here too (same 64-step
@@ -990,18 +1120,19 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 				if s.decisionLevel() > 0 {
 					s.backtrackTo(0)
 				}
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)}
-				if b := int(c.lbd) - 1; b >= 0 {
+				lbd := s.computeLBD(learnt)
+				if b := int(lbd) - 1; b >= 0 {
 					if b > lbdOverflowBucket {
 						b = lbdOverflowBucket
 					}
 					s.lbdHist[b]++
 				}
+				c := s.alloc(learnt, lbd)
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
-				s.learntBytes += clauseBytes(c)
+				s.learntBytes += clauseBytes(len(learnt))
 				s.attach(c)
 				s.bumpClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
@@ -1078,7 +1209,7 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 			if next == cnf.LitUndef {
 				for len(s.heap) > 0 {
 					v := s.heapPop()
-					if s.assign[v] == lUndef {
+					if s.varValue(v) == lUndef {
 						next = cnf.MkLit(v, !s.phase[v])
 						break
 					}
@@ -1090,12 +1221,12 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 			s.stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
 // Value returns the model value of v after a Sat result.
-func (s *Solver) Value(v cnf.Var) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v cnf.Var) bool { return s.varValue(v) == lTrue }
 
 // LitTrue reports whether literal l is true in the model.
 func (s *Solver) LitTrue(l cnf.Lit) bool { return s.litValue(l) == lTrue }
@@ -1130,18 +1261,16 @@ func (s *Solver) dumpState(p cnf.Lit, counter int) {
 		p, p.Var(), s.level[p.Var()], s.decisionLevel(), counter, len(s.trail))
 	for i := len(s.trail) - 1; i >= 0 && i > len(s.trail)-30; i-- {
 		l := s.trail[i]
-		fmt.Fprintf(os.Stderr, "  trail[%d] = %v lvl=%d seen=%v reason=%p\n", i, l, s.level[l.Var()], s.seen[l.Var()], s.reason[l.Var()])
+		fmt.Fprintf(os.Stderr, "  trail[%d] = %v lvl=%d seen=%v reason=%d\n", i, l, s.level[l.Var()], s.seen[l.Var()], s.reason[l.Var()])
 	}
 }
 
 // checkInvariants (debug only) verifies that no clause is fully false or
 // unnoticed-unit after propagation reached fixpoint.
 func (s *Solver) checkInvariants(where string) {
-	all := append([]*clause{}, s.clauses...)
-	all = append(all, s.learnts...)
-	for _, c := range all {
+	for _, c := range slices.Concat(s.clauses, s.learnts) {
 		nFalse, nTrue, nUndef := 0, 0, 0
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			switch s.litValue(l) {
 			case lFalse:
 				nFalse++
@@ -1152,11 +1281,11 @@ func (s *Solver) checkInvariants(where string) {
 			}
 		}
 		if nTrue == 0 && nUndef == 0 {
-			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v fully false, dl=%d\n", where, c.lits, s.decisionLevel())
+			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v fully false, dl=%d\n", where, s.lits(c), s.decisionLevel())
 			panic("missed conflict")
 		}
 		if nTrue == 0 && nUndef == 1 {
-			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v unit undetected, dl=%d\n", where, c.lits, s.decisionLevel())
+			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v unit undetected, dl=%d\n", where, s.lits(c), s.decisionLevel())
 			panic("missed unit")
 		}
 	}
