@@ -11,8 +11,10 @@
 package term
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"strings"
 )
 
@@ -103,6 +105,7 @@ type Term struct {
 	ival int64  // KindIntConst value, or 1/0 for KindBoolConst
 	name string // KindVar name
 	id   int32  // unique per Builder, creation order
+	hash uint32 // intern hash, so growing the index never rehashes
 }
 
 // Kind returns the root operator.
@@ -163,36 +166,51 @@ func (t *Term) write(b *strings.Builder) {
 	}
 }
 
-// key is the interning key for a term.
-type key struct {
-	kind Kind
-	sort Sort
-	ival int64
-	name string
-	a0   *Term
-	a1   *Term
-	a2   *Term
-	rest string // ids of args beyond 3, fixed-width little-endian
-}
-
 // Builder interns terms and performs local simplification. The zero value is
 // not usable; call NewBuilder.
 type Builder struct {
-	interned map[key]*Term
-	vars     map[string]*Term
-	next     int32
-	lookups  int64
-	keyBuf   []byte // scratch for key.rest
+	// index is an open-addressing table over terms: a slot holds a term's
+	// id + 1, and 0 marks an empty slot. Its length is a power of two; it
+	// doubles at 3/4 load, and probing is triangular, which visits every
+	// slot of a power-of-two table.
+	index []int32
+	terms []*Term // by id
+	seed  uint64  // hash seed, random per Builder
+
+	// Terms and their operand lists are carved from chunks, so a miss
+	// costs no allocation of its own.
+	termSlab []Term
+	argSlab  []*Term
+
+	vars    map[string]*Term
+	varList []*Term // creation order
+	lookups int64
+	probes  int64 // index slots examined by lookups
+
+	seen  []uint32 // dedup stamps, by term id
+	stamp uint32
 
 	trueT  *Term
 	falseT *Term
 }
 
+const (
+	initialIndex = 1 << 8
+	termChunk    = 256  // 16 KiB of Terms
+	argChunk     = 1024 // 8 KiB of operand pointers
+)
+
 // NewBuilder returns an empty Builder with interned true/false constants.
-func NewBuilder() *Builder {
+func NewBuilder() *Builder { return newBuilder(rand.Uint64()) }
+
+// newBuilder returns a Builder hashing under seed. The seed decides only
+// where a term sits in the index, never its id. A per-Builder random seed
+// keeps request-supplied constants from being chosen to collide.
+func newBuilder(seed uint64) *Builder {
 	b := &Builder{
-		interned: make(map[key]*Term, 1024),
-		vars:     make(map[string]*Term, 64),
+		index: make([]int32, initialIndex),
+		seed:  seed,
+		vars:  make(map[string]*Term, 64),
 	}
 	b.trueT = b.mk(KindBoolConst, Bool, nil, 1, "")
 	b.falseT = b.mk(KindBoolConst, Bool, nil, 0, "")
@@ -200,40 +218,97 @@ func NewBuilder() *Builder {
 }
 
 // NumTerms returns the number of distinct terms created so far.
-func (b *Builder) NumTerms() int { return int(b.next) }
+func (b *Builder) NumTerms() int { return len(b.terms) }
 
 // Lookups returns the number of intern-table lookups so far, hits and
 // misses alike. Interning hides rebuilt terms from NumTerms; this count is
 // the construction work that produced them.
 func (b *Builder) Lookups() int64 { return b.lookups }
 
+// mk returns the interned term with the given structure, creating it on a
+// miss. It does not keep args: a new term gets its own copy.
 func (b *Builder) mk(k Kind, s Sort, args []*Term, ival int64, name string) *Term {
-	ky := key{kind: k, sort: s, ival: ival, name: name}
-	switch len(args) {
-	case 0:
-	case 1:
-		ky.a0 = args[0]
-	case 2:
-		ky.a0, ky.a1 = args[0], args[1]
-	case 3:
-		ky.a0, ky.a1, ky.a2 = args[0], args[1], args[2]
-	default:
-		ky.a0, ky.a1, ky.a2 = args[0], args[1], args[2]
-		buf := b.keyBuf[:0]
-		for _, a := range args[3:] {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(a.id))
-		}
-		b.keyBuf = buf
-		ky.rest = string(buf)
-	}
 	b.lookups++
-	if t, ok := b.interned[ky]; ok {
-		return t
+	h := b.hash(k, s, args, ival, name)
+	mask := uint32(len(b.index) - 1)
+	i := h & mask
+	for step := uint32(1); ; step++ {
+		b.probes++
+		slot := b.index[i]
+		if slot == 0 {
+			break
+		}
+		if t := b.terms[slot-1]; t.hash == h && t.kind == k && t.sort == s &&
+			t.ival == ival && t.name == name && slices.Equal(t.args, args) {
+			return t
+		}
+		i = (i + step) & mask
 	}
-	t := &Term{kind: k, sort: s, args: args, ival: ival, name: name, id: b.next}
-	b.next++
-	b.interned[ky] = t
+	if len(b.termSlab) == 0 {
+		b.termSlab = make([]Term, termChunk)
+	}
+	t := &b.termSlab[0]
+	b.termSlab = b.termSlab[1:]
+	*t = Term{kind: k, sort: s, args: b.copyArgs(args), ival: ival, name: name, id: int32(len(b.terms)), hash: h}
+	b.terms = append(b.terms, t)
+	b.index[i] = t.id + 1
+	if 4*len(b.terms) > 3*len(b.index) {
+		b.grow()
+	}
 	return t
+}
+
+// copyArgs returns a copy of args carved from the operand slab. Its
+// capacity is its length, so appending to it cannot reach a neighbour.
+func (b *Builder) copyArgs(args []*Term) []*Term {
+	n := len(args)
+	if n == 0 {
+		return nil
+	}
+	if n > len(b.argSlab) {
+		b.argSlab = make([]*Term, max(n, argChunk))
+	}
+	out := b.argSlab[:n:n]
+	copy(out, args)
+	b.argSlab = b.argSlab[n:]
+	return out
+}
+
+// grow doubles the index and re-inserts every term by its stored hash.
+func (b *Builder) grow() {
+	b.index = make([]int32, 2*len(b.index))
+	mask := uint32(len(b.index) - 1)
+	for _, t := range b.terms {
+		i := t.hash & mask
+		for step := uint32(1); b.index[i] != 0; step++ {
+			i = (i + step) & mask
+		}
+		b.index[i] = t.id + 1
+	}
+}
+
+// hash folds a term's structure into 32 bits under the Builder's seed.
+// Operands enter by id, which is unique per Builder.
+func (b *Builder) hash(k Kind, s Sort, args []*Term, ival int64, name string) uint32 {
+	h := mix(b.seed, uint64(k)|uint64(s)<<8|uint64(len(args))<<16|uint64(len(name))<<32)
+	h = mix(h, uint64(ival))
+	for _, a := range args {
+		h = mix(h, uint64(a.id))
+	}
+	for i := 0; i < len(name); i += 8 {
+		var w uint64
+		for j := i; j < len(name) && j < i+8; j++ {
+			w = w<<8 | uint64(name[j])
+		}
+		h = mix(h, w)
+	}
+	return uint32(h ^ h>>32)
+}
+
+// mix folds x into h with one 64×64→128-bit multiply, as wyhash does.
+func mix(h, x uint64) uint64 {
+	hi, lo := bits.Mul64(h^x, 0x9e3779b97f4a7c15)
+	return hi ^ lo
 }
 
 // True returns the boolean constant true.
@@ -267,6 +342,7 @@ func (b *Builder) Var(name string, s Sort) *Term {
 	}
 	t := b.mk(KindVar, s, nil, 0, name)
 	b.vars[name] = t
+	b.varList = append(b.varList, t)
 	return t
 }
 
@@ -274,19 +350,7 @@ func (b *Builder) Var(name string, s Sort) *Term {
 func (b *Builder) LookupVar(name string) *Term { return b.vars[name] }
 
 // Vars returns all variables created so far, in creation order.
-func (b *Builder) Vars() []*Term {
-	out := make([]*Term, 0, len(b.vars))
-	for _, v := range b.vars {
-		out = append(out, v)
-	}
-	// creation order
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].id > out[j].id; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
+func (b *Builder) Vars() []*Term { return append([]*Term(nil), b.varList...) }
 
 // Not returns the negation of t, folding constants and double negation.
 func (b *Builder) Not(t *Term) *Term {
@@ -305,7 +369,11 @@ func (b *Builder) Not(t *Term) *Term {
 // And returns the conjunction of ts, dropping true operands and
 // short-circuiting on false. And() is true.
 func (b *Builder) And(ts ...*Term) *Term {
-	flat := make([]*Term, 0, len(ts))
+	var buf [8]*Term // operands are copied by mk, so short lists stay on the stack
+	flat := buf[:0]
+	if len(ts) > len(buf) {
+		flat = make([]*Term, 0, len(ts))
+	}
 	for _, t := range ts {
 		mustSort(t, Bool)
 		switch {
@@ -319,7 +387,7 @@ func (b *Builder) And(ts ...*Term) *Term {
 			flat = append(flat, t)
 		}
 	}
-	flat = dedup(flat)
+	flat = b.dedup(flat)
 	switch len(flat) {
 	case 0:
 		return b.trueT
@@ -332,7 +400,11 @@ func (b *Builder) And(ts ...*Term) *Term {
 // Or returns the disjunction of ts, dropping false operands and
 // short-circuiting on true. Or() is false.
 func (b *Builder) Or(ts ...*Term) *Term {
-	flat := make([]*Term, 0, len(ts))
+	var buf [8]*Term
+	flat := buf[:0]
+	if len(ts) > len(buf) {
+		flat = make([]*Term, 0, len(ts))
+	}
 	for _, t := range ts {
 		mustSort(t, Bool)
 		switch {
@@ -346,7 +418,7 @@ func (b *Builder) Or(ts ...*Term) *Term {
 			flat = append(flat, t)
 		}
 	}
-	flat = dedup(flat)
+	flat = b.dedup(flat)
 	switch len(flat) {
 	case 0:
 		return b.falseT
@@ -475,7 +547,11 @@ func (b *Builder) Ge(x, y *Term) *Term { return b.Le(y, x) }
 // Add returns the sum of ts. Add() is 0.
 func (b *Builder) Add(ts ...*Term) *Term {
 	var cst int64
-	flat := make([]*Term, 0, len(ts))
+	var buf [8]*Term
+	flat := buf[:0]
+	if len(ts) > len(buf) {
+		flat = make([]*Term, 0, len(ts))
+	}
 	for _, t := range ts {
 		mustSort(t, Int)
 		switch {
@@ -592,17 +668,32 @@ func mustSort(t *Term, s Sort) {
 }
 
 // dedup removes duplicate operands in place, preserving first occurrence.
-func dedup(ts []*Term) []*Term {
-	if len(ts) < 2 {
-		return ts
+// A short list is scanned; a long one is checked against stamps by term id.
+func (b *Builder) dedup(ts []*Term) []*Term {
+	if len(ts) <= 16 {
+		out := ts[:0]
+	next:
+		for _, t := range ts {
+			for _, u := range out {
+				if t == u {
+					continue next
+				}
+			}
+			out = append(out, t)
+		}
+		return out
 	}
-	seen := make(map[*Term]struct{}, len(ts))
+	if len(b.seen) < len(b.terms) {
+		b.seen = make([]uint32, cap(b.terms))
+		b.stamp = 0
+	}
+	b.stamp++
 	out := ts[:0]
 	for _, t := range ts {
-		if _, ok := seen[t]; ok {
+		if b.seen[t.id] == b.stamp {
 			continue
 		}
-		seen[t] = struct{}{}
+		b.seen[t.id] = b.stamp
 		out = append(out, t)
 	}
 	return out

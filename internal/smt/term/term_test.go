@@ -21,10 +21,9 @@ func TestHashConsing(t *testing.T) {
 	}
 }
 
-// TestNaryInterning covers the intern key of terms with more than three
-// arguments, whose ids past the third are packed into the key: rebuilt
-// terms are pointer-equal whatever their ids' width, and a different
-// argument order or arity is a different term.
+// TestNaryInterning covers the interning of terms with more than three
+// arguments: rebuilt terms are pointer-equal whatever their ids' width, and
+// a different argument order or arity is a different term.
 func TestNaryInterning(t *testing.T) {
 	b := NewBuilder()
 	// Enough variables that ids cross 255 and 65,535.
@@ -79,8 +78,7 @@ func TestNaryInterning(t *testing.T) {
 			}
 		}
 	}
-	// The key holds binary ids, not formatted strings: rebuilding a wide
-	// term allocates only the operand list and the key.
+	// Rebuilding a wide term allocates at most its flattened operand list.
 	args := pick(xs, 300)
 	b.Add(args...)
 	if a := testing.AllocsPerRun(20, func() { b.Add(args...) }); a > 3 {
