@@ -37,7 +37,10 @@ import (
 // store's pipeline fingerprint: bump it whenever a change to the
 // unrolling, the constraint shapes, or the trace decoding could alter
 // the answer to any query, so stored results from the old encoding are
-// invalidated rather than served.
+// invalidated rather than served. A change to the shape of the gates
+// that keeps the value of every term under every assignment (a smaller
+// Tseitin gate, say) needs no bump: it can change which witness a query
+// returns, but never its verdict.
 const EncodingFingerprint = "bmc-unroll-v1"
 
 // Mode selects the query direction.

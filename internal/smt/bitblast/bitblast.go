@@ -5,6 +5,23 @@
 // (adder carries, comparator chains) are additionally deduplicated through a
 // small structural gate cache.
 //
+// Every gate defines a fresh variable by a full equivalence, so its literal
+// can be used in either polarity. The gates and what one costs:
+//
+//	gate          meaning                 vars  clauses
+//	and2(a,b)     a ∧ b                      1        3
+//	xor2(a,b)     a ⊕ b                      1        4
+//	maj(a,b,c)    at least two of a, b, c    1        6
+//	mux(c,x,y)    c ? x : y                  1        6
+//	andN(a...)    a1 ∧ … ∧ an (n > 2)        1      n+1
+//
+// or2 and orN are and2 and andN with every literal negated. An adder bit
+// is two xor2 (the sum) and a maj (the carry): 3 vars and 14 clauses. A
+// signed comparator bit is one maj, lt' = maj(¬a, b, lt): 1 var and 6
+// clauses. An integer Ite is W muxes. mux's six clauses are the four
+// that define it plus x∧y→m and ¬x∧¬y→¬m, which are implied but let unit
+// propagation fix m before c is decided.
+//
 // All Buffy analyses are bounded (bounded loops, bounded buffers, bounded
 // time horizon), so this lowering is a complete decision procedure for them:
 // it is the same reduction FPerf relies on Z3's QF_BV/QF_LIA engines for.
@@ -34,14 +51,15 @@ const (
 )
 
 type gateKey struct {
-	op   uint8
-	a, b cnf.Lit
+	op      uint8
+	a, b, c cnf.Lit
 }
 
 const (
 	gAnd uint8 = iota
-	gOr
 	gXor
+	gMaj
+	gMux
 )
 
 // Blaster encodes terms into a sat.Solver.
@@ -260,7 +278,7 @@ func (bl *Blaster) and2(a, b cnf.Lit) cnf.Lit {
 	if a > b {
 		a, b = b, a
 	}
-	k := gateKey{gAnd, a, b}
+	k := gateKey{op: gAnd, a: a, b: b}
 	if y, ok := bl.gateCache[k]; ok {
 		return y
 	}
@@ -302,7 +320,7 @@ func (bl *Blaster) xor2(a, b cnf.Lit) cnf.Lit {
 	if a > b {
 		a, b = b, a
 	}
-	k := gateKey{gXor, a, b}
+	k := gateKey{op: gXor, a: a, b: b}
 	y, ok := bl.gateCache[k]
 	if !ok {
 		y = cnf.PosLit(bl.s.NewVar())
@@ -356,6 +374,70 @@ func (bl *Blaster) orN(lits []cnf.Lit) cnf.Lit {
 	return bl.andN(neg).Neg()
 }
 
+// maj returns the majority of a, b and c: true when at least two are.
+func (bl *Blaster) maj(a, b, c cnf.Lit) cnf.Lit {
+	// A repeated input decides the vote; a complementary pair cancels.
+	switch {
+	case a == b || a == c:
+		return a
+	case b == c:
+		return b
+	case a == b.Neg():
+		return c
+	case a == c.Neg():
+		return b
+	case b == c.Neg():
+		return a
+	}
+	// A constant input turns the vote into an and or an or of the others.
+	switch {
+	case a == bl.trueLit:
+		return bl.or2(b, c)
+	case a == bl.falseLit:
+		return bl.and2(b, c)
+	case b == bl.trueLit:
+		return bl.or2(a, c)
+	case b == bl.falseLit:
+		return bl.and2(a, c)
+	case c == bl.trueLit:
+		return bl.or2(a, b)
+	case c == bl.falseLit:
+		return bl.and2(a, b)
+	}
+	// Normalize: sort the inputs, then use maj(¬a,¬b,¬c) = ¬maj(a,b,c) to
+	// cache with the smallest input positive. The three variables are
+	// distinct here, so negating all three keeps them sorted.
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	neg := a.Sign()
+	if neg {
+		a, b, c = a.Neg(), b.Neg(), c.Neg()
+	}
+	k := gateKey{op: gMaj, a: a, b: b, c: c}
+	m, ok := bl.gateCache[k]
+	if !ok {
+		m = cnf.PosLit(bl.s.NewVar())
+		bl.s.AddClause(m, a.Neg(), b.Neg())
+		bl.s.AddClause(m, a.Neg(), c.Neg())
+		bl.s.AddClause(m, b.Neg(), c.Neg())
+		bl.s.AddClause(m.Neg(), a, b)
+		bl.s.AddClause(m.Neg(), a, c)
+		bl.s.AddClause(m.Neg(), b, c)
+		bl.gateCache[k] = m
+	}
+	if neg {
+		return m.Neg()
+	}
+	return m
+}
+
 // mux returns c ? x : y.
 func (bl *Blaster) mux(c, x, y cnf.Lit) cnf.Lit {
 	switch {
@@ -365,8 +447,42 @@ func (bl *Blaster) mux(c, x, y cnf.Lit) cnf.Lit {
 		return y
 	case x == y:
 		return x
+	case x == y.Neg():
+		return bl.xor2(c, x).Neg()
+	case x == c || x == bl.trueLit:
+		return bl.or2(c, y)
+	case x == c.Neg() || x == bl.falseLit:
+		return bl.and2(c.Neg(), y)
+	case y == c || y == bl.falseLit:
+		return bl.and2(c, x)
+	case y == c.Neg() || y == bl.trueLit:
+		return bl.or2(c.Neg(), x)
 	}
-	return bl.or2(bl.and2(c, x), bl.and2(c.Neg(), y))
+	// Normalize: mux(¬c,x,y) = mux(c,y,x) and mux(c,¬x,¬y) = ¬mux(c,x,y),
+	// so the cache sees a positive selector and a positive then-branch.
+	if c.Sign() {
+		c, x, y = c.Neg(), y, x
+	}
+	neg := x.Sign()
+	if neg {
+		x, y = x.Neg(), y.Neg()
+	}
+	k := gateKey{op: gMux, a: c, b: x, c: y}
+	m, ok := bl.gateCache[k]
+	if !ok {
+		m = cnf.PosLit(bl.s.NewVar())
+		bl.s.AddClause(m.Neg(), c.Neg(), x)
+		bl.s.AddClause(m, c.Neg(), x.Neg())
+		bl.s.AddClause(m.Neg(), c, y)
+		bl.s.AddClause(m, c, y.Neg())
+		bl.s.AddClause(m, x.Neg(), y.Neg())
+		bl.s.AddClause(m.Neg(), x, y)
+		bl.gateCache[k] = m
+	}
+	if neg {
+		return m.Neg()
+	}
+	return m
 }
 
 // --- arithmetic ---
@@ -379,7 +495,7 @@ func (bl *Blaster) adder(a, b []cnf.Lit, cin cnf.Lit) []cnf.Lit {
 		axb := bl.xor2(a[i], b[i])
 		out[i] = bl.xor2(axb, c)
 		if i < bl.W-1 { // last carry is discarded
-			c = bl.or2(bl.and2(a[i], b[i]), bl.and2(axb, c))
+			c = bl.maj(a[i], b[i], c)
 		}
 	}
 	return out
@@ -420,9 +536,9 @@ func (bl *Blaster) signedLt(a, b []cnf.Lit) cnf.Lit {
 		if i == bl.W-1 { // flip sign bits
 			ai, bi = ai.Neg(), bi.Neg()
 		}
-		// lt = (¬ai ∧ bi) ∨ ((ai ↔ bi) ∧ lt)
-		eq := bl.xor2(ai, bi).Neg()
-		lt = bl.or2(bl.and2(ai.Neg(), bi), bl.and2(eq, lt))
+		// lt = (¬ai ∧ bi) ∨ ((ai ↔ bi) ∧ lt): bi where the bits differ,
+		// lt where they agree, which is the majority of ¬ai, bi and lt.
+		lt = bl.maj(ai.Neg(), bi, lt)
 	}
 	return lt
 }
