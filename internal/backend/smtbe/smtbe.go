@@ -19,6 +19,7 @@ package smtbe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -155,7 +156,7 @@ type Result struct {
 	// exhausted, or that the deadline/cancellation fired. sat.StopNone
 	// for conclusive answers.
 	Stop sat.StopReason
-	// Encoding sizes, for scalability experiments.
+	// Encoding sizes as the search starts, for scalability experiments.
 	NumClauses int
 	NumVars    int
 	// Tier names the analysis tier that produced the answer: "" or "smt"
@@ -169,10 +170,6 @@ type Options struct {
 	IR     ir.Options
 	Solver solver.Options
 	Mode   Mode
-	// ExtraAssume adds caller-provided constraints (e.g. synthesized
-	// workload conditions) on top of the program's own assumes. It runs
-	// after compilation, receiving the compiled program.
-	ExtraAssume func(c *ir.Compiled, s *solver.Solver)
 }
 
 // Check compiles and analyses the program.
@@ -189,7 +186,7 @@ func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return e.solveOn(ctx, e.S, start)
+	return Answer(ctx, e.S, e.Mode, e.C, &e.mu, start)
 }
 
 // Encoded is a compiled, bit-blasted query ready to be solved — possibly
@@ -218,33 +215,14 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 	if err != nil {
 		return nil, err
 	}
-	if len(c.Asserts) == 0 {
-		return nil, fmt.Errorf("smtbe: program %s has no assert() — nothing to check", info.Prog.Name)
+	query, err := QueryTerms(c, opts.Mode, len(c.Steps))
+	if err != nil {
+		return nil, err
 	}
-	_, bsp := telemetry.StartSpan(ectx, "bitblast")
-	for _, a := range c.Assumes {
-		// Bit-blasting large assumes is part of the heavy encode path;
-		// keep cancellation responsive through it too.
-		if err := ctx.Err(); err != nil {
-			bsp.End()
-			return nil, err
-		}
-		s.Assert(a)
+	bl := Blaster{S: s}
+	if err := bl.Assert(ectx, slices.Concat(c.Assumes, query)); err != nil {
+		return nil, err
 	}
-	if opts.ExtraAssume != nil {
-		opts.ExtraAssume(c, s)
-	}
-	switch opts.Mode {
-	case Verify:
-		s.Assert(c.Violation())
-	case Witness:
-		s.Assert(c.AssertHolds())
-		s.Assert(c.AssertReached())
-	}
-	bsp.SetAttrs(
-		telemetry.Count("clauses", int64(s.NumClauses())),
-		telemetry.Count("vars", int64(s.NumVars())))
-	bsp.End()
 	return &Encoded{Mode: opts.Mode, C: c, S: s}, nil
 }
 
@@ -254,36 +232,91 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 // the searches race freely and only model decoding serializes.
 func (e *Encoded) SolveContext(ctx context.Context, search sat.Options) (*Result, error) {
 	start := time.Now()
-	return e.solveOn(ctx, e.S.Fork(search), start)
+	return Answer(ctx, e.S.Fork(search), e.Mode, e.C, &e.mu, start)
 }
 
-// solveOn runs the search on s (the encoding solver itself or a fork) and
-// interprets the outcome. Duration counts from start, so callers fold the
-// encode time into the first result they produce.
-func (e *Encoded) solveOn(ctx context.Context, s *solver.Solver, start time.Time) (*Result, error) {
-	res := &Result{Mode: e.Mode, Compiled: e.C, Solver: s}
-	outcome := s.CheckContextNoModel(ctx)
-	res.SatStats = s.Stats()
-	res.NumClauses = s.NumClauses()
-	res.NumVars = s.NumVars()
+// QueryTerms returns the mode's query over the assert instances of steps
+// 0..k-1: the violation for Verify; "every reached assert holds" and "one
+// is reached" for Witness. A cold encoding asserts each term; a warm
+// session assumes their conjunction. It fails when those steps reach no
+// assert.
+func QueryTerms(c *ir.Compiled, mode Mode, k int) ([]*term.Term, error) {
+	if !slices.ContainsFunc(c.Asserts, func(a ir.AssertInst) bool { return a.Step < k }) {
+		return nil, fmt.Errorf("smtbe: program %s has no assert() — nothing to check", c.Info.Prog.Name)
+	}
+	if mode == Witness {
+		return []*term.Term{c.AssertHoldsUpTo(k), c.AssertReachedUpTo(k)}, nil
+	}
+	return []*term.Term{c.ViolationUpTo(k)}, nil
+}
+
+// Blaster bit-blasts constraints into one solver, each batch under a
+// "bitblast" span. The span's clauses and vars counters are the solver's
+// growth since the previous span. The reading starts at zero, so the
+// first span counts what solver.New allocated (the constant-true var)
+// and a solver's spans sum to its size when the last one ended.
+type Blaster struct {
+	S             *solver.Solver
+	clauses, vars int
+}
+
+// Assert asserts terms in order, checking ctx between them so blasting
+// large constraints stays cancellable. An empty batch opens no span.
+func (bl *Blaster) Assert(ctx context.Context, terms []*term.Term) error {
+	if len(terms) == 0 {
+		return nil
+	}
+	_, span := telemetry.StartSpan(ctx, "bitblast")
+	defer span.End()
+	for _, t := range terms {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		bl.S.Assert(t)
+	}
+	clauses, vars := bl.S.NumClauses(), bl.S.NumVars()
+	span.SetAttrs(
+		telemetry.Count("clauses", int64(clauses-bl.clauses)),
+		telemetry.Count("vars", int64(vars-bl.vars)))
+	bl.clauses, bl.vars = clauses, vars
+	return nil
+}
+
+// Answer checks s under the assumptions and reads the outcome as a Result
+// for mode over c: the status, the stop reason of an Unknown, the check's
+// own search effort, the encoding's size and, on Sat, the trace decoded
+// from c. mu serializes the model snapshot and decoding among solvers
+// that share one term builder; nil when no other solver does. Duration
+// counts from start, so callers fold their encode time into it. An
+// Unknown caused by ctx comes back with ctx's error.
+func Answer(ctx context.Context, s *solver.Solver, mode Mode, c *ir.Compiled, mu *sync.Mutex, start time.Time, assumptions ...*term.Term) (*Result, error) {
+	// The size is read before the check: a warm check blasts its
+	// assumptions as it starts, and the next bitblast span counts them.
+	res := &Result{Mode: mode, Compiled: c, Solver: s, NumClauses: s.NumClauses(), NumVars: s.NumVars()}
+	outcome := s.CheckContextNoModel(ctx, assumptions...)
+	res.SatStats = s.Effort()
 	switch {
 	case outcome == solver.Unknown:
 		res.Status = Unknown
 		res.Stop = s.StopReason()
-	case outcome == solver.Sat && e.Mode == Verify:
+	case outcome == solver.Sat && mode == Verify:
 		res.Status = CounterexampleFound
-	case outcome == solver.Unsat && e.Mode == Verify:
+	case outcome == solver.Unsat && mode == Verify:
 		res.Status = Holds
-	case outcome == solver.Sat && e.Mode == Witness:
+	case outcome == solver.Sat && mode == Witness:
 		res.Status = WitnessFound
 	default:
 		res.Status = NoWitness
 	}
 	if outcome == solver.Sat {
-		e.mu.Lock()
+		if mu != nil {
+			mu.Lock()
+		}
 		s.SnapshotModel()
-		res.Trace = ExtractTrace(e.C, s)
-		e.mu.Unlock()
+		res.Trace = ExtractTrace(c, s)
+		if mu != nil {
+			mu.Unlock()
+		}
 	}
 	res.Duration = time.Since(start)
 	if res.Status == Unknown && ctx.Err() != nil {

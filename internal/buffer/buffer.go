@@ -47,12 +47,6 @@ func (c *Ctx) FreshInt(hint string) *term.Term {
 	return c.B.Var(fmt.Sprintf("%s!%s#%d", c.Prefix, hint, c.fresh), term.Int)
 }
 
-// FreshBool returns a fresh boolean variable.
-func (c *Ctx) FreshBool(hint string) *term.Term {
-	c.fresh++
-	return c.B.Var(fmt.Sprintf("%s!%s#%d", c.Prefix, hint, c.fresh), term.Bool)
-}
-
 // Config describes a buffer's shape.
 type Config struct {
 	// Cap is the maximum number of packets the buffer can hold; arrivals

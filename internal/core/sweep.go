@@ -68,6 +68,6 @@ func (p *Program) SweepWithSession(ctx context.Context, sess *session.Session, a
 		Mode:      opts.Mode,
 		OnVerdict: opts.OnVerdict,
 		Backend:   smtbe.Options{IR: iro, Solver: a.solverOptions()},
-		Query:     session.Query{Progress: a.Progress},
+		Progress:  a.Progress,
 	})
 }

@@ -181,35 +181,14 @@ type Compiled struct {
 	OutputNames []string
 }
 
-// AssumeAll returns the conjunction of all assumptions.
-func (c *Compiled) AssumeAll() *term.Term { return c.B.And(c.Assumes...) }
-
 // AssertHolds returns the term "every reached assert instance holds".
-func (c *Compiled) AssertHolds() *term.Term {
-	parts := make([]*term.Term, len(c.Asserts))
-	for i, a := range c.Asserts {
-		parts[i] = c.B.Implies(a.Guard, a.Cond)
-	}
-	return c.B.And(parts...)
-}
+func (c *Compiled) AssertHolds() *term.Term { return c.AssertHoldsUpTo(len(c.Steps)) }
 
 // AssertReached returns the term "at least one assert instance is reached".
-func (c *Compiled) AssertReached() *term.Term {
-	parts := make([]*term.Term, len(c.Asserts))
-	for i, a := range c.Asserts {
-		parts[i] = a.Guard
-	}
-	return c.B.Or(parts...)
-}
+func (c *Compiled) AssertReached() *term.Term { return c.AssertReachedUpTo(len(c.Steps)) }
 
 // Violation returns the term "some reached assert instance fails".
-func (c *Compiled) Violation() *term.Term {
-	parts := make([]*term.Term, len(c.Asserts))
-	for i, a := range c.Asserts {
-		parts[i] = c.B.And(a.Guard, c.B.Not(a.Cond))
-	}
-	return c.B.Or(parts...)
-}
+func (c *Compiled) Violation() *term.Term { return c.ViolationUpTo(len(c.Steps)) }
 
 // AssertHoldsUpTo is AssertHolds restricted to assert instances from
 // steps 0..k-1. A symbolic-T session unrolled to maxT uses these UpTo
@@ -283,29 +262,47 @@ func Compile(info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, er
 // compilation (the dominant cost at large horizons) aborts promptly
 // instead of running to completion for an abandoned analysis.
 func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, error) {
-	_, span := telemetry.StartSpan(ctx, "compile")
-	defer span.End()
-	terms0, lookups0 := b.NumTerms(), b.Lookups()
 	m, err := NewMachine(info, b, opts)
 	if err != nil {
 		return nil, err
 	}
-	for t := 0; t < m.opts.T; t++ {
+	if err := m.Unroll(ctx, m.opts.T); err != nil {
+		return nil, err
+	}
+	return m.Result(), nil
+}
+
+// Unroll runs steps until the machine has unrolled k of them, stopping
+// between steps once ctx is cancelled. The work goes on a "compile" span;
+// a machine already k steps deep opens none. The span counts the distinct
+// terms the unrolling added to the builder and the intern lookups it made
+// there, hits included. Both are deltas, so a shared builder counts only
+// this machine: the first Unroll counts from before NewMachine, a later
+// one from its own start.
+func (m *Machine) Unroll(ctx context.Context, k int) error {
+	from := len(m.steps)
+	if from >= k {
+		return nil
+	}
+	_, span := telemetry.StartSpan(ctx, "compile")
+	defer span.End()
+	terms0, lookups0 := m.b.NumTerms(), m.b.Lookups()
+	if from == 0 {
+		terms0, lookups0 = m.terms0, m.lookups0
+	}
+	for t := from; t < k; t++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := m.RunStep(t); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	// The compile's work: the distinct terms it added to b and the intern
-	// lookups it made there, hits included. Both are deltas, so a shared
-	// builder counts only this compile.
 	span.SetAttrs(
-		telemetry.Int("steps", int64(m.opts.T)),
-		telemetry.Count("terms", int64(b.NumTerms()-terms0)),
-		telemetry.Count("intern_lookups", b.Lookups()-lookups0))
-	return m.Result(), nil
+		telemetry.Int("steps", int64(k-from)),
+		telemetry.Count("terms", int64(m.b.NumTerms()-terms0)),
+		telemetry.Count("intern_lookups", m.b.Lookups()-lookups0))
+	return nil
 }
 
 // sortedNames returns map keys in sorted order (deterministic output).

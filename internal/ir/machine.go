@@ -53,6 +53,11 @@ type Machine struct {
 	outputNames []string
 
 	prefix string
+
+	// The builder's term count and intern lookups before NewMachine, so
+	// the first Unroll's compile span counts the initial state's terms.
+	terms0   int
+	lookups0 int64
 }
 
 func pos(p tok.Pos) Pos { return Pos{Line: p.Line, Col: p.Col} }
@@ -68,6 +73,8 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 		bufs:         make(map[string]buffer.State),
 		bufInstances: make(map[string][]string),
 		prefix:       info.Prog.Name,
+		terms0:       b.NumTerms(),
+		lookups0:     b.Lookups(),
 	}
 	if opts.NamePrefix != "" {
 		m.prefix = opts.NamePrefix

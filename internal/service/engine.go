@@ -565,90 +565,107 @@ func (e *Engine) runJob(job *Job) {
 
 	ctx = telemetry.WithTrace(ctx, job.trace)
 	ctx, jobSpan := telemetry.StartSpan(ctx, "job")
-
-	// Effective request: the degradation ladder mutates this copy between
-	// attempts; the cache key stays the original request's.
-	eff := *job.Req
-	req := &eff
-	spec := kinds[req.Kind]
-
 	start := time.Now()
-	var (
-		res      *Result
-		err      error
-		class    failureClass
-		reason   string
-		degraded string
-	)
-	attempt := 0
-	for {
-		attempt++
-		actx := ctx
-		var asp *telemetry.Span
-		if attempt > 1 {
-			// Retries get their own span so a degraded re-run is visible
-			// in the tree; the first attempt's stages sit directly under
-			// the job span, keeping the common case flat.
-			actx, asp = telemetry.StartSpan(ctx, "attempt")
-			asp.SetAttrs(telemetry.Int("n", int64(attempt)), telemetry.String("degraded", degraded))
-		}
-		res, err = runAttempt(actx, spec, job, req)
-		asp.End()
-		class, reason = classify(res, err)
-		if strings.HasPrefix(reason, "budget-") {
-			e.met.count(e.met.budgetBy, strings.TrimPrefix(reason, "budget-"))
-		}
-		if !spec.retries || class != failTransient || attempt > e.cfg.MaxRetries {
-			break
-		}
-		e.met.count(e.met.retriesBy, reason)
-		if step := degradeForRetry(req, reason); step != "" {
-			degraded = step
-			e.met.degradedJobs.Add(1)
-		}
-		log.Warn("job retrying", "attempt", attempt, "reason", reason, "degraded", degraded)
-		// Exponential backoff, interruptible by deadline or cancel: a
-		// context that dies mid-backoff ends the job with the context's
-		// own classification instead of burning another attempt.
-		backoff := e.cfg.RetryBackoff << (attempt - 1)
-		timer := time.NewTimer(backoff)
-		ctxDied := false
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			res, err = nil, ctx.Err()
-			class, reason = classify(res, err)
-			ctxDied = true
-		}
-		if ctxDied {
-			break
-		}
-	}
+	o := e.attempt(ctx, job, log)
 	elapsed := time.Since(start)
 	if job.verdicts != nil {
 		// However the attempt ended, the stream closes: the streaming
 		// handler's read loop must never outlive the worker.
 		close(job.verdicts)
 	}
-	jobSpan.SetAttrs(telemetry.Int("attempts", int64(attempt)))
+	jobSpan.SetAttrs(telemetry.Int("attempts", int64(o.attempts)))
 	jobSpan.End()
 	// Fold the finished trace into the stage histograms and the layer
 	// work counters before the job turns terminal, so a caller that saw
 	// it finish reads metrics that include it.
 	e.met.recordStages(job.trace.Durations())
 	e.met.recordWork(job.trace.Work())
+	e.finish(job, o, elapsed)
+	e.retainTrace(job, elapsed)
+	switch st := job.State(); st {
+	case StateDone:
+		log.Info("job finished", "state", string(st), "result", o.res.Status,
+			"attempts", o.attempts, "elapsed_ms", elapsed.Milliseconds())
+	default:
+		log.Warn("job finished", "state", string(st), "reason", o.reason,
+			"attempts", o.attempts, "elapsed_ms", elapsed.Milliseconds(), "err", errString(o.err))
+	}
+	e.noteFinished(job.ID)
+}
 
-	switch class {
+// jobOutcome is how a job's last attempt ended.
+type jobOutcome struct {
+	res      *Result
+	err      error
+	class    failureClass
+	reason   string
+	degraded string // the last degradation step a retry applied
+	attempts int
+}
+
+// attempt runs the job's kind until an attempt ends in anything but a
+// retryable failure, or the retries run out. Each retry degrades the
+// request (a copy; the cache key stays the original request's) and
+// backs off first.
+func (e *Engine) attempt(ctx context.Context, job *Job, log *slog.Logger) jobOutcome {
+	eff := *job.Req
+	req := &eff
+	spec := kinds[req.Kind]
+	var o jobOutcome
+	for {
+		o.attempts++
+		actx := ctx
+		var asp *telemetry.Span
+		if o.attempts > 1 {
+			// Retries get their own span so a degraded re-run is visible
+			// in the tree; the first attempt's stages sit directly under
+			// the job span, keeping the common case flat.
+			actx, asp = telemetry.StartSpan(ctx, "attempt")
+			asp.SetAttrs(telemetry.Int("n", int64(o.attempts)), telemetry.String("degraded", o.degraded))
+		}
+		o.res, o.err = runAttempt(actx, spec, job, req)
+		asp.End()
+		o.class, o.reason = classify(o.res, o.err)
+		if strings.HasPrefix(o.reason, "budget-") {
+			e.met.count(e.met.budgetBy, strings.TrimPrefix(o.reason, "budget-"))
+		}
+		if !spec.retries || o.class != failTransient || o.attempts > e.cfg.MaxRetries {
+			return o
+		}
+		e.met.count(e.met.retriesBy, o.reason)
+		if step := degradeForRetry(req, o.reason); step != "" {
+			o.degraded = step
+			e.met.degradedJobs.Add(1)
+		}
+		log.Warn("job retrying", "attempt", o.attempts, "reason", o.reason, "degraded", o.degraded)
+		// Exponential backoff, interruptible by deadline or cancel: a
+		// context that dies mid-backoff ends the job with the context's
+		// own classification instead of burning another attempt.
+		timer := time.NewTimer(e.cfg.RetryBackoff << (o.attempts - 1))
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			o.res, o.err = nil, ctx.Err()
+			o.class, o.reason = classify(o.res, o.err)
+			return o
+		}
+	}
+}
+
+// finish moves the job to its terminal state and counts the outcome.
+func (e *Engine) finish(job *Job, o jobOutcome, elapsed time.Duration) {
+	switch o.class {
 	case failNone, failTransient:
-		if err != nil {
+		if o.err != nil {
 			// Transient error (panic, disagreement) with retries exhausted.
-			e.met.recordFailed(reason)
-			job.finishFrom(StateRunning, StateFailed, nil, err)
-			break
+			e.met.recordFailed(o.reason)
+			job.finishFrom(StateRunning, StateFailed, nil, o.err)
+			return
 		}
 		// Either a definite answer or an Unknown the caller must interpret
 		// (budget exhausted with no retries left is still a valid Unknown).
+		res := o.res
 		e.met.completed.Add(1)
 		e.met.recordSolve(elapsed)
 		e.admit.observe(job.Req.Kind, elapsed)
@@ -658,8 +675,8 @@ func (e *Engine) runJob(job *Job) {
 		if res.PortfolioSize > 1 {
 			e.met.recordPortfolio(res.PortfolioWinner, elapsed)
 		}
-		res.Attempts = attempt
-		res.Degraded = degraded
+		res.Attempts = o.attempts
+		res.Degraded = o.degraded
 		if rep := job.progress.Report(); rep != nil && rep.Totals.Solves > 0 {
 			// Attach the search introspection record to the result (and
 			// therefore to both cache tiers: explain works on cache hits
@@ -680,20 +697,22 @@ func (e *Engine) runJob(job *Job) {
 		job.finishFrom(StateRunning, StateDone, res, nil)
 	case failCanceled:
 		e.met.canceled.Add(1)
-		job.finishFrom(StateRunning, StateCanceled, nil, err)
+		job.finishFrom(StateRunning, StateCanceled, nil, o.err)
 	case failDeadline:
 		// The timeout is a lower bound on the true latency; feeding it to
 		// the admission EWMA keeps the estimate honest under overload.
-		e.met.recordFailed(reason)
+		e.met.recordFailed(o.reason)
 		e.admit.observe(job.Req.Kind, elapsed)
-		job.finishFrom(StateRunning, StateFailed, nil, err)
+		job.finishFrom(StateRunning, StateFailed, nil, o.err)
 	default: // failPermanent: parse/type/compile errors.
-		e.met.recordFailed(reason)
-		job.finishFrom(StateRunning, StateFailed, nil, err)
+		e.met.recordFailed(o.reason)
+		job.finishFrom(StateRunning, StateFailed, nil, o.err)
 	}
+}
 
-	// Retain the finished trace for /v1/traces (the Job itself is pruned
-	// by retention earlier).
+// retainTrace keeps the finished trace for /v1/traces (the Job itself is
+// pruned by retention earlier) and ships it to the OTLP exporter.
+func (e *Engine) retainTrace(job *Job, elapsed time.Duration) {
 	snap := job.trace.Snapshot()
 	if snap.Dropped > 0 {
 		// Span truncation is invisible in the tree itself; count it so
@@ -708,21 +727,11 @@ func (e *Engine) runJob(job *Job) {
 		DurationMS: elapsed.Milliseconds(),
 		NumSpans:   snap.NumSpans,
 	}, job.trace)
-	// Ship the finished trace to the OTLP exporter (if configured).
 	// Enqueue never blocks: a slow or down collector costs dropped
 	// snapshots, never solver latency.
 	e.cfg.Exporter.Enqueue(snap,
 		telemetry.String("buffy.job_kind", string(job.Req.Kind)),
 		telemetry.String("buffy.job_state", string(job.State())))
-	switch st := job.State(); st {
-	case StateDone:
-		log.Info("job finished", "state", string(st), "result", res.Status,
-			"attempts", attempt, "elapsed_ms", elapsed.Milliseconds())
-	default:
-		log.Warn("job finished", "state", string(st), "reason", reason,
-			"attempts", attempt, "elapsed_ms", elapsed.Milliseconds(), "err", errString(err))
-	}
-	e.noteFinished(job.ID)
 }
 
 func errString(err error) string {

@@ -457,26 +457,68 @@ func TestSweepSearchSpansCountOwnEffort(t *testing.T) {
 	}
 }
 
-// TestWarmSweepReportsOwnEffort: a sweep that reuses a pooled session
-// reports its own search effort, not the session's lifetime count. The
-// witness sweep ends at its first horizon, so its one search span is the
-// whole of its effort, and the wire sat_stats must match it.
+// TestWarmSweepReportsOwnEffort: a sweep reports its own work, encoding
+// included. On a fresh session each horizon unrolls one more step, so
+// the miss's bitblast spans sum to the final horizon's encoding size. The
+// witness sweep that reuses the session ends at its first horizon, which
+// the verify sweep unrolled already: it opens no encoding span, and its
+// one search span is the whole of its effort, which the wire sat_stats
+// must match rather than the session's lifetime count.
 func TestWarmSweepReportsOwnEffort(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer shutdown(t, e)
-	var res *Result
-	var job *Job
-	for _, req := range []*Request{sweepReq("verify", 6), sweepReq("witness", 6)} {
-		var err error
-		if job, err = e.Submit(req); err != nil {
-			t.Fatal(err)
-		}
-		res = waitDone(t, job, 2*time.Minute)
+	miss, err := e.Submit(sweepReq("verify", 6))
+	if err != nil {
+		t.Fatal(err)
 	}
+	res := waitDone(t, miss, 2*time.Minute)
+	if res.SessionHit || len(res.Verdicts) < 2 {
+		t.Fatalf("session_hit=%v with %d verdicts: want a fresh session deepened over >= 2 horizons", res.SessionHit, len(res.Verdicts))
+	}
+	tr := miss.Trace()
+	if n := spanCount(tr, "bitblast"); n != len(res.Verdicts) {
+		t.Errorf("%d bitblast spans for %d deepening horizons", n, len(res.Verdicts))
+	}
+	if got := spanSum(tr, "bitblast", "clauses"); got != int64(res.NumClauses) {
+		t.Errorf("bitblast spans sum to %d clauses, result num_clauses %d", got, res.NumClauses)
+	}
+	if got := spanSum(tr, "bitblast", "vars"); got != int64(res.NumVars) {
+		t.Errorf("bitblast spans sum to %d vars, result num_vars %d", got, res.NumVars)
+	}
+	if got := spanSum(tr, "compile", "terms"); got <= 0 {
+		t.Errorf("compile spans sum to %d terms, want > 0", got)
+	}
+
+	hit, err := e.Submit(sweepReq("witness", 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = waitDone(t, hit, 2*time.Minute)
 	if !res.SessionHit {
 		t.Fatal("second sweep did not reuse the pooled session")
 	}
-	if want := spanSum(job.Trace(), "search", "conflicts"); res.SatStats.Conflicts != want {
+	for _, name := range []string{"compile", "bitblast"} {
+		if n := spanCount(hit.Trace(), name); n != 0 {
+			t.Errorf("session-hit sweep over unrolled horizons has %d %s spans, want 0", n, name)
+		}
+	}
+	if want := spanSum(hit.Trace(), "search", "conflicts"); res.SatStats.Conflicts != want {
 		t.Errorf("session-hit sweep sat_stats.conflicts = %d, its search spans sum to %d", res.SatStats.Conflicts, want)
 	}
+}
+
+// spanCount counts the spans named name anywhere in the trace.
+func spanCount(tr *telemetry.Trace, name string) int {
+	n := 0
+	var walk func([]*telemetry.SpanView)
+	walk = func(views []*telemetry.SpanView) {
+		for _, sv := range views {
+			if sv.Name == name {
+				n++
+			}
+			walk(sv.Spans)
+		}
+	}
+	walk(tr.Snapshot().Spans)
+	return n
 }

@@ -11,11 +11,16 @@
 //
 //   - learnt clauses survive across queries (they are implied by the
 //     problem clauses alone, so they stay valid whatever is assumed next);
-//   - one session serves Verify and Witness, any horizon up to its
-//     capacity, and caller-supplied extra constraints (workload bounds),
-//     in any order;
+//   - one session serves Verify and Witness and any horizon up to its
+//     capacity, in any order;
 //   - the unrolling deepens lazily, so a sweep from 1..maxT pays each
 //     step's compilation exactly once.
+//
+// A warm query runs the cold path's code: ir's step runner deepens the
+// unrolling, smtbe's Blaster asserts the new constraints, and smtbe's
+// QueryTerms and Answer pose the query and read its outcome, so a
+// deepening query reports the same compile, bitblast and search spans
+// as a cold solve.
 //
 // Programs that use T in a compile-time constant position (loop bounds,
 // array sizes — the encoding's shape depends on T there) cannot share one
@@ -36,7 +41,6 @@ import (
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/smt/sat"
 	"buffy/internal/smt/solver"
-	"buffy/internal/smt/term"
 )
 
 // Errors reported by Session entry points. Callers treat all three as
@@ -73,9 +77,6 @@ type Query struct {
 	Mode smtbe.Mode
 	// T is the horizon, 1..capacity.
 	T int
-	// Extra adds retractable per-query constraints (e.g. tweaked
-	// workload bounds) as assumptions. Terms must come from Builder().
-	Extra []*term.Term
 	// Progress, when non-nil, receives live search counters for this
 	// query only (the service attaches the requesting job's).
 	Progress *sat.Progress
@@ -85,14 +86,11 @@ type Query struct {
 // use; queries serialize on an internal lock (the solver is
 // single-threaded), so concurrent holders simply queue.
 type Session struct {
-	mu   sync.Mutex
-	info *typecheck.Info
-	sv   *solver.Solver
-	m    *ir.Machine
-	opts Options
-
-	steps    int // steps unrolled so far
-	asserted int // semantic assumes asserted so far
+	mu    sync.Mutex
+	sv    *solver.Solver
+	m     *ir.Machine
+	opts  Options
+	blast smtbe.Blaster
 
 	closed  atomic.Bool
 	queries atomic.Int64
@@ -115,7 +113,7 @@ func New(info *typecheck.Info, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{info: info, sv: sv, m: m, opts: opts}, nil
+	return &Session{sv: sv, m: m, opts: opts, blast: smtbe.Blaster{S: sv}}, nil
 }
 
 // MaxT returns the session's capacity horizon.
@@ -123,10 +121,6 @@ func (s *Session) MaxT() int { return s.opts.IR.T }
 
 // Queries returns how many queries the session has answered.
 func (s *Session) Queries() int64 { return s.queries.Load() }
-
-// Builder returns the session's term builder, for constructing Extra
-// query assumptions.
-func (s *Session) Builder() *term.Builder { return s.sv.Builder() }
 
 // Close marks the session closed (pool eviction). A query already solving
 // runs to completion; every later Solve returns ErrClosed. Close never
@@ -154,30 +148,12 @@ func (s *Session) footprintLocked() int64 {
 		int64(s.sv.NumClauses())*48 + int64(s.sv.NumVars())*16
 }
 
-// ensureLocked deepens the unrolling to k steps, asserting the new
-// semantic constraints permanently (they define the machine's behavior
-// and are mode- and horizon-independent).
-func (s *Session) ensureLocked(ctx context.Context, k int) error {
-	for s.steps < k {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.m.RunStep(s.steps); err != nil {
-			return err
-		}
-		s.steps++
-		assumes := s.m.Assumes()
-		for ; s.asserted < len(assumes); s.asserted++ {
-			s.sv.Assert(assumes[s.asserted])
-		}
-	}
-	return nil
-}
-
-// Solve answers one query on the warm encoding. The horizon guard and
-// the query term ride as assumptions, so nothing sticks to the solver
-// and the next query — any mode, any horizon — reuses everything the
-// search learnt.
+// Solve answers one query on the warm encoding. Deepening the unrolling
+// to the horizon asserts the new semantic constraints permanently (they
+// define the machine's behavior and are mode- and horizon-independent).
+// The horizon guard and the query ride as assumptions, so nothing
+// query-specific sticks to the solver and the next query — any mode, any
+// horizon — reuses everything the search learnt.
 func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -196,66 +172,31 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := s.ensureLocked(ctx, q.T); err != nil {
+	if err := s.m.Unroll(ctx, q.T); err != nil {
+		return nil, err
+	}
+	// The solver holds only the machine's assumes, so its assertion count
+	// is how many of them are asserted already.
+	if err := s.blast.Assert(ctx, s.m.Assumes()[len(s.sv.Assertions()):]); err != nil {
 		return nil, err
 	}
 	c := s.m.Result()
-	n := 0
-	for _, a := range c.Asserts {
-		if a.Step < q.T {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("smtbe: program %s has no assert() — nothing to check", s.info.Prog.Name)
+	query, err := smtbe.QueryTerms(c, q.Mode, q.T)
+	if err != nil {
+		return nil, err
 	}
 	b := s.sv.Builder()
-	var query *term.Term
-	switch q.Mode {
-	case smtbe.Witness:
-		query = b.And(c.AssertHoldsUpTo(q.T), c.AssertReachedUpTo(q.T))
-	default:
-		query = c.ViolationUpTo(q.T)
-	}
-	assumptions := make([]*term.Term, 0, 2+len(q.Extra))
-	assumptions = append(assumptions, b.Eq(s.m.TVar(), b.IntConst(int64(q.T))), query)
-	assumptions = append(assumptions, q.Extra...)
+	all := b.And(query...)
+	horizon := b.Eq(s.m.TVar(), b.IntConst(int64(q.T)))
 
 	if q.Progress != nil {
 		s.sv.SetProgress(q.Progress)
 		defer s.sv.SetProgress(s.opts.Solver.Progress)
 	}
-	outcome := s.sv.CheckAssumingContext(ctx, assumptions...)
 	s.queries.Add(1)
-
-	ct := c.TruncatedTo(q.T)
-	res := &smtbe.Result{
-		Mode: q.Mode, Compiled: ct, Solver: s.sv,
-		SatStats:   s.sv.Effort(),
-		NumClauses: s.sv.NumClauses(), NumVars: s.sv.NumVars(),
-	}
-	switch {
-	case outcome == solver.Unknown:
-		res.Status = smtbe.Unknown
-		res.Stop = s.sv.StopReason()
-	case outcome == solver.Sat && q.Mode == smtbe.Verify:
-		res.Status = smtbe.CounterexampleFound
-	case outcome == solver.Unsat && q.Mode == smtbe.Verify:
-		res.Status = smtbe.Holds
-	case outcome == solver.Sat && q.Mode == smtbe.Witness:
-		res.Status = smtbe.WitnessFound
-	default:
-		res.Status = smtbe.NoWitness
-	}
-	if outcome == solver.Sat {
-		// The model covers the full unrolling; the truncated compilation
-		// restricts extraction to the first q.T steps, so the trace never
-		// reads the unconstrained tail.
-		res.Trace = smtbe.ExtractTrace(ct, s.sv)
-	}
-	res.Duration = time.Since(start)
-	if res.Status == smtbe.Unknown && ctx.Err() != nil {
-		return res, ctx.Err()
-	}
-	return res, nil
+	// The model covers the full unrolling; the truncated compilation
+	// restricts extraction to the first q.T steps, so the trace never
+	// reads the unconstrained tail. The session's lock already serializes
+	// decoding.
+	return smtbe.Answer(ctx, s.sv, q.Mode, c.TruncatedTo(q.T), nil, start, horizon, all)
 }

@@ -164,14 +164,14 @@ func (s *Solver) CheckContext(ctx context.Context) Result {
 	return s.CheckAssumingContext(ctx)
 }
 
-// CheckContextNoModel is CheckContext without the automatic model
-// snapshot after a Sat result: the caller invokes SnapshotModel itself
-// before reading values. Portfolio forks need this split because they
-// share one term builder — the search phases run concurrently, but the
-// snapshot (which walks the shared builder's variables) must be
+// CheckContextNoModel is CheckAssumingContext without the automatic
+// model snapshot after a Sat result: the caller invokes SnapshotModel
+// itself before reading values. Portfolio forks need this split because
+// they share one term builder — the search phases run concurrently, but
+// the snapshot (which walks the shared builder's variables) must be
 // serialized by the caller.
-func (s *Solver) CheckContextNoModel(ctx context.Context) Result {
-	return s.checkAssuming(ctx, false)
+func (s *Solver) CheckContextNoModel(ctx context.Context, assumptions ...*term.Term) Result {
+	return s.checkAssuming(ctx, false, assumptions...)
 }
 
 // SnapshotModel publishes the model of the last Sat result for Value

@@ -136,9 +136,6 @@ func (t *Term) Name() string { return t.name }
 // key in downstream passes.
 func (t *Term) ID() int32 { return t.id }
 
-// IsConst reports whether the term is an integer or boolean constant.
-func (t *Term) IsConst() bool { return t.kind == KindIntConst || t.kind == KindBoolConst }
-
 // String renders the term as an s-expression. Intended for debugging; the
 // smtlib package produces standard-conforming output.
 func (t *Term) String() string {
@@ -345,9 +342,6 @@ func (b *Builder) Var(name string, s Sort) *Term {
 	b.varList = append(b.varList, t)
 	return t
 }
-
-// LookupVar returns the variable with the given name, or nil.
-func (b *Builder) LookupVar(name string) *Term { return b.vars[name] }
 
 // Vars returns all variables created so far, in creation order.
 func (b *Builder) Vars() []*Term { return append([]*Term(nil), b.varList...) }

@@ -136,11 +136,10 @@ type Attr struct {
 	count bool // a work counter: Trace.Work sums it
 }
 
-// String / Int / Bool / Float build typed attributes.
-func String(k, v string) Attr        { return Attr{Key: k, Value: v} }
-func Int(k string, v int64) Attr     { return Attr{Key: k, Value: v} }
-func Bool(k string, v bool) Attr     { return Attr{Key: k, Value: v} }
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
+// String / Int / Bool build typed attributes.
+func String(k, v string) Attr    { return Attr{Key: k, Value: v} }
+func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
 // Count builds a work counter: an int64 attribute, like Int, that
 // Trace.Work sums across spans. A layer records its work (terms built,
