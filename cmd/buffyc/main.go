@@ -35,6 +35,7 @@ import (
 	"buffy/internal/core"
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/sema"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/smt/sat"
@@ -116,10 +117,10 @@ func main() {
 	// type errors as diagnostics instead of dying on them, and it works
 	// with unbound parameters, so it branches before core.Parse and the
 	// missing-params check.
+	bounds := typecheck.Bounds{ArrivalsPerStep: *arrivals, BufferCap: *cap}
 	if *mode == "vet" {
 		runVet(flag.Arg(0), string(src), sema.Options{
-			T: *T, Params: params, Width: *width,
-			ArrivalsPerStep: *arrivals, BufferCap: *cap,
+			T: *T, Params: params, Width: *width, Bounds: bounds,
 		}, *vetStrict)
 		return
 	}
@@ -152,8 +153,7 @@ func main() {
 			prog.Name(), strings.Join(missing, ", ")))
 	}
 	a := core.Analysis{
-		T: *T, Params: params, Model: *model, Width: *width,
-		ArrivalsPerStep: *arrivals, BufferCap: *cap,
+		T: *T, Params: params, Model: *model, Width: *width, Bounds: bounds,
 		Portfolio:    *nPortfolio,
 		MaxConflicts: *maxConflicts, MaxPropagations: *maxProps, MaxLearntBytes: *maxLearnt,
 		Progress: progress,

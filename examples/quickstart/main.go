@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"buffy/internal/core"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func main() {
 
 	// --- Verification: with up to 2 arrivals per step the backlog bound
 	// breaks; the solver hands us the offending traffic pattern.
-	res, err := prog.Verify(core.Analysis{T: 4, ArrivalsPerStep: 2})
+	res, err := prog.Verify(core.Analysis{T: 4, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 
 	// --- Restrict traffic and verify again: at one arrival per step both
 	// asserts hold on every execution.
-	res, err = prog.Verify(core.Analysis{T: 6, ArrivalsPerStep: 1})
+	res, err = prog.Verify(core.Analysis{T: 6, Bounds: typecheck.Bounds{ArrivalsPerStep: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}

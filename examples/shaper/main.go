@@ -14,6 +14,7 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/interp"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	}
 	a := core.Analysis{
 		T: 4, Params: map[string]int64{"RATE": 2, "BURST": 3},
-		MaxBytes: 3, ArrivalsPerStep: 2,
+		Bounds: typecheck.Bounds{MaxBytes: 3, ArrivalsPerStep: 2},
 	}
 
 	// --- The envelope holds on every execution (all arrival patterns, all

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"buffy/internal/lang/ast"
+	"buffy/internal/lang/typecheck"
 )
 
 // Note on fidelity: the generated Dafny model follows the paper's hand
@@ -58,11 +59,11 @@ func (g *gen) emitStmt(s ast.Stmt, le loopEnv) error {
 		g.line("}")
 		return nil
 	case *ast.For:
-		lo, err := g.constEval(n.Lo, le)
+		lo, err := g.fold(n.Lo, le)
 		if err != nil {
 			return err
 		}
-		hi, err := g.constEval(n.Hi, le)
+		hi, err := g.fold(n.Hi, le)
 		if err != nil {
 			return err
 		}
@@ -150,7 +151,7 @@ func (g *gen) lvalueScalar(e ast.Expr, le loopEnv) (string, error) {
 func (g *gen) arraySize(name string) (int64, error) {
 	for _, d := range g.info.Prog.Decls {
 		if d.Name == name && d.Type.IsArray() {
-			return g.constEval(d.Type.Size, nil)
+			return g.fold(d.Type.Size, nil)
 		}
 	}
 	return 0, fmt.Errorf("dafny: %q is not an array", name)
@@ -174,7 +175,7 @@ func (g *gen) resolveBuf(e ast.Expr, le loopEnv) ([]bufCase, string, error) {
 		if bp == nil {
 			return nil, "", fmt.Errorf("dafny: %q is not a buffer array", base)
 		}
-		size, err := g.constEval(bp.Size, nil)
+		size, err := g.fold(bp.Size, nil)
 		if err != nil {
 			return nil, "", err
 		}
@@ -366,7 +367,7 @@ var dafnyOps = map[ast.BinOp]string{
 
 func (g *gen) binaryExpr(n *ast.Binary, le loopEnv) (string, error) {
 	if n.Op == ast.OpDiv || n.Op == ast.OpMod {
-		v, err := g.constEval(n, le)
+		v, err := g.fold(n, le)
 		if err != nil {
 			return "", fmt.Errorf("dafny: / and %% need constant operands: %w", err)
 		}
@@ -400,63 +401,8 @@ func (g *gen) indexExpr(n *ast.Index, le loopEnv) (string, error) {
 	return out, nil
 }
 
-// constEval evaluates compile-time constants during generation.
-func (g *gen) constEval(e ast.Expr, le loopEnv) (int64, error) {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Value, nil
-	case *ast.Ident:
-		if le != nil {
-			if v, ok := le[n.Name]; ok {
-				return v, nil
-			}
-		}
-		if v, ok := g.opts.Params[n.Name]; ok {
-			return v, nil
-		}
-		if n.Name == "T" {
-			return int64(g.opts.T), nil
-		}
-		if n.Name == "t" {
-			return int64(g.step), nil
-		}
-		return 0, fmt.Errorf("%q is not constant", n.Name)
-	case *ast.Unary:
-		v, err := g.constEval(n.X, le)
-		if err != nil {
-			return 0, err
-		}
-		if n.Op == ast.OpNegate {
-			return -v, nil
-		}
-		return 0, fmt.Errorf("operator ! not constant")
-	case *ast.Binary:
-		x, err := g.constEval(n.X, le)
-		if err != nil {
-			return 0, err
-		}
-		y, err := g.constEval(n.Y, le)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case ast.OpAdd:
-			return x + y, nil
-		case ast.OpSub:
-			return x - y, nil
-		case ast.OpMul:
-			return x * y, nil
-		case ast.OpDiv:
-			if y == 0 {
-				return 0, fmt.Errorf("division by zero")
-			}
-			return x / y, nil
-		case ast.OpMod:
-			if y == 0 {
-				return 0, fmt.Errorf("modulo by zero")
-			}
-			return x % y, nil
-		}
-	}
-	return 0, fmt.Errorf("not a constant expression")
+// fold evaluates a compile-time constant with the unrolled loop variables
+// le in scope.
+func (g *gen) fold(e ast.Expr, le loopEnv) (int64, error) {
+	return typecheck.Fold(e, typecheck.Scope{Loop: le, Params: g.opts.Params, T: g.opts.T, Step: g.step}.Lookup)
 }

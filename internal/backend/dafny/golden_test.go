@@ -3,6 +3,7 @@ package dafny
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"buffy/internal/qm"
@@ -42,5 +43,28 @@ func TestGoldenDafnyArtifacts(t *testing.T) {
 				t.Errorf("%s is stale; regenerate with buffyc -mode dafny", c.file)
 			}
 		})
+	}
+}
+
+// TestGenerateBoolInitializer: a bool initializer folds to a Dafny bool
+// literal, and packet classes default to max(inputs, 2), the bound the
+// SMT encoding assumes.
+func TestGenerateBoolInitializer(t *testing.T) {
+	info, err := qm.Load(`bool_init(in buffer a, out buffer b) {
+  global bool on = true;
+  move-p(a, b, 1);
+  assert(on);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Generate(info, GenOptions{T: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"var var_on: bool := true;", "requires 0 <= in_a_t0_k0_flow < 2", "assert var_on;"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("generated model lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package netcalc
 import (
 	"buffy/internal/buffer"
 	"buffy/internal/ir"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 )
 
@@ -23,9 +24,9 @@ func (e CorpusEntry) NetOptions() Options {
 // model's behaviour depends only on backlogs, so it is exact here.
 func (e CorpusEntry) IROptions() ir.Options {
 	return ir.Options{
-		T: e.T, Params: e.Params, ArrivalsPerStep: e.Arrivals,
-		BufferCap: e.BufferCap, MaxBytes: e.MaxBytes,
-		Model: buffer.CountModel{},
+		T: e.T, Params: e.Params,
+		Bounds: typecheck.Bounds{ArrivalsPerStep: e.Arrivals, BufferCap: e.BufferCap, MaxBytes: e.MaxBytes},
+		Model:  buffer.CountModel{},
 	}
 }
 

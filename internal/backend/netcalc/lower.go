@@ -30,6 +30,9 @@ func Lower(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 			"netcalc: no bound lowering for program %q (supported: delay, drr, rr, shaper, sp, sptandem, tbrl)",
 			info.Prog.Name)
 	}
+	// The arrival bound the SMT backend would encode for the same options.
+	b := info.ResolveBounds(typecheck.Bounds{ArrivalsPerStep: opts.ArrivalsPerStep}, 1, opts.Params)
+	opts.ArrivalsPerStep = b.ArrivalsPerStep
 	return f(info, opts)
 }
 
@@ -43,14 +46,6 @@ var lowerings = map[string]lowering{
 	"sp":       lowerSP,
 	"rr":       lowerRR,
 	"drr":      lowerDRR,
-}
-
-// arrivals returns the effective per-step arrival bound (ir's default: 1).
-func (o Options) arrivals() int64 {
-	if o.ArrivalsPerStep <= 0 {
-		return 1
-	}
-	return int64(o.ArrivalsPerStep)
 }
 
 func (o Options) param(prog, name string) (int64, error) {
@@ -147,7 +142,7 @@ func lowerShaper(info *typecheck.Info, opts Options) (*Network, QuerySpec, error
 	if burst < guaranteed {
 		guaranteed = burst
 	}
-	a := opts.arrivals()
+	a := int64(opts.ArrivalsPerStep)
 	net := &Network{
 		Servers: []*Server{{Name: "shp", Beta: RateLatency(ratI(guaranteed), ratI(0)), Mux: MuxAggregate}},
 		Flows:   []*Flow{{Name: "f", Alpha: TokenBucket(ratI(a), ratI(a)), Path: []string{"shp"}}},
@@ -158,7 +153,7 @@ func lowerShaper(info *typecheck.Info, opts Options) (*Network, QuerySpec, error
 // lowerDelay: the fixed-delay stage forwards everything within the step —
 // service curve delta_1 (delay at most one step, no backlog carried over).
 func lowerDelay(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
-	a := opts.arrivals()
+	a := int64(opts.ArrivalsPerStep)
 	net := &Network{
 		Servers: []*Server{{Name: "d", Beta: Delay(ratI(1)), Mux: MuxAggregate}},
 		Flows:   []*Flow{{Name: "f", Alpha: TokenBucket(ratI(a), ratI(a)), Path: []string{"d"}}},
@@ -207,7 +202,7 @@ func lowerSP(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxPriority, Prio: prio}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }
@@ -226,7 +221,7 @@ func lowerRR(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxGuaranteed, Guaranteed: guaranteed}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }
@@ -249,7 +244,7 @@ func lowerDRR(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxGuaranteed, Guaranteed: guaranteed}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }

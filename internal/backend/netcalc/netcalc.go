@@ -16,7 +16,7 @@ import (
 // composition change could tighten or loosen any reported bound.
 const Fingerprint = "minplus-tfa-sfa-v1"
 
-// Options configure a bound analysis. They mirror the compile-time knobs
+// Options configure a bound analysis. They carry the compile-time knobs
 // of ir.Options that affect worst-case traffic (the bound is analytical —
 // no horizon, no search budgets).
 type Options struct {

@@ -174,7 +174,7 @@ func TestConservationProperty(t *testing.T) {
 	}`
 	info := load(t, src)
 	s := solver.New(solver.Options{})
-	c, err := ir.Compile(info, s.Builder(), ir.Options{T: 3, ArrivalsPerStep: 2})
+	c, err := ir.Compile(info, s.Builder(), ir.Options{T: 3, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

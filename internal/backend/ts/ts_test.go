@@ -107,7 +107,7 @@ func TestBacklogCapInvariant(t *testing.T) {
 		b := ctx.B
 		return b.Le(m.Buffers()["a"].BacklogP(ctx), b.IntConst(4))
 	}
-	res, err := ProveInvariant(info, Options{IR: ir.Options{BufferCap: 4}}, prop)
+	res, err := ProveInvariant(info, Options{IR: ir.Options{Bounds: typecheck.Bounds{BufferCap: 4}}}, prop)
 	if err != nil {
 		t.Fatal(err)
 	}

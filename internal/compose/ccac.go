@@ -5,6 +5,7 @@ import (
 
 	"buffy/internal/buffer"
 	"buffy/internal/ir"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/term"
 )
@@ -60,19 +61,17 @@ func BuildCCAC(b *term.Builder, p CCACParams) (*CCACSystem, error) {
 	big := p.T*4 + 16 // roomy capacity for non-loss buffers
 	aimd, err := sys.Add(aimdInfo, ir.Options{
 		Model: p.Model, T: p.T,
-		Params:          map[string]int64{"IW": p.IW},
-		BufferCap:       big,
-		OutBufferCap:    big,
-		ArrivalsPerStep: 2,
+		Params: map[string]int64{"IW": p.IW},
+		Bounds: typecheck.Bounds{BufferCap: big, OutBufferCap: big, ArrivalsPerStep: 2},
 	})
 	if err != nil {
 		return nil, err
 	}
 	path, err := sys.Add(pathInfo, ir.Options{
 		Model: p.Model, T: p.T,
-		Params:       map[string]int64{"C": p.C, "B": p.B},
-		BufferCap:    p.K, // pin: the lossy bottleneck queue
-		OutBufferCap: big,
+		Params: map[string]int64{"C": p.C, "B": p.B},
+		// BufferCap pins the lossy bottleneck queue.
+		Bounds: typecheck.Bounds{BufferCap: p.K, OutBufferCap: big},
 	})
 	if err != nil {
 		return nil, err
@@ -89,8 +88,7 @@ func BuildCCAC(b *term.Builder, p CCACParams) (*CCACSystem, error) {
 		}
 		d, err := sys.AddInstance(name, delayInfo, ir.Options{
 			Model: p.Model, T: p.T,
-			BufferCap:    big,
-			OutBufferCap: big,
+			Bounds: typecheck.Bounds{BufferCap: big, OutBufferCap: big},
 		})
 		if err != nil {
 			return nil, err

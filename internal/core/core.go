@@ -86,14 +86,9 @@ type Analysis struct {
 	// Model selects buffer precision: "list" (default), "count",
 	// "multiclass" (§3's plug-in buffer models).
 	Model string
-	// BufferCap / OutBufferCap / ArrivalsPerStep / NumClasses / MaxBytes /
-	// ListCap mirror ir.Options.
-	BufferCap       int
-	OutBufferCap    int
-	ArrivalsPerStep int
-	NumClasses      int
-	MaxBytes        int
-	ListCap         int
+	// Bounds size buffers, lists and packets; zero fields take the
+	// defaults of typecheck.ResolveBounds.
+	typecheck.Bounds
 	// Width is the solver's integer bit width (default 12).
 	Width int
 	// MaxConflicts / MaxPropagations / MaxLearntBytes / Timeout bound each
@@ -129,17 +124,11 @@ func (a Analysis) irOptions() (ir.Options, error) {
 	if err != nil {
 		return ir.Options{}, err
 	}
-	return ir.Options{
-		Model:           model,
-		T:               a.T,
-		Params:          a.Params,
-		BufferCap:       a.BufferCap,
-		OutBufferCap:    a.OutBufferCap,
-		ArrivalsPerStep: a.ArrivalsPerStep,
-		NumClasses:      a.NumClasses,
-		MaxBytes:        a.MaxBytes,
-		ListCap:         a.ListCap,
-	}, nil
+	return ir.Options{Model: model, T: a.T, Params: a.Params, Bounds: a.Bounds}, nil
+}
+
+func (a Analysis) interpOptions() interp.Options {
+	return interp.Options{T: a.T, Params: a.Params, Bounds: a.Bounds, Width: a.Width}
 }
 
 func (a Analysis) solverOptions() solver.Options {
@@ -284,10 +273,7 @@ func (p *Program) SynthesizeWorkloadContext(ctx context.Context, a Analysis) (*f
 // GenerateDafny emits the program as a Dafny method (unrolled, inlined,
 // structured-havoc inputs), ready for the external Dafny toolchain.
 func (p *Program) GenerateDafny(a Analysis) (string, error) {
-	return dafny.Generate(p.Info, dafny.GenOptions{
-		T: a.T, Params: a.Params,
-		ArrivalsPerStep: a.ArrivalsPerStep, NumClasses: a.NumClasses,
-	})
+	return dafny.Generate(p.Info, dafny.GenOptions{T: a.T, Params: a.Params, Bounds: a.Bounds})
 }
 
 // VerifyDafny runs the Dafny-style mini annotation checker: each assert is
@@ -324,11 +310,7 @@ func (p *Program) InferInvariants(a Analysis) (*synth.HoudiniResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cap := a.BufferCap
-	if cap <= 0 {
-		cap = 8
-	}
-	cands := synth.Grammar(p.Info, probe, synth.GrammarOptions{BufferCap: cap})
+	cands := synth.Grammar(p.Info, probe, synth.GrammarOptions{BufferCap: p.Info.ResolveBounds(a.Bounds, a.T, a.Params).BufferCap})
 	return synth.Houdini(p.Info, ts.Options{IR: iro, Solver: a.solverOptions()}, cands)
 }
 
@@ -354,11 +336,7 @@ func (p *Program) SMTLib(a Analysis) (string, error) {
 // Simulate runs the program concretely for T steps, feeding arrivals from
 // the supplied generator (step, inputName) -> packets.
 func (p *Program) Simulate(a Analysis, gen func(step int, input string) []interp.Packet) (*interp.Machine, error) {
-	m, err := interp.New(p.Info, interp.Options{
-		T: a.T, Params: a.Params,
-		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
-		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
-	})
+	m, err := interp.New(p.Info, a.interpOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -380,11 +358,7 @@ func (p *Program) Simulate(a Analysis, gen func(step int, input string) []interp
 // Replay re-executes a solver trace concretely and cross-checks the
 // observations (the differential-validation entry point).
 func (p *Program) Replay(a Analysis, tr *smtbe.Trace) (*interp.Machine, []string, error) {
-	m, err := interp.Replay(p.Info, interp.Options{
-		T: a.T, Params: a.Params,
-		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
-		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
-	}, tr)
+	m, err := interp.Replay(p.Info, a.interpOptions(), tr)
 	if err != nil {
 		return nil, nil, err
 	}

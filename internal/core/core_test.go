@@ -76,6 +76,46 @@ func TestVerifyAndWitness(t *testing.T) {
 	}
 }
 
+// TestBoolInitializerEveryBackend: a constant bool initializer folds the
+// same way in the SMT encoding, the interpreter that replays its traces
+// and the Dafny generator.
+func TestBoolInitializerEveryBackend(t *testing.T) {
+	prog, err := Parse(`bool_init(in buffer a, out buffer b) {
+  global bool on = !false;
+  if (on) { move-p(a, b, 1); }
+  assert(backlog-p(b) <= t);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Analysis{T: 3}
+	for _, run := range []struct {
+		check func(Analysis) (*smtbe.Result, error)
+		want  smtbe.Status
+	}{
+		{prog.Verify, smtbe.CounterexampleFound},
+		{prog.FindWitness, smtbe.WitnessFound},
+	} {
+		res, err := run.check(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != run.want || res.Trace == nil {
+			t.Fatalf("status = %v (trace %v), want %v with a trace", res.Status, res.Trace != nil, run.want)
+		}
+		if _, diffs, err := prog.Replay(a, res.Trace); err != nil || len(diffs) > 0 {
+			t.Errorf("%v replay: err %v, differences %v", run.want, err, diffs)
+		}
+	}
+	out, err := prog.GenerateDafny(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "var var_on: bool := true;") {
+		t.Errorf("Dafny model does not initialize on to true:\n%s", out)
+	}
+}
+
 func TestUnknownModelRejected(t *testing.T) {
 	prog, _ := Parse(limiter)
 	if _, err := prog.Verify(Analysis{T: 1, Model: "quantum"}); err == nil {

@@ -23,19 +23,9 @@ import (
 )
 
 // SemaOptions derives the static-analyzer configuration from an
-// Analysis, mirroring the ir bounds so the abstract semantics match what
-// the solver would encode.
+// Analysis, with the bounds the solver would encode.
 func (a Analysis) SemaOptions() sema.Options {
-	return sema.Options{
-		T:               a.T,
-		Params:          a.Params,
-		BufferCap:       a.BufferCap,
-		OutBufferCap:    a.OutBufferCap,
-		ArrivalsPerStep: a.ArrivalsPerStep,
-		MaxBytes:        a.MaxBytes,
-		ListCap:         a.ListCap,
-		Width:           a.Width,
-	}
+	return sema.Options{T: a.T, Params: a.Params, Bounds: a.Bounds, Width: a.Width}
 }
 
 // Vet runs the static analyzer over the program with this analysis
@@ -61,6 +51,7 @@ func (p *Program) vetSpan(ctx context.Context, a Analysis) *sema.Report {
 	rep := p.Vet(a)
 	span.SetAttrs(
 		telemetry.Count("diags", int64(len(rep.Diags))),
+		telemetry.Count("steps", rep.Steps),
 		telemetry.String("verdict", rep.Verdict.Reason))
 	span.End()
 	return rep

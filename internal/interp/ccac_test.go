@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"buffy/internal/compose"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
 )
@@ -36,7 +37,7 @@ func TestCCACWitnessReplaysConcretely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(info, Options{T: T, Params: params, BufferCap: bufCap, OutBufferCap: big})
+		m, err := New(info, Options{T: T, Params: params, Bounds: typecheck.Bounds{BufferCap: bufCap, OutBufferCap: big}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"buffy/internal/lang/ast"
+	"buffy/internal/lang/typecheck"
 )
 
 // eval evaluates an expression to an int64 (booleans as 0/1), wrapping
@@ -174,66 +175,8 @@ func (m *Machine) evalBinary(n *ast.Binary, le loopEnv) (int64, error) {
 	return 0, fmt.Errorf("interp: unhandled operator %v", n.Op)
 }
 
-// constEval evaluates compile-time constant expressions (initializers,
-// loop bounds, buffer sizes).
-func (m *Machine) constEval(e ast.Expr, le loopEnv) (int64, error) {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Value, nil
-	case *ast.BoolLit:
-		return boolToInt(n.Value), nil
-	case *ast.Ident:
-		if le != nil {
-			if v, ok := le[n.Name]; ok {
-				return v, nil
-			}
-		}
-		if v, ok := m.opts.Params[n.Name]; ok {
-			return v, nil
-		}
-		if n.Name == "T" {
-			return int64(m.opts.T), nil
-		}
-		if n.Name == "t" {
-			return int64(m.step), nil
-		}
-		return 0, fmt.Errorf("interp: %q is not a compile-time constant", n.Name)
-	case *ast.Unary:
-		v, err := m.constEval(n.X, le)
-		if err != nil {
-			return 0, err
-		}
-		if n.Op == ast.OpNegate {
-			return -v, nil
-		}
-		return boolToInt(v == 0), nil
-	case *ast.Binary:
-		x, err := m.constEval(n.X, le)
-		if err != nil {
-			return 0, err
-		}
-		y, err := m.constEval(n.Y, le)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case ast.OpAdd:
-			return x + y, nil
-		case ast.OpSub:
-			return x - y, nil
-		case ast.OpMul:
-			return x * y, nil
-		case ast.OpDiv:
-			if y == 0 {
-				return 0, fmt.Errorf("interp: division by zero")
-			}
-			return x / y, nil
-		case ast.OpMod:
-			if y == 0 {
-				return 0, fmt.Errorf("interp: modulo by zero")
-			}
-			return x % y, nil
-		}
-	}
-	return 0, fmt.Errorf("interp: not a compile-time constant: %s", e)
+// fold evaluates a compile-time constant (an initializer, a loop bound or
+// a buffer size) with the unrolled loop variables le in scope.
+func (m *Machine) fold(e ast.Expr, le loopEnv) (int64, error) {
+	return typecheck.Fold(e, typecheck.Scope{Loop: le, Params: m.opts.Params, T: m.opts.T, Step: m.step}.Lookup)
 }

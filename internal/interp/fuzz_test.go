@@ -8,6 +8,7 @@ import (
 
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/ir"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
 )
@@ -184,7 +185,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 			t.Fatalf("iter %d: generated program does not check: %v\n%s", iter, err, src)
 		}
 		sv := solver.New(solver.Options{})
-		comp, err := ir.Compile(info, sv.Builder(), ir.Options{T: T, ArrivalsPerStep: 2, NumClasses: 2})
+		comp, err := ir.Compile(info, sv.Builder(), ir.Options{T: T, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, NumClasses: 2}})
 		if err != nil {
 			t.Fatalf("iter %d: compile: %v\n%s", iter, err, src)
 		}
@@ -218,7 +219,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 			t.Fatalf("iter %d: pinned program infeasible: %v\n%s", iter, got, src)
 		}
 		// Replay the pinned traffic step by step through the interpreter.
-		im2, err := New(info, Options{T: T, ArrivalsPerStep: 2})
+		im2, err := New(info, Options{T: T, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

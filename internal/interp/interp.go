@@ -51,17 +51,15 @@ func (b *Buffer) Arrive(p Packet) {
 	b.Pkts = append(b.Pkts, p)
 }
 
-// Options configures an interpreter run. The zero value matches ir's
-// defaults where they matter for agreement.
+// Options configures an interpreter run. Zero fields take ir's defaults.
 type Options struct {
-	Params       map[string]int64
-	T            int
-	BufferCap    int // default 8
-	OutBufferCap int // default matches ir's heuristic
-	ListCap      int // default max(#inputs, 4)
-	Width        int // integer wrap width; default 12 (bitblast.DefaultWidth)
-	// ArrivalsPerStep only affects the ir-matching OutBufferCap default.
-	ArrivalsPerStep int
+	Params map[string]int64
+	T      int
+	// Bounds size buffers and lists (BufferCap, OutBufferCap, ListCap;
+	// ArrivalsPerStep only through OutBufferCap's default) with the
+	// defaults of typecheck.ResolveBounds.
+	typecheck.Bounds
+	Width int // integer wrap width; default 12 (bitblast.DefaultWidth)
 }
 
 // AssertFailure records a failed assert during execution.
@@ -98,7 +96,6 @@ type Machine struct {
 	boolVar   map[string]bool  // name -> is boolean
 	arraySize map[string]int64
 	lists     map[string][]int64
-	listCap   int
 	bufs      map[string]*Buffer
 	bufOrder  []string
 	bufInsts  map[string][]string
@@ -112,17 +109,10 @@ type Machine struct {
 
 // New builds a machine with empty initial state.
 func New(info *typecheck.Info, opts Options) (*Machine, error) {
-	if opts.T <= 0 {
-		opts.T = 1
-	}
-	if opts.BufferCap <= 0 {
-		opts.BufferCap = 8
-	}
+	opts.Bounds = info.ResolveBounds(opts.Bounds, opts.T, opts.Params)
+	opts.T = max(opts.T, 1)
 	if opts.Width <= 0 {
 		opts.Width = 12
-	}
-	if opts.ArrivalsPerStep <= 0 {
-		opts.ArrivalsPerStep = 1
 	}
 	m := &Machine{
 		info:      info,
@@ -139,39 +129,13 @@ func New(info *typecheck.Info, opts Options) (*Machine, error) {
 			return nil, fmt.Errorf("interp: missing compile-time parameter %q", p)
 		}
 	}
-	numInputs := 0
 	for _, bp := range info.Prog.Params {
 		n := int64(1)
 		if bp.Size != nil {
 			var err error
-			n, err = m.constEval(bp.Size, nil)
-			if err != nil {
+			if n, err = m.fold(bp.Size, nil); err != nil {
 				return nil, err
 			}
-		}
-		if bp.Dir == ast.DirIn {
-			numInputs += int(n)
-		}
-	}
-	if opts.ListCap <= 0 {
-		opts.ListCap = numInputs
-		if opts.ListCap < 4 {
-			opts.ListCap = 4
-		}
-	}
-	if opts.OutBufferCap <= 0 {
-		opts.OutBufferCap = opts.T*opts.ArrivalsPerStep*numInputs + opts.BufferCap
-		if opts.OutBufferCap < opts.BufferCap {
-			opts.OutBufferCap = opts.BufferCap
-		}
-	}
-	m.opts = opts
-	m.listCap = opts.ListCap
-
-	for _, bp := range info.Prog.Params {
-		n := int64(1)
-		if bp.Size != nil {
-			n, _ = m.constEval(bp.Size, nil)
 		}
 		cap := opts.BufferCap
 		if bp.Dir == ast.DirOut {
@@ -209,7 +173,7 @@ func (m *Machine) initVar(d *ast.VarDecl) error {
 	}
 	var init int64
 	if d.Init != nil {
-		v, err := m.constEval(d.Init, nil)
+		v, err := m.fold(d.Init, nil)
 		if err != nil {
 			return err
 		}
@@ -217,7 +181,7 @@ func (m *Machine) initVar(d *ast.VarDecl) error {
 	}
 	isBool := d.Type.Kind == ast.TBool
 	if d.Type.IsArray() {
-		n, err := m.constEval(d.Type.Size, nil)
+		n, err := m.fold(d.Type.Size, nil)
 		if err != nil {
 			return err
 		}
@@ -303,7 +267,7 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		if err != nil {
 			return err
 		}
-		if len(m.lists[lname]) < m.listCap {
+		if len(m.lists[lname]) < m.opts.ListCap {
 			m.lists[lname] = append(m.lists[lname], v)
 		}
 		return nil
@@ -319,11 +283,11 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		}
 		return m.execStmts(n.Else, le)
 	case *ast.For:
-		lo, err := m.constEval(n.Lo, le)
+		lo, err := m.fold(n.Lo, le)
 		if err != nil {
 			return err
 		}
-		hi, err := m.constEval(n.Hi, le)
+		hi, err := m.fold(n.Hi, le)
 		if err != nil {
 			return err
 		}

@@ -211,7 +211,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 				// Generate a random arrival pattern: 0..2 packets per input
 				// buffer per step, random flow in [0,3).
 				irOpts := ir.Options{
-					T: T, Params: sc.params, ArrivalsPerStep: 2, NumClasses: 3,
+					T: T, Params: sc.params, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, NumClasses: 3},
 				}
 				s := solver.New(solver.Options{})
 				comp, err := ir.Compile(info, s.Builder(), irOpts)
@@ -219,7 +219,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				im, err := New(info, Options{
-					T: T, Params: sc.params, ArrivalsPerStep: 2,
+					T: T, Params: sc.params, Bounds: typecheck.Bounds{ArrivalsPerStep: 2},
 				})
 				if err != nil {
 					t.Fatal(err)

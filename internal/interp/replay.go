@@ -8,8 +8,8 @@ import (
 )
 
 // Replay runs a solver-produced trace through the concrete interpreter.
-// The interpreter options must mirror the ir.Options used for the check
-// (T, Params, capacities); mismatched options make disagreement expected.
+// The options must carry the T, Params and Bounds of the ir.Options used
+// for the check; other values make disagreement expected.
 //
 // Replay returns an error if an assume() is violated — which would mean
 // the solver produced an infeasible trace — and otherwise the machine in

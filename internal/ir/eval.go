@@ -5,6 +5,7 @@ import (
 
 	"buffy/internal/buffer"
 	"buffy/internal/lang/ast"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/smt/term"
 )
 
@@ -105,7 +106,7 @@ func (m *Machine) evalBinary(n *ast.Binary, le loopEnv) (*term.Term, error) {
 	// Division and modulo are compile-time only (§7 keeps the encodings in
 	// cheap theories): both operands must constant-fold.
 	if n.Op == ast.OpDiv || n.Op == ast.OpMod {
-		v, err := m.constEvalLoop(n, le)
+		v, err := m.fold(n, le)
 		if err != nil {
 			return nil, &Error{pos(n.Pos()), "/ and % require compile-time constant operands: " + err.Error()}
 		}
@@ -326,83 +327,11 @@ func (m *Machine) filteredBacklog(st buffer.State, filters []buffer.Filter, byte
 	return ls.MultiFilterBacklog(m.ctx, filters, bytes)
 }
 
-// ----- compile-time constant evaluation -----
-
-// constEvalEarly evaluates size expressions before the machine's options
-// are finalized (buffer array sizes).
-func (m *Machine) constEvalEarly(e ast.Expr, params map[string]int64) (int64, error) {
-	save := m.opts.Params
-	m.opts.Params = params
-	defer func() { m.opts.Params = save }()
-	return m.constEval(e)
-}
-
-// constEval evaluates a compile-time constant expression (params, T and
-// literals only).
-func (m *Machine) constEval(e ast.Expr) (int64, error) {
-	return m.constEvalLoop(e, nil)
-}
-
-// constEvalLoop additionally resolves unrolled loop variables.
-func (m *Machine) constEvalLoop(e ast.Expr, le loopEnv) (int64, error) {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Value, nil
-	case *ast.Ident:
-		if le != nil {
-			if v, ok := le[n.Name]; ok {
-				return v, nil
-			}
-		}
-		if v, ok := m.opts.Params[n.Name]; ok {
-			return v, nil
-		}
-		if n.Name == "T" {
-			if m.opts.SymbolicT {
-				// Constant positions (loop bounds, array sizes, / and %)
-				// shape the encoding itself and cannot wait for the solver.
-				return 0, fmt.Errorf("T is symbolic in this compilation and cannot appear in a constant position")
-			}
-			return int64(m.opts.T), nil
-		}
-		if n.Name == "t" {
-			return int64(m.step), nil
-		}
-		return 0, fmt.Errorf("%q is not a compile-time constant", n.Name)
-	case *ast.Unary:
-		if n.Op != ast.OpNegate {
-			return 0, fmt.Errorf("operator %v not constant", n.Op)
-		}
-		v, err := m.constEvalLoop(n.X, le)
-		return -v, err
-	case *ast.Binary:
-		x, err := m.constEvalLoop(n.X, le)
-		if err != nil {
-			return 0, err
-		}
-		y, err := m.constEvalLoop(n.Y, le)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case ast.OpAdd:
-			return x + y, nil
-		case ast.OpSub:
-			return x - y, nil
-		case ast.OpMul:
-			return x * y, nil
-		case ast.OpDiv:
-			if y == 0 {
-				return 0, fmt.Errorf("division by zero in constant expression")
-			}
-			return x / y, nil
-		case ast.OpMod:
-			if y == 0 {
-				return 0, fmt.Errorf("modulo by zero in constant expression")
-			}
-			return x % y, nil
-		}
-		return 0, fmt.Errorf("operator %v not constant", n.Op)
-	}
-	return 0, fmt.Errorf("expression is not a compile-time constant")
+// fold evaluates a compile-time constant with the unrolled loop
+// variables le in scope. A symbolic T has no constant value: constant
+// positions shape the encoding itself and cannot wait for the solver.
+func (m *Machine) fold(e ast.Expr, le loopEnv) (int64, error) {
+	return typecheck.Fold(e, typecheck.Scope{
+		Loop: le, Params: m.opts.Params, T: m.opts.T, Step: m.step, SymbolicT: m.opts.SymbolicT,
+	}.Lookup)
 }

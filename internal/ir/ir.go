@@ -36,22 +36,9 @@ type Options struct {
 	T int
 	// Params binds the program's compile-time parameters.
 	Params map[string]int64
-	// BufferCap is each buffer's capacity (0: default 8).
-	BufferCap int
-	// OutBufferCap overrides capacity for output buffers (0: T*ArrivalsPerStep
-	// heuristic, so accumulated output is never dropped by default).
-	OutBufferCap int
-	// ArrivalsPerStep bounds symbolic arrivals per input buffer per step
-	// (0: default 1).
-	ArrivalsPerStep int
-	// NumClasses bounds packet field values (0: default = number of input
-	// buffers, min 2).
-	NumClasses int
-	// MaxBytes bounds a packet's byte size (0: default 1 — unit packets).
-	MaxBytes int
-	// ListCap bounds the capacity of Buffy list variables (0: default =
-	// number of input buffer instances, min 4).
-	ListCap int
+	// Bounds size buffers, lists and packets; zero fields take the
+	// defaults of typecheck.ResolveBounds.
+	typecheck.Bounds
 	// NoArrivals disables symbolic input traffic (used by the composition
 	// runtime for internally-connected buffers and by custom drivers).
 	NoArrivals bool
@@ -70,43 +57,6 @@ type Options struct {
 	// deferred to the solver — so programs that use T there are rejected;
 	// ScanHorizon classifies programs up front.
 	SymbolicT bool
-}
-
-func (o Options) withDefaults(numInputs int) Options {
-	if o.Model == nil {
-		o.Model = buffer.ListModel{}
-	}
-	if o.T <= 0 {
-		o.T = 1
-	}
-	if o.BufferCap <= 0 {
-		o.BufferCap = 8
-	}
-	if o.ArrivalsPerStep <= 0 {
-		o.ArrivalsPerStep = 1
-	}
-	if o.NumClasses <= 0 {
-		o.NumClasses = numInputs
-		if o.NumClasses < 2 {
-			o.NumClasses = 2
-		}
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 1
-	}
-	if o.ListCap <= 0 {
-		o.ListCap = numInputs
-		if o.ListCap < 4 {
-			o.ListCap = 4
-		}
-	}
-	if o.OutBufferCap <= 0 {
-		o.OutBufferCap = o.T*o.ArrivalsPerStep*numInputs + o.BufferCap
-		if o.OutBufferCap < o.BufferCap {
-			o.OutBufferCap = o.BufferCap
-		}
-	}
-	return o
 }
 
 // Error is a compile-time lowering error.

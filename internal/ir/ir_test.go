@@ -174,7 +174,7 @@ func TestTimeBuiltins(t *testing.T) {
 func TestArrivalSlotSymmetryBreaking(t *testing.T) {
 	// Slot k valid implies slot k-1 valid.
 	src := `p(buffer a, buffer b) { move-p(a, b, 1); assert(true); }`
-	c, sv := compile(t, src, Options{T: 1, ArrivalsPerStep: 3})
+	c, sv := compile(t, src, Options{T: 1, Bounds: typecheck.Bounds{ArrivalsPerStep: 3}})
 	for _, a := range c.Assumes {
 		sv.Assert(a)
 	}
@@ -268,7 +268,7 @@ func TestListOverflowDropsSilently(t *testing.T) {
 		assert(!l.has(4));
 		move-p(a, b, 1);
 	}`
-	c, sv := compile(t, src, Options{T: 1, ListCap: 4})
+	c, sv := compile(t, src, Options{T: 1, Bounds: typecheck.Bounds{ListCap: 4}})
 	prove(t, c, sv, c.AssertHolds(), "list capacity clamp")
 }
 

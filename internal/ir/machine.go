@@ -87,25 +87,27 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 		}
 	}
 
-	// Instantiate buffers.
-	numInputs := 0
-	for _, bp := range info.Prog.Params {
-		n := int64(1)
+	m.opts = opts
+	m.opts.T = max(opts.T, 1)
+	if m.opts.Model == nil {
+		m.opts.Model = buffer.ListModel{}
+	}
+	// Buffer-array sizes, checked before ResolveBounds counts instances.
+	sizes := make([]int64, len(info.Prog.Params))
+	for i, bp := range info.Prog.Params {
+		sizes[i] = 1
 		if bp.Size != nil {
-			var err error
-			n, err = m.constEvalEarly(bp.Size, opts.Params)
+			n, err := m.fold(bp.Size, nil)
 			if err != nil {
 				return nil, err
 			}
 			if n <= 0 || n > 64 {
 				return nil, fmt.Errorf("ir: buffer array %s size %d out of range (1..64)", bp.Name, n)
 			}
-		}
-		if bp.Dir == ast.DirIn {
-			numInputs += int(n)
+			sizes[i] = n
 		}
 	}
-	m.opts = opts.withDefaults(numInputs)
+	m.opts.Bounds = info.ResolveBounds(opts.Bounds, opts.T, opts.Params)
 	if m.opts.SymbolicT {
 		m.tvar = b.Var(m.prefix+"!T", term.Int)
 	}
@@ -123,11 +125,8 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 	}
 	outCfg := cfg
 	outCfg.Cap = m.opts.OutBufferCap
-	for _, bp := range info.Prog.Params {
-		n := int64(1)
-		if bp.Size != nil {
-			n, _ = m.constEvalEarly(bp.Size, m.opts.Params)
-		}
+	for i, bp := range info.Prog.Params {
+		n := sizes[i]
 		c := cfg
 		if bp.Dir == ast.DirOut {
 			c = outCfg
@@ -178,9 +177,9 @@ func (m *Machine) initVar(d *ast.VarDecl) error {
 		if d.Init != nil {
 			// Globals' initializers are evaluated once, before step 0, over
 			// constants only.
-			v, err := m.constEval(d.Init)
+			v, err := m.fold(d.Init, nil)
 			if err != nil {
-				return &Error{pos(d.Init.Pos()), "initializers must be compile-time constants: " + err.Error()}
+				return err
 			}
 			if d.Type.Kind == ast.TBool {
 				init = m.b.BoolConst(v != 0)
@@ -189,7 +188,7 @@ func (m *Machine) initVar(d *ast.VarDecl) error {
 			}
 		}
 		if d.Type.IsArray() {
-			n, err := m.constEval(d.Type.Size)
+			n, err := m.fold(d.Type.Size, nil)
 			if err != nil {
 				return err
 			}
@@ -426,11 +425,11 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		m.guard = saved
 		return nil
 	case *ast.For:
-		lo, err := m.constEvalLoop(n.Lo, le)
+		lo, err := m.fold(n.Lo, le)
 		if err != nil {
 			return err
 		}
-		hi, err := m.constEvalLoop(n.Hi, le)
+		hi, err := m.fold(n.Hi, le)
 		if err != nil {
 			return err
 		}

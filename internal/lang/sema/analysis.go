@@ -11,6 +11,7 @@ package sema
 
 import (
 	"fmt"
+	"strings"
 
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/token"
@@ -21,9 +22,27 @@ import (
 // (or unknown) trip counts fall back to a widening fixpoint.
 const maxUnrollIters = 256
 
-// maxFixIters bounds the widening fixpoint before the state is forced to
-// top.
-const maxFixIters = 12
+// maxFixIters bounds the join rounds of a widened loop's fixpoint, and
+// maxWidenIters the widening rounds after them, before the state is
+// forced to top.
+const (
+	maxFixIters   = 12
+	maxWidenIters = 4
+)
+
+// maxLoopWork caps, within one step, how many times nested loops may run
+// a body: the product of the enclosing loops' runs (the trip count when
+// unrolled, at most maxFixIters+maxWidenIters+2 when widened). A loop
+// that would pass it is widened instead of unrolled, and a widened loop
+// that would pass it goes straight to its top post-fixpoint.
+const maxLoopWork = 1 << 16
+
+// MaxSteps caps the interval pass's work over the whole horizon: one step
+// per statement executed, loop iteration, expression node evaluated,
+// array or buffer instance addressed and state entry copied or reset. A
+// run that reaches it stops and concludes nothing, as if the pass had
+// been skipped.
+const MaxSteps = 1 << 22
 
 // absState is one abstract program state.
 type absState struct {
@@ -52,24 +71,35 @@ func (s *absState) clone() *absState {
 	return c
 }
 
-// absorb joins b into s in place and reports whether s changed. s must
-// be feasible; an infeasible b contributes nothing.
-func (s *absState) absorb(b *absState) bool {
+// absorb joins b into s in place and reports whether s changed. With a
+// non-nil top, a key that would change jumps to its value in top (its
+// loosest value) instead, so it can change at most once more. s must be
+// feasible; an infeasible b contributes nothing.
+func (s *absState) absorb(b, top *absState) bool {
 	if b.infeasible {
 		return false
 	}
 	changed := false
-	joinMap := func(dst, src map[string]ival) {
+	joinMap := func(dst, src, tops map[string]ival) {
 		for k, v := range src {
 			old, ok := dst[k]
-			if j := join(old, v); !ok || j != old {
-				dst[k], changed = j, true
+			j := join(old, v)
+			if ok && j == old {
+				continue
 			}
+			if top != nil {
+				j = join(j, tops[k])
+			}
+			dst[k], changed = j, true
 		}
 	}
-	joinMap(s.vars, b.vars)
-	joinMap(s.bufs, b.bufs)
-	joinMap(s.lists, b.lists)
+	var tv, tb, tl map[string]ival
+	if top != nil {
+		tv, tb, tl = top.vars, top.bufs, top.lists
+	}
+	joinMap(s.vars, b.vars, tv)
+	joinMap(s.bufs, b.bufs, tb)
+	joinMap(s.lists, b.lists, tl)
 	return changed
 }
 
@@ -111,6 +141,14 @@ type analyzer struct {
 	curT  ival
 	depth int // enclosing unknown-branch / widened-loop nesting
 
+	// loopWork is the product of the enclosing loops' body runs (see
+	// maxLoopWork); steps counts the pass's work (see MaxSteps).
+	loopWork  int64
+	steps     int64
+	exhausted bool
+	top       *absState // the loosest state, see topOf
+	writes    map[*ast.For]*writeKeys
+
 	condAgg    map[token.Pos]*agg
 	assertAgg  map[token.Pos]*agg
 	negMoveAgg map[token.Pos]*agg
@@ -134,8 +172,10 @@ type analyzer struct {
 // ingredients for Analyze to assemble.
 func (a *analyzer) runIntervals() {
 	st := a.initialState()
-	for step := 0; step < a.opts.T; step++ {
+	a.top = a.topOf(st)
+	for step := 0; step < a.opts.T && !a.exhausted; step++ {
 		a.curT = single(int64(step))
+		a.loopWork = 1
 		a.stepArrivals(st)
 		a.resetLocals(st)
 		a.execBlock(a.info.Prog.Body, st)
@@ -147,7 +187,9 @@ func (a *analyzer) runIntervals() {
 			break
 		}
 	}
-	a.finishDiags()
+	if !a.exhausted {
+		a.finishDiags()
+	}
 }
 
 func (a *analyzer) initialState() *absState {
@@ -199,68 +241,39 @@ func (a *analyzer) forEachVarKey(d *ast.VarDecl, f func(key string)) {
 	}
 }
 
-// constIval folds a compile-time-constant expression (initializers, loop
-// bounds) to an interval; unbound parameters yield top.
+// constIval folds an initializer to an interval; an unbound parameter
+// yields top.
 func (a *analyzer) constIval(e ast.Expr) ival {
-	if v, ok := a.constEval(e); ok {
+	if v, err := a.fold(e); err == nil {
 		return a.d.konst(v)
 	}
 	return a.d.top()
 }
 
-// constEval evaluates strictly-constant expressions with the bound
-// parameter values, mirroring ir's constant folding.
-func (a *analyzer) constEval(e ast.Expr) (int64, bool) {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Value, true
-	case *ast.BoolLit:
-		if n.Value {
-			return 1, true
-		}
-		return 0, true
-	case *ast.Ident:
-		if n.Name == "T" {
-			return int64(a.opts.T), true
-		}
-		if iv, ok := a.loopVars[n.Name]; ok && iv.isConst() {
-			return iv.lo, true
-		}
-		if v, ok := a.opts.Params[n.Name]; ok {
-			return v, true
-		}
-		return 0, false
-	case *ast.Unary:
-		if n.Op == ast.OpNegate {
-			if v, ok := a.constEval(n.X); ok {
-				return -v, true
-			}
-		}
-		return 0, false
-	case *ast.Binary:
-		x, okx := a.constEval(n.X)
-		y, oky := a.constEval(n.Y)
-		if !okx || !oky {
-			return 0, false
-		}
-		switch n.Op {
-		case ast.OpAdd:
-			return x + y, true
-		case ast.OpSub:
-			return x - y, true
-		case ast.OpMul:
-			return x * y, true
-		case ast.OpDiv:
-			if y != 0 {
-				return x / y, true
-			}
-		case ast.OpMod:
-			if y != 0 {
-				return x % y, true
-			}
-		}
+// constSize folds a buffer or array size: -1 when it is absent, unknown
+// or not positive.
+func (a *analyzer) constSize(e ast.Expr) int64 {
+	if e == nil {
+		return -1
 	}
-	return 0, false
+	if v, err := a.fold(e); err == nil && v > 0 {
+		return v
+	}
+	return -1
+}
+
+// fold evaluates a compile-time constant. A loop variable is constant
+// only while its loop is unrolled; a widened one has no single value.
+func (a *analyzer) fold(e ast.Expr) (int64, error) {
+	return typecheck.Fold(e, func(name string) (int64, error) {
+		if iv, ok := a.loopVars[name]; ok {
+			if iv.isConst() {
+				return iv.lo, nil
+			}
+			return 0, fmt.Errorf("loop variable %q is widened", name)
+		}
+		return typecheck.Scope{Params: a.opts.Params, T: a.opts.T, Step: int(a.curT.lo)}.Lookup(name)
+	})
 }
 
 // stepArrivals models the symbolic arrivals ir injects at the start of
@@ -291,7 +304,7 @@ func (a *analyzer) resetLocals(st *absState) {
 
 func (a *analyzer) execBlock(stmts []ast.Stmt, st *absState) {
 	for _, s := range stmts {
-		if st.infeasible {
+		if st.infeasible || !a.spend(1) {
 			return
 		}
 		a.execStmt(s, st)
@@ -383,6 +396,7 @@ func (a *analyzer) varElemKeys(name string, idx ival) ([]string, bool) {
 	for i := lo; i <= hi; i++ {
 		keys = append(keys, fmt.Sprintf("%s[%d]", name, i))
 	}
+	a.spend(int64(len(keys)))
 	return keys, false
 }
 
@@ -399,6 +413,7 @@ func (a *analyzer) resolveBuf(e ast.Expr, st *absState) (bi *bufInfo, keys []str
 		if b.param.Size == nil {
 			return b, b.keys, true, false
 		}
+		a.spend(int64(len(b.keys)))
 		return b, b.keys, false, false
 	case *ast.Index:
 		base, ok := n.X.(*ast.Ident)
@@ -421,6 +436,7 @@ func (a *analyzer) resolveBuf(e ast.Expr, st *absState) (bi *bufInfo, keys []str
 		if lo == hi && idx.isConst() {
 			return b, []string{b.keys[lo]}, true, false
 		}
+		a.spend(hi - lo + 1)
 		return b, b.keys[lo : hi+1], false, false
 	case *ast.Filter:
 		b, ks, ex, _ := a.resolveBuf(n.Buf, st)
@@ -519,7 +535,7 @@ func (a *analyzer) execIf(n *ast.If, st *absState) {
 	default:
 		// st is overwritten by the join below, so the else branch runs on
 		// it and only the then branch needs a copy.
-		thenSt := st.clone()
+		thenSt := a.fork(st)
 		elseSt := st
 		a.depth++
 		if a.refine(thenSt, n.Cond, true) {
@@ -534,21 +550,24 @@ func (a *analyzer) execIf(n *ast.If, st *absState) {
 		}
 		a.depth--
 		if !thenSt.infeasible || elseSt.infeasible {
-			thenSt.absorb(elseSt)
+			thenSt.absorb(elseSt, nil)
 			*st = *thenSt
 		}
 	}
 }
 
 func (a *analyzer) execFor(n *ast.For, st *absState) {
-	lo, okLo := a.constEval(n.Lo)
-	hi, okHi := a.constEval(n.Hi)
-	if okLo && okHi {
+	outer := a.loopWork
+	defer func() { a.loopWork = outer }()
+	lo, errLo := a.fold(n.Lo)
+	hi, errHi := a.fold(n.Hi)
+	if errLo == nil && errHi == nil {
 		if hi <= lo {
 			return // zero iterations
 		}
-		if hi-lo <= maxUnrollIters {
-			for i := lo; i < hi; i++ {
+		if trips := hi - lo; trips <= maxUnrollIters && outer*trips <= maxLoopWork {
+			a.loopWork = outer * trips
+			for i := lo; i < hi && a.spend(1); i++ {
 				a.loopVars[n.Var] = single(i)
 				a.execBlock(n.Body, st)
 				if st.infeasible {
@@ -560,14 +579,15 @@ func (a *analyzer) execFor(n *ast.For, st *absState) {
 		}
 	}
 
-	// Unknown or oversized trip count: widening fixpoint. The body is a
-	// conditional context (the loop may run zero times for all we know),
-	// so findings inside are never "unconditional".
+	// Unknown, oversized or too deeply nested trip count: widening
+	// fixpoint. The body is a conditional context (the loop may run zero
+	// times for all we know), so findings inside are never
+	// "unconditional".
 	iv := a.d.top()
-	if okLo {
+	if errLo == nil {
 		iv.lo = maxI(iv.lo, lo)
 	}
-	if okHi {
+	if errHi == nil {
 		iv.hi = minI(iv.hi, hi-1)
 	}
 	if iv.empty() {
@@ -575,35 +595,155 @@ func (a *analyzer) execFor(n *ast.For, st *absState) {
 	}
 	a.loopVars[n.Var] = iv
 	a.depth++
+	// Join the body's effect into st for up to maxFixIters+1 rounds, then
+	// widen whatever still grows to top for up to maxWidenIters rounds. A
+	// state growing even then is forced to top and the body runs once
+	// more from there, so every site's findings include a run from a
+	// post-fixpoint. No room for the rounds inside maxLoopWork means
+	// straight to top.
+	runs := int64(maxFixIters + maxWidenIters + 2)
+	if outer*runs > maxLoopWork {
+		runs = 1
+	}
+	a.loopWork = outer * runs
 	// st is never infeasible here (execBlock skips infeasible states), so
-	// each iteration joins the body's effect into it in place.
-	for iter := 0; ; iter++ {
-		body := st.clone()
-		a.execBlock(n.Body, body)
-		if !st.absorb(body) {
+	// each round joins the body's effect into it in place.
+	for iter := int64(0); ; iter++ {
+		if iter == runs-1 {
+			a.forceTop(st, n)
+			a.execBlock(n.Body, a.fork(st))
 			break
 		}
-		if iter >= maxFixIters {
-			// Force a post-fixpoint: top is absorbing under join.
-			for k := range st.vars {
-				st.vars[k] = a.d.top()
-			}
-			for k := range st.bufs {
-				cap := a.capOfKey(k)
-				st.bufs[k] = ival{0, cap}
-			}
-			for k := range st.lists {
-				hi := a.d.max
-				if a.listCap >= 0 {
-					hi = a.listCap
-				}
-				st.lists[k] = ival{0, hi}
-			}
+		body := a.fork(st)
+		a.execBlock(n.Body, body)
+		var widen *absState
+		if iter > maxFixIters {
+			widen = a.top
+		}
+		if !st.absorb(body, widen) {
 			break
 		}
 	}
 	a.depth--
 	delete(a.loopVars, n.Var)
+}
+
+// forceTop sets, in place, every key the loop n may write to its top
+// value: a post-fixpoint of the loop, since top is absorbing under join
+// and the other keys no iteration changes. Each key set counts as a step.
+func (a *analyzer) forceTop(st *absState, n *ast.For) {
+	w := a.loopWrites(n)
+	if !a.spend(int64(len(w.vars) + len(w.bufs) + len(w.lists))) {
+		return
+	}
+	for _, k := range w.vars {
+		st.vars[k] = a.top.vars[k]
+	}
+	for _, k := range w.bufs {
+		st.bufs[k] = a.top.bufs[k]
+	}
+	for _, k := range w.lists {
+		st.lists[k] = a.top.lists[k]
+	}
+}
+
+// writeKeys lists the state keys a loop body may write.
+type writeKeys struct{ vars, bufs, lists []string }
+
+// loopWrites returns the keys of every variable, list and buffer the body
+// of n may change (assigned, havocked or popped variables, pushed lists,
+// both ends of every move), computed once per loop.
+func (a *analyzer) loopWrites(n *ast.For) *writeKeys {
+	if w, ok := a.writes[n]; ok {
+		return w
+	}
+	names := map[string]bool{}
+	name := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.Index:
+				e = x.X
+				continue
+			case *ast.Filter:
+				e = x.Buf
+				continue
+			case *ast.Ident:
+				names[x.Name] = true
+			}
+			return
+		}
+	}
+	ast.Walk(n.Body, func(s ast.Stmt) {
+		switch s := s.(type) {
+		case *ast.Assign:
+			name(s.LHS)
+			if pf, ok := s.RHS.(*ast.PopFront); ok {
+				name(pf.List)
+			}
+		case *ast.PushBack:
+			name(s.List)
+		case *ast.Move:
+			name(s.Src)
+			name(s.Dst)
+		case *ast.Havoc:
+			name(s.Target)
+		}
+	})
+	keys := func(m map[string]ival) []string {
+		var out []string
+		for k := range m {
+			if base, _, _ := strings.Cut(k, "["); names[base] {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	w := &writeKeys{keys(a.top.vars), keys(a.top.bufs), keys(a.top.lists)}
+	a.writes[n] = w
+	return w
+}
+
+// fork copies st for a branch or a loop round, counting each copied
+// entry as a step. Past the budget it returns st itself: the run is
+// abandoned, so nothing it computes from here on is used.
+func (a *analyzer) fork(st *absState) *absState {
+	if !a.spend(int64(len(st.vars) + len(st.bufs) + len(st.lists))) {
+		return st
+	}
+	return st.clone()
+}
+
+// spend charges n steps of work. Past MaxSteps it marks the run
+// exhausted and reports false, and the caller skips the work. Within a
+// statement the result can be ignored: the next statement stops the run.
+func (a *analyzer) spend(n int64) bool {
+	if a.exhausted || a.steps+n > MaxSteps {
+		a.exhausted = true
+		return false
+	}
+	a.steps += n
+	return true
+}
+
+// topOf is the loosest state with st's keys: every variable anywhere in
+// its width's range, every buffer and list anywhere between empty and
+// its capacity.
+func (a *analyzer) topOf(st *absState) *absState {
+	t := st.clone()
+	for k := range t.vars {
+		t.vars[k] = a.d.top()
+	}
+	for k := range t.bufs {
+		t.bufs[k] = ival{0, a.capOfKey(k)}
+	}
+	listHi := a.d.max
+	if a.listCap >= 0 {
+		listHi = a.listCap
+	}
+	for k := range t.lists {
+		t.lists[k] = ival{0, listHi}
+	}
+	return t
 }
 
 func (a *analyzer) capOfKey(key string) int64 {
@@ -674,6 +814,7 @@ func (a *analyzer) siteAgg(m map[token.Pos]*agg, pos token.Pos) *agg {
 // ----- expression evaluation -----
 
 func (a *analyzer) evalExpr(e ast.Expr, st *absState) ival {
+	a.spend(1)
 	switch n := e.(type) {
 	case *ast.IntLit:
 		return a.d.konst(n.Value)

@@ -120,6 +120,8 @@ type Report struct {
 	Diags []Diagnostic
 	// Verdict is the statically-determined query outcome, if any.
 	Verdict Verdict
+	// Steps is the interval pass's work counter, at most MaxSteps.
+	Steps int64
 }
 
 // Verdict is sema's answer to the verify/witness questions when the

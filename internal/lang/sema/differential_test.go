@@ -20,12 +20,7 @@ import (
 )
 
 func irOptionsFor(tc vetCase) ir.Options {
-	return ir.Options{
-		T:               tc.opts.T,
-		Params:          tc.opts.Params,
-		BufferCap:       tc.opts.BufferCap,
-		ArrivalsPerStep: tc.opts.ArrivalsPerStep,
-	}
+	return ir.Options{T: tc.opts.T, Params: tc.opts.Params, Bounds: tc.opts.Bounds}
 }
 
 func TestStaticVerdictsAgreeWithSMT(t *testing.T) {
@@ -80,7 +75,19 @@ func TestStaticVerdictsAgreeWithSMT(t *testing.T) {
 // NOT have claimed verify=holds for it (the shared corpus loop already
 // cross-checks its no-witness claim).
 func TestLateWitnessVerifyNotClaimed(t *testing.T) {
-	prog, err := parser.Parse(readTestdata(t, "late_witness.buffy"))
+	requireCounterexample(t, "late_witness.buffy", 4)
+}
+
+// TestWidenedAssertVerifyNotClaimed: widened_assert.buffy's assert fails
+// once x reaches 50 in step 0, so the corpus row's missing verify verdict
+// is the right answer, not lost precision.
+func TestWidenedAssertVerifyNotClaimed(t *testing.T) {
+	requireCounterexample(t, "widened_assert.buffy", 1)
+}
+
+func requireCounterexample(t *testing.T, file string, horizon int) {
+	t.Helper()
+	prog, err := parser.Parse(readTestdata(t, file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +95,12 @@ func TestLateWitnessVerifyNotClaimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{IR: ir.Options{T: 4}, Mode: smtbe.Verify})
+	res, err := smtbe.Check(info, smtbe.Options{IR: ir.Options{T: horizon}, Mode: smtbe.Verify})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != smtbe.CounterexampleFound {
-		t.Fatalf("SMT verify status = %v, want a counterexample at step 0", res.Status)
+		t.Fatalf("SMT verify status = %v, want a counterexample", res.Status)
 	}
 }
 
@@ -107,7 +114,7 @@ func TestOverflowDiagnosticIsReal(t *testing.T) {
 	}
 	// Three packets per step into each input keeps every arrival inside
 	// the 4-packet capacity and satisfies both backlog >= 3 assumes.
-	m, err := p.Simulate(core.Analysis{T: 4, BufferCap: 4, ArrivalsPerStep: 6},
+	m, err := p.Simulate(core.Analysis{T: 4, Bounds: typecheck.Bounds{BufferCap: 4, ArrivalsPerStep: 6}},
 		func(step int, input string) []interp.Packet {
 			return []interp.Packet{{}, {}, {}}
 		})

@@ -21,9 +21,8 @@ const maxIntervalT = 1024
 // unknown-size) arrays are summarized with weak updates.
 const maxArrayInstances = 64
 
-// Options configure an analysis. The bounds mirror ir.Options so the
-// abstract semantics match what the solver will actually encode; zero
-// values take the same defaults ir applies.
+// Options configure an analysis. The bounds are the ones the solver
+// encodes, so the abstract semantics match what it will check.
 type Options struct {
 	// T is the time horizon (number of unrolled steps).
 	T int
@@ -31,13 +30,9 @@ type Options struct {
 	// parameters are analyzed as unknown (top) — sound, but conclusive
 	// verdicts then usually require the structural facts alone.
 	Params map[string]int64
-	// BufferCap / OutBufferCap / ArrivalsPerStep / MaxBytes / ListCap
-	// mirror the ir.Options fields of the same names.
-	BufferCap       int
-	OutBufferCap    int
-	ArrivalsPerStep int
-	MaxBytes        int
-	ListCap         int
+	// Bounds size buffers, lists and packets, with the defaults of
+	// typecheck.ResolveBounds.
+	typecheck.Bounds
 	// Width is the solver's integer bit width (0: bitblast.DefaultWidth).
 	// The interval domain refuses to conclude anything about values that
 	// could wrap at this width.
@@ -48,37 +43,6 @@ type Options struct {
 // sits below the backends in the dependency order).
 const DefaultWidth = 12
 
-func (o Options) withDefaults(numInputs int) Options {
-	if o.T <= 0 {
-		o.T = 1
-	}
-	if o.BufferCap <= 0 {
-		o.BufferCap = 8
-	}
-	if o.ArrivalsPerStep <= 0 {
-		o.ArrivalsPerStep = 1
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 1
-	}
-	if o.ListCap <= 0 {
-		o.ListCap = numInputs
-		if o.ListCap < 4 {
-			o.ListCap = 4
-		}
-	}
-	if o.OutBufferCap <= 0 {
-		o.OutBufferCap = o.T*o.ArrivalsPerStep*numInputs + o.BufferCap
-		if o.OutBufferCap < o.BufferCap {
-			o.OutBufferCap = o.BufferCap
-		}
-	}
-	if o.Width <= 0 {
-		o.Width = DefaultWidth
-	}
-	return o
-}
-
 // Analyze runs all passes over a type-checked program and returns the
 // diagnostics plus, when the program is trivially decidable, a static
 // query verdict. It never solves anything and is intended to cost
@@ -86,27 +50,14 @@ func (o Options) withDefaults(numInputs int) Options {
 func Analyze(info *typecheck.Info, opts Options) *Report {
 	rep := &Report{}
 
-	numInputs := 0
-	sizeOf := func(bp *ast.BufferParam, params map[string]int64) int64 {
-		if bp.Size == nil {
-			return 1
-		}
-		if v, ok := constWithParams(bp.Size, params, opts.T); ok && v > 0 {
-			return v
-		}
-		return -1 // unknown
-	}
-	for _, bp := range info.Inputs {
-		if n := sizeOf(bp, opts.Params); n > 0 {
-			numInputs += int(n)
-		} else {
-			numInputs++
-		}
-	}
 	// Structural checks see the caller's raw horizon (B003 must observe a
 	// non-positive T); everything after runs on the defaulted bounds.
 	badHorizon := structuralPass(info, opts, rep)
-	opts = opts.withDefaults(numInputs)
+	opts.Bounds = info.ResolveBounds(opts.Bounds, opts.T, opts.Params)
+	opts.T = max(opts.T, 1)
+	if opts.Width <= 0 {
+		opts.Width = DefaultWidth
+	}
 
 	syntacticAsserts := 0
 	ast.Walk(info.Prog.Body, func(s ast.Stmt) {
@@ -117,8 +68,9 @@ func Analyze(info *typecheck.Info, opts Options) *Report {
 
 	var az *analyzer
 	if !badHorizon && opts.T <= maxIntervalT {
-		az = newAnalyzer(info, opts, rep, sizeOf)
+		az = newAnalyzer(info, opts, rep)
 		az.runIntervals()
+		rep.Steps = az.steps
 	}
 
 	lintPass(info, opts, rep)
@@ -129,8 +81,9 @@ func Analyze(info *typecheck.Info, opts Options) *Report {
 		// An unusable horizon is an input error, not a decidable query.
 	case syntacticAsserts == 0:
 		rep.Verdict = Verdict{Verify: "holds", Witness: "no-witness", Reason: ReasonNoAsserts}
-	case az == nil:
-		// Interval pass didn't run; no dynamic facts to conclude from.
+	case az == nil || az.exhausted:
+		// Interval pass didn't run or ran out of steps; no dynamic facts
+		// to conclude from.
 	case az.contradiction:
 		rep.Verdict = Verdict{Verify: "holds", Witness: "no-witness", Reason: ReasonAssumeContradiction}
 	case az.assertInstances == 0:
@@ -151,8 +104,7 @@ func Analyze(info *typecheck.Info, opts Options) *Report {
 	return rep
 }
 
-func newAnalyzer(info *typecheck.Info, opts Options, rep *Report,
-	sizeOf func(*ast.BufferParam, map[string]int64) int64) *analyzer {
+func newAnalyzer(info *typecheck.Info, opts Options, rep *Report) *analyzer {
 	a := &analyzer{
 		info:       info,
 		opts:       opts,
@@ -167,6 +119,7 @@ func newAnalyzer(info *typecheck.Info, opts Options, rep *Report,
 		negMoveAgg: make(map[token.Pos]*agg),
 		overflowAt: make(map[token.Pos]bool),
 		contraAt:   make(map[token.Pos]Severity),
+		writes:     make(map[*ast.For]*writeKeys),
 	}
 	addBuf := func(bp *ast.BufferParam) {
 		cap := int64(opts.BufferCap)
@@ -174,7 +127,7 @@ func newAnalyzer(info *typecheck.Info, opts Options, rep *Report,
 			cap = int64(opts.OutBufferCap)
 		}
 		bi := &bufInfo{param: bp, cap: cap}
-		n := sizeOf(bp, opts.Params)
+		n := a.constSize(bp.Size)
 		switch {
 		case bp.Size == nil:
 			bi.keys = []string{bp.Name}
@@ -198,7 +151,7 @@ func newAnalyzer(info *typecheck.Info, opts Options, rep *Report,
 			if !d.Type.IsArray() {
 				continue
 			}
-			if v, ok := constWithParams(d.Type.Size, opts.Params, opts.T); ok && v > 0 && v <= maxArrayInstances {
+			if v := a.constSize(d.Type.Size); v <= maxArrayInstances {
 				a.arrSize[d.Name] = v
 			} else {
 				a.arrSize[d.Name] = -1
@@ -206,11 +159,4 @@ func newAnalyzer(info *typecheck.Info, opts Options, rep *Report,
 		}
 	}
 	return a
-}
-
-// constWithParams folds a constant expression given parameter bindings;
-// used before an analyzer exists (sizing buffers and arrays).
-func constWithParams(e ast.Expr, params map[string]int64, horizon int) (int64, bool) {
-	a := &analyzer{opts: Options{T: horizon, Params: params}, loopVars: map[string]ival{}}
-	return a.constEval(e)
 }

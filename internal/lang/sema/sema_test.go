@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"buffy/internal/lang/sema"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/vet"
 )
 
@@ -102,7 +103,7 @@ var vetCases = []vetCase{
 		verify: "holds", witness: "no-witness", reason: "asserts-unreachable",
 	},
 	{
-		file: "overflow.buffy", opts: sema.Options{T: 4, BufferCap: 4, ArrivalsPerStep: 6},
+		file: "overflow.buffy", opts: sema.Options{T: 4, Bounds: typecheck.Bounds{BufferCap: 4, ArrivalsPerStep: 6}},
 		want:   []wantDiag{{"B106", 9}},
 		verify: "holds", witness: "no-witness", reason: "no-asserts",
 	},
@@ -134,6 +135,24 @@ var vetCases = []vetCase{
 		file: "late_witness.buffy", opts: sema.Options{T: 4},
 		want:    nil,
 		witness: "no-witness", reason: "assert-never-holds",
+	},
+	{
+		// Before constants were folded in one place, vet accepted this
+		// initializer and the SMT encoding rejected it.
+		file: "bool_init.buffy", opts: sema.Options{T: 4},
+		want:   []wantDiag{{"B104", 6}},
+		verify: "holds", reason: "asserts-always-true",
+	},
+	{
+		file: "nonconst_init.buffy", opts: sema.Options{T: 4},
+		want:     []wantDiag{{"B040", 4}},
+		rejected: true, skipDifferential: true,
+	},
+	{
+		// A widened loop's sites must be checked from a post-fixpoint:
+		// the join rounds alone see x < 50 and would claim verify holds.
+		file: "widened_assert.buffy", opts: sema.Options{T: 1},
+		want: nil,
 	},
 	{
 		file: "type_error.buffy", opts: sema.Options{T: 4},
@@ -195,6 +214,27 @@ func TestVetTestdataCorpus(t *testing.T) {
 					v.Verify, v.Witness, v.Reason, tc.verify, tc.witness, tc.reason)
 			}
 		})
+	}
+}
+
+// TestHostileLoopNestBounded: four nested 256-trip loops would run their
+// body 256^4 times if every level were unrolled. The nested-unrolling cap
+// widens the inner levels instead, so the pass finishes well inside its
+// step budget and still decides the query.
+func TestHostileLoopNestBounded(t *testing.T) {
+	const src = `nest(in buffer a, out buffer b) {
+  global int x;
+  for (i in 0..256) do { for (j in 0..256) do {
+    for (k in 0..256) do { for (l in 0..256) do { x = x + 1; } } } }
+  move-p(a, b, 1);
+  assert(backlog-p(b) <= 1);
+}`
+	res := vet.Source(src, sema.Options{T: 1})
+	if steps := res.Report.Steps; steps == 0 || steps >= sema.MaxSteps {
+		t.Errorf("steps = %d, want in (0, %d)", steps, sema.MaxSteps)
+	}
+	if v := res.Report.Verdict; v.Verify != "holds" {
+		t.Errorf("verdict = %+v, want verify holds (the pass must finish)", v)
 	}
 }
 

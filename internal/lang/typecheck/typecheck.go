@@ -142,6 +142,7 @@ func CheckAll(prog *ast.Program) (*Info, ErrorList) {
 	c.collectFields()
 	c.collectBuffers()
 	c.collectVars()
+	c.checkDecls()
 	c.checkStmts(prog.Body, false)
 	if len(c.errs) > 0 {
 		sort.SliceStable(c.errs, func(i, j int) bool {
@@ -191,9 +192,6 @@ func (c *checker) collectBuffers() {
 		} else {
 			c.info.Outputs = append(c.info.Outputs, bp)
 		}
-		if bp.Size != nil {
-			c.checkConstExpr(bp.Size)
-		}
 	}
 	if len(c.info.Outputs) == 0 {
 		c.errorf(c.prog.NamePos, "program %s has no output buffer", c.prog.Name)
@@ -231,73 +229,88 @@ func (c *checker) collectVars() {
 		case ast.Monitor:
 			c.info.Monitors = append(c.info.Monitors, d)
 		}
-		if d.Type.Size != nil {
-			c.checkConstExpr(d.Type.Size)
+	}
+}
+
+// checkDecls checks buffer sizes, array sizes and initializers once every
+// buffer and variable is known, so a name declared later in the program
+// is still recognized as a variable rather than taken for a parameter.
+func (c *checker) checkDecls() {
+	for _, bp := range c.prog.Params {
+		if bp.Size != nil {
+			c.checkIntConst(bp.Size, "size")
 		}
-		if d.Init != nil {
-			want := ast.TInt
-			if d.Type.Kind == ast.TBool {
-				want = ast.TBool
-			}
-			if d.Type.Kind == ast.TList {
-				c.errorf(d.NamePos, "lists cannot have initializers")
-			} else {
-				got := c.checkExpr(d.Init, false)
-				if got.Kind != want || got.IsArray {
-					c.errorf(d.Init.Pos(), "initializer for %s has type %v, want %v", d.Name, got, want)
-				}
-			}
+	}
+	for _, d := range c.prog.Decls {
+		if c.vars[d.Name] == nil || c.vars[d.Name].Decl != d {
+			continue // rejected in collectVars
+		}
+		if d.Type.Size != nil {
+			c.checkIntConst(d.Type.Size, "size")
+		}
+		if d.Init == nil {
+			continue
+		}
+		if d.Type.Kind == ast.TList {
+			c.errorf(d.NamePos, "lists cannot have initializers")
+			continue
+		}
+		got, ok := c.checkConst(d.Init, "initializer")
+		if ok && (got.Kind != d.Type.Kind || got.IsArray) {
+			c.errorf(d.Init.Pos(), "initializer for %s has type %v, want %v", d.Name, got, d.Type.Kind)
 		}
 	}
 }
 
-// checkConstExpr checks size/bound expressions: integer-typed, and made
-// only of literals, parameters and +,-,*,/,%.
-func (c *checker) checkConstExpr(e ast.Expr) {
+// checkConst checks a compile-time constant (a size, a loop bound or an
+// initializer) and returns its type; ok is false when it is not
+// constant. A constant may use only what Fold evaluates: int and bool
+// literals, parameters, T, t, loop variables, unary - and !, and
+// + - * / %.
+func (c *checker) checkConst(e ast.Expr, what string) (t ExprType, ok bool) {
+	if !c.constOnly(e, what) {
+		return ExprType{}, false
+	}
+	return c.checkExpr(e, false), true
+}
+
+// checkIntConst checks an int constant: a size or a loop bound.
+func (c *checker) checkIntConst(e ast.Expr, what string) {
+	if t, ok := c.checkConst(e, what); ok && (t.Kind != ast.TInt || t.IsArray) {
+		c.errorf(e.Pos(), "%s must be int, got %v", what, t)
+	}
+}
+
+// constOnly reports whether e is made only of constant operands and
+// operators, reporting the first offending node otherwise.
+func (c *checker) constOnly(e ast.Expr, what string) bool {
 	switch n := e.(type) {
-	case *ast.IntLit:
+	case *ast.IntLit, *ast.BoolLit:
+		return true
 	case *ast.Ident:
-		c.resolveConstIdent(n)
+		if _, isVar := c.vars[n.Name]; isVar {
+			c.errorf(n.IdPos, "%s must be a compile-time constant; %q is a variable", what, n.Name)
+			return false
+		}
+		if _, isLoop := c.loops[n.Name]; !isLoop {
+			if _, isBuf := c.bufs[n.Name]; isBuf {
+				c.errorf(n.IdPos, "%s must be a compile-time constant; %q is a buffer", what, n.Name)
+				return false
+			}
+		}
+		return true
+	case *ast.Unary:
+		return c.constOnly(n.X, what)
 	case *ast.Binary:
 		switch n.Op {
 		case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-			c.checkConstExpr(n.X)
-			c.checkConstExpr(n.Y)
-		default:
-			c.errorf(e.Pos(), "operator %v not allowed in constant expression", n.Op)
+			return c.constOnly(n.X, what) && c.constOnly(n.Y, what)
 		}
-	case *ast.Unary:
-		if n.Op != ast.OpNegate {
-			c.errorf(e.Pos(), "operator %v not allowed in constant expression", n.Op)
-		}
-		c.checkConstExpr(n.X)
-	default:
-		c.errorf(e.Pos(), "size/bound must be a compile-time constant expression (§7)")
+		c.errorf(n.Pos(), "operator %v not allowed in a constant expression", n.Op)
+		return false
 	}
-}
-
-// resolveConstIdent resolves an identifier in constant position: a
-// compile-time parameter or T.
-func (c *checker) resolveConstIdent(id *ast.Ident) {
-	if id.Name == "T" || id.Name == "t" {
-		c.info.Symbols[id] = &Symbol{Kind: SymBuiltin, Name: id.Name}
-		c.info.Types[id] = ExprType{Kind: ast.TInt}
-		return
-	}
-	if _, isVar := c.vars[id.Name]; isVar {
-		c.errorf(id.IdPos, "size/bound must be compile-time constant; %q is a variable", id.Name)
-		return
-	}
-	if _, isLoop := c.loops[id.Name]; isLoop {
-		// Loop variables are unrolled to constants, so they are permitted
-		// in nested bounds.
-		c.info.Symbols[id] = c.loops[id.Name]
-		c.info.Types[id] = ExprType{Kind: ast.TInt}
-		return
-	}
-	c.params[id.Name] = true
-	c.info.Symbols[id] = &Symbol{Kind: SymParam, Name: id.Name}
-	c.info.Types[id] = ExprType{Kind: ast.TInt}
+	c.errorf(e.Pos(), "%s must be a compile-time constant expression (§7)", what)
+	return false
 }
 
 // checkStmts checks a statement list. ghost is true inside monitor-update
@@ -341,8 +354,8 @@ func (c *checker) checkStmt(s ast.Stmt, ghost bool) {
 		c.checkStmts(n.Then, ghost)
 		c.checkStmts(n.Else, ghost)
 	case *ast.For:
-		c.checkConstExpr(n.Lo)
-		c.checkConstExpr(n.Hi)
+		c.checkIntConst(n.Lo, "loop bound")
+		c.checkIntConst(n.Hi, "loop bound")
 		if _, exists := c.loops[n.Var]; exists {
 			c.errorf(n.KwPos, "loop variable %q shadows an enclosing loop variable", n.Var)
 		}
@@ -588,8 +601,17 @@ func (c *checker) binaryType(n *ast.Binary, ghost bool) ExprType {
 		}
 	}
 	switch n.Op {
-	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
+	case ast.OpAdd, ast.OpSub, ast.OpMul:
 		intInt(n.Op.String())
+		return ExprType{Kind: ast.TInt}
+	case ast.OpDiv, ast.OpMod:
+		// §7 keeps division out of the encodings: it folds at compile
+		// time, so both operands are constants.
+		intInt(n.Op.String())
+		what := "operand of " + n.Op.String()
+		if c.constOnly(n.X, what) {
+			c.constOnly(n.Y, what)
+		}
 		return ExprType{Kind: ast.TInt}
 	case ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
 		intInt(n.Op.String())

@@ -5,6 +5,7 @@ import (
 
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/ir"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 )
 
@@ -59,7 +60,7 @@ func TestShaperEnvelopeHolds(t *testing.T) {
 	res, err := smtbe.Check(info, smtbe.Options{
 		IR: ir.Options{
 			T: 4, Params: map[string]int64{"RATE": 2, "BURST": 3},
-			MaxBytes: 3, ArrivalsPerStep: 2,
+			Bounds: typecheck.Bounds{MaxBytes: 3, ArrivalsPerStep: 2},
 		},
 		Mode: smtbe.Verify,
 	})
@@ -88,7 +89,7 @@ func TestNetcalcModelsInvariantsHold(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := smtbe.Check(info, smtbe.Options{
-				IR:   ir.Options{T: 4, Params: tc.params, ArrivalsPerStep: 2, BufferCap: 16},
+				IR:   ir.Options{T: 4, Params: tc.params, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, BufferCap: 16}},
 				Mode: smtbe.Verify,
 			})
 			if err != nil {
@@ -126,7 +127,7 @@ shaperw(buffer sin, buffer sout){
 	res, err := smtbe.Check(info, smtbe.Options{
 		IR: ir.Options{
 			T: 3, Params: map[string]int64{"RATE": 2, "BURST": 4},
-			MaxBytes: 2, ArrivalsPerStep: 2,
+			Bounds: typecheck.Bounds{MaxBytes: 2, ArrivalsPerStep: 2},
 		},
 		Mode: smtbe.Witness,
 	})
@@ -203,7 +204,7 @@ drrq(buffer[N] ibs, buffer ob){
 		t.Fatal(err)
 	}
 	res, err := smtbe.Check(info, smtbe.Options{
-		IR:   ir.Options{T: 6, Params: map[string]int64{"N": 2, "Q": 1}, ArrivalsPerStep: 2},
+		IR:   ir.Options{T: 6, Params: map[string]int64{"N": 2, "Q": 1}, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}},
 		Mode: smtbe.Witness,
 	})
 	if err != nil {

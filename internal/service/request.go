@@ -25,6 +25,7 @@ import (
 	"buffy/internal/backend/netcalc"
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/smt/bitblast"
@@ -193,16 +194,15 @@ func (r *Request) analysis() core.Analysis {
 		t = 4
 	}
 	return core.Analysis{
-		T:               t,
-		Params:          r.Params,
-		Model:           r.Model,
-		Width:           r.Width,
-		BufferCap:       r.BufferCap,
-		OutBufferCap:    r.OutBufferCap,
-		ArrivalsPerStep: r.ArrivalsPerStep,
-		NumClasses:      r.NumClasses,
-		MaxBytes:        r.MaxBytes,
-		ListCap:         r.ListCap,
+		T:      t,
+		Params: r.Params,
+		Model:  r.Model,
+		Width:  r.Width,
+		Bounds: typecheck.Bounds{
+			BufferCap: r.BufferCap, OutBufferCap: r.OutBufferCap,
+			ArrivalsPerStep: r.ArrivalsPerStep, NumClasses: r.NumClasses,
+			MaxBytes: r.MaxBytes, ListCap: r.ListCap,
+		},
 		MaxConflicts:    r.MaxConflicts,
 		MaxPropagations: r.MaxPropagations,
 		MaxLearntBytes:  r.MaxLearntBytes,

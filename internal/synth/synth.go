@@ -31,7 +31,7 @@ type Candidate struct {
 type GrammarOptions struct {
 	// Consts are the constants compared against (default {0, 1, Cap}).
 	Consts []int64
-	// BufferCap mirrors ir.Options.BufferCap for the cap constant.
+	// BufferCap is the analysis's buffer capacity, for the cap constant.
 	BufferCap int
 }
 

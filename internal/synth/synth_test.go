@@ -6,6 +6,7 @@ import (
 
 	"buffy/internal/backend/ts"
 	"buffy/internal/ir"
+	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
 )
@@ -41,7 +42,7 @@ func TestHoudiniPathServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ts.Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}, BufferCap: 8}}
+	opts := ts.Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}, Bounds: typecheck.Bounds{BufferCap: 8}}}
 	sv := solver.New(solver.Options{})
 	probe, err := ir.NewMachine(info, sv.Builder(), opts.IR)
 	if err != nil {

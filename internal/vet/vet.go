@@ -23,7 +23,7 @@ import (
 // sema interval analysis) for the durable result store's pipeline
 // fingerprint. Bump it when a sema change could alter a static verdict
 // or diagnostic that feeds an analysis answer.
-const Fingerprint = "sema-intervals-v1"
+const Fingerprint = "sema-intervals-v2"
 
 // Result is the outcome of vetting one program.
 type Result struct {
