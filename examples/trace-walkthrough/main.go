@@ -37,8 +37,8 @@ func main() {
 	}
 
 	// 2. The slow query: find the starvation witness at horizon T=6 with
-	// N=3 flows. Encoding dominates at this size (~100k clauses), search
-	// is a few hundred conflicts.
+	// N=3 flows. Encoding and search cost about the same at this size
+	// (~35k clauses, ~1,200 conflicts).
 	res, err := prog.FindWitnessContext(ctx, core.Analysis{
 		T: 6, Params: map[string]int64{"N": 3},
 	})

@@ -251,13 +251,13 @@ func QueryTerms(c *ir.Compiled, mode Mode, k int) ([]*term.Term, error) {
 }
 
 // Blaster bit-blasts constraints into one solver, each batch under a
-// "bitblast" span. The span's clauses and vars counters are the solver's
-// growth since the previous span. The reading starts at zero, so the
-// first span counts what solver.New allocated (the constant-true var)
+// "bitblast" span. The span's clauses, vars and terms counters are the
+// solver's growth since the previous span. The reading starts at zero, so
+// the first span counts what solver.New allocated (the constant-true var)
 // and a solver's spans sum to its size when the last one ended.
 type Blaster struct {
-	S             *solver.Solver
-	clauses, vars int
+	S                    *solver.Solver
+	clauses, vars, terms int
 }
 
 // Assert asserts terms in order, checking ctx between them so blasting
@@ -274,11 +274,12 @@ func (bl *Blaster) Assert(ctx context.Context, terms []*term.Term) error {
 		}
 		bl.S.Assert(t)
 	}
-	clauses, vars := bl.S.NumClauses(), bl.S.NumVars()
+	clauses, vars, blasted := bl.S.NumClauses(), bl.S.NumVars(), bl.S.NumBlastedTerms()
 	span.SetAttrs(
 		telemetry.Count("clauses", int64(clauses-bl.clauses)),
-		telemetry.Count("vars", int64(vars-bl.vars)))
-	bl.clauses, bl.vars = clauses, vars
+		telemetry.Count("vars", int64(vars-bl.vars)),
+		telemetry.Count("terms", int64(blasted-bl.terms)))
+	bl.clauses, bl.vars, bl.terms = clauses, vars, blasted
 	return nil
 }
 

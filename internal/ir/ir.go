@@ -208,7 +208,7 @@ func Compile(info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, er
 }
 
 // CompileContext is Compile with cooperative cancellation: the unrolling
-// stops between steps once ctx is cancelled, so a long symbolic
+// stops at the next statement once ctx is cancelled, so a long symbolic
 // compilation (the dominant cost at large horizons) aborts promptly
 // instead of running to completion for an abandoned analysis.
 func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, error) {
@@ -222,8 +222,8 @@ func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, 
 	return m.Result(), nil
 }
 
-// Unroll runs steps until the machine has unrolled k of them, stopping
-// between steps once ctx is cancelled. The work goes on a "compile" span;
+// Unroll runs steps until the machine has unrolled k of them, stopping at
+// the next statement once ctx is cancelled. The work goes on a "compile" span;
 // a machine already k steps deep opens none. The span counts the distinct
 // terms the unrolling added to the builder and the intern lookups it made
 // there, hits included. Both are deltas, so a shared builder counts only
@@ -244,7 +244,7 @@ func (m *Machine) Unroll(ctx context.Context, k int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := m.RunStep(t); err != nil {
+		if err := m.runStep(ctx, t); err != nil {
 			return err
 		}
 	}

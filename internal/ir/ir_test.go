@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"buffy/internal/buffer"
 	"buffy/internal/lang/parser"
@@ -112,6 +115,69 @@ func TestLoopUnrollBoundExceeded(t *testing.T) {
 		sv.Builder(), Options{T: 1, Params: map[string]int64{"M": 5000}})
 	if err == nil || !strings.Contains(err.Error(), "unrolls") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestLoopNestBoundExceeded checks that a nest whose loops are each within
+// the trip cap still fails, fast and with a positioned error, once the
+// product of its trip counts passes the cap on body runs per step.
+func TestLoopNestBoundExceeded(t *testing.T) {
+	src := `p(buffer a, buffer b) {
+		local int x;
+		for (i in 0..256) { for (j in 0..256) { for (k in 0..256) { for (l in 0..256) { x = x + 1; } } } }
+		move-p(a, b, 1);
+	}`
+	sv := solver.New(solver.Options{})
+	start := time.Now()
+	_, err := Compile(load(t, src), sv.Builder(), Options{T: 1})
+	var ie *Error
+	if !errors.As(err, &ie) || ie.Pos.Line != 3 || !strings.Contains(ie.Msg, "loop nest") {
+		t.Fatalf("err = %v, want a positioned loop-nest error on line 3", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("rejecting the nest took %v", d)
+	}
+}
+
+// TestLoopTripsOverflow checks that bounds whose difference overflows
+// int64 are rejected rather than unrolled.
+func TestLoopTripsOverflow(t *testing.T) {
+	src := `p(buffer a, buffer b) { local int x; for (i in L..H) { x = x + 1; } move-p(a, b, 1); }`
+	sv := solver.New(solver.Options{})
+	_, err := Compile(load(t, src), sv.Builder(), Options{T: 1, Params: map[string]int64{"L": -1 << 62, "H": 1 << 62}})
+	if err == nil || !strings.Contains(err.Error(), "unrolls") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestUnrollStopsWithinStep cancels a one-step unroll whose step alone
+// runs for seconds: the poll between statements stops it, since the one
+// between steps has passed. The half-run step leaves the machine unable
+// to unroll again, so a retry cannot re-run the step on its half-built
+// state.
+func TestUnrollStopsWithinStep(t *testing.T) {
+	src := `p(buffer a, buffer b) {
+		for (i in 0..256) { for (j in 0..256) { move-p(a, b, 1); move-p(b, a, 1); } }
+	}`
+	sv := solver.New(solver.Options{})
+	m, err := NewMachine(load(t, src), sv.Builder(), Options{T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := m.Unroll(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Unroll = %v, want the context's error", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Unroll returned %v after the deadline", d)
+	}
+	if !m.Interrupted() {
+		t.Fatal("machine not marked interrupted")
+	}
+	if err := m.Unroll(context.Background(), 1); !errors.Is(err, ErrStepInterrupted) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Unroll after interruption = %v, want ErrStepInterrupted wrapping the cause", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"buffy/internal/buffer"
@@ -39,6 +41,9 @@ type Machine struct {
 	bufInstances map[string][]string
 
 	step     int
+	loopWork int64 // the product of the enclosing loops' trip counts
+	// broken is set once a step stops part-way (see ErrStepInterrupted).
+	broken   error
 	havocSeq int
 	havocs   []HavocVar
 	tvar     *term.Term // value of builtin T under Options.SymbolicT
@@ -254,10 +259,30 @@ func (m *Machine) SetList(name string, elems []*term.Term, size *term.Term) {
 // ListNames returns declared list names, sorted.
 func (m *Machine) ListNames() []string { return sortedNames(m.lists) }
 
+// ErrStepInterrupted is what every step after a step that stopped
+// part-way returns, whether a cancellation or a compile error stopped it.
+// That step had already injected its arrivals and run part of the body,
+// so the buffers, assumes and asserts hold half a step and the machine
+// can never run another.
+var ErrStepInterrupted = errors.New("ir: machine stopped part-way through a step")
+
 // RunStep executes one time step: symbolic arrivals flush into the input
-// buffers, then the program body runs once.
-func (m *Machine) RunStep(t int) error {
+// buffers, then the program body runs once. After a step fails, the
+// machine is left half-way through it and every later step fails too.
+func (m *Machine) RunStep(t int) error { return m.runStep(context.Background(), t) }
+
+// Interrupted reports whether a step stopped part-way, leaving the
+// machine unable to run further steps.
+func (m *Machine) Interrupted() bool { return m.broken != nil }
+
+// runStep is RunStep, stopping at the next statement once ctx is
+// cancelled.
+func (m *Machine) runStep(ctx context.Context, t int) error {
+	if m.broken != nil {
+		return m.broken
+	}
 	m.step = t
+	m.loopWork = 1
 	m.curT = m.b.IntConst(int64(t))
 	m.guard = m.b.True()
 	if !m.opts.NoArrivals {
@@ -286,7 +311,8 @@ func (m *Machine) RunStep(t int) error {
 			m.vars[d.Name] = zero
 		}
 	}
-	if err := m.execStmts(m.info.Prog.Body, nil); err != nil {
+	if err := m.execStmts(ctx, m.info.Prog.Body, nil); err != nil {
+		m.broken = fmt.Errorf("%w (step %d: %w)", ErrStepInterrupted, t, err)
 		return err
 	}
 	m.snapshot()
@@ -391,16 +417,24 @@ func (m *Machine) Asserts() []AssertInst { return m.asserts }
 // loopEnv binds unrolled loop variables to concrete values.
 type loopEnv map[string]int64
 
-func (m *Machine) execStmts(stmts []ast.Stmt, le loopEnv) error {
+// maxLoopTrips caps the trips of one loop; typecheck.MaxLoopWork caps
+// the body runs of a loop nest in one step, the product of the enclosing
+// loops' trip counts.
+const maxLoopTrips = 1024
+
+func (m *Machine) execStmts(ctx context.Context, stmts []ast.Stmt, le loopEnv) error {
 	for _, s := range stmts {
-		if err := m.execStmt(s, le); err != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := m.execStmt(ctx, s, le); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
+func (m *Machine) execStmt(ctx context.Context, s ast.Stmt, le loopEnv) error {
 	switch n := s.(type) {
 	case *ast.Assign:
 		return m.execAssign(n, le)
@@ -415,11 +449,11 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		}
 		saved := m.guard
 		m.guard = m.b.And(saved, cond)
-		if err := m.execStmts(n.Then, le); err != nil {
+		if err := m.execStmts(ctx, n.Then, le); err != nil {
 			return err
 		}
 		m.guard = m.b.And(saved, m.b.Not(cond))
-		if err := m.execStmts(n.Else, le); err != nil {
+		if err := m.execStmts(ctx, n.Else, le); err != nil {
 			return err
 		}
 		m.guard = saved
@@ -433,16 +467,26 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		if err != nil {
 			return err
 		}
-		if hi-lo > 1024 {
-			return &Error{pos(n.KwPos), fmt.Sprintf("loop unrolls %d times (max 1024)", hi-lo)}
+		if hi <= lo {
+			return nil
 		}
+		trips := hi - lo
+		if trips < 0 || trips > maxLoopTrips { // trips < 0: hi - lo overflowed
+			return &Error{pos(n.KwPos), fmt.Sprintf("loop unrolls %d times (max %d)", uint64(hi)-uint64(lo), maxLoopTrips)}
+		}
+		outer := m.loopWork
+		if outer*trips > typecheck.MaxLoopWork {
+			return &Error{pos(n.KwPos), fmt.Sprintf("loop nest unrolls its body %d times in one step (max %d)", outer*trips, typecheck.MaxLoopWork)}
+		}
+		m.loopWork = outer * trips
+		defer func() { m.loopWork = outer }()
 		for i := lo; i < hi; i++ {
 			inner := loopEnv{}
 			for k, v := range le {
 				inner[k] = v
 			}
 			inner[n.Var] = i
-			if err := m.execStmts(n.Body, inner); err != nil {
+			if err := m.execStmts(ctx, n.Body, inner); err != nil {
 				return err
 			}
 		}

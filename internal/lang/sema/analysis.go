@@ -30,13 +30,6 @@ const (
 	maxWidenIters = 4
 )
 
-// maxLoopWork caps, within one step, how many times nested loops may run
-// a body: the product of the enclosing loops' runs (the trip count when
-// unrolled, at most maxFixIters+maxWidenIters+2 when widened). A loop
-// that would pass it is widened instead of unrolled, and a widened loop
-// that would pass it goes straight to its top post-fixpoint.
-const maxLoopWork = 1 << 16
-
 // MaxSteps caps the interval pass's work over the whole horizon: one step
 // per statement executed, loop iteration, expression node evaluated,
 // array or buffer instance addressed and state entry copied or reset. A
@@ -141,8 +134,12 @@ type analyzer struct {
 	curT  ival
 	depth int // enclosing unknown-branch / widened-loop nesting
 
-	// loopWork is the product of the enclosing loops' body runs (see
-	// maxLoopWork); steps counts the pass's work (see MaxSteps).
+	// loopWork is the product of the enclosing loops' body runs: the
+	// trip count when unrolled, at most maxFixIters+maxWidenIters+2 when
+	// widened. A loop that would take it past typecheck.MaxLoopWork is
+	// widened instead of unrolled, and a widened loop that would goes
+	// straight to its top post-fixpoint. steps counts the pass's work
+	// (see MaxSteps).
 	loopWork  int64
 	steps     int64
 	exhausted bool
@@ -565,7 +562,7 @@ func (a *analyzer) execFor(n *ast.For, st *absState) {
 		if hi <= lo {
 			return // zero iterations
 		}
-		if trips := hi - lo; trips <= maxUnrollIters && outer*trips <= maxLoopWork {
+		if trips := hi - lo; trips <= maxUnrollIters && outer*trips <= typecheck.MaxLoopWork {
 			a.loopWork = outer * trips
 			for i := lo; i < hi && a.spend(1); i++ {
 				a.loopVars[n.Var] = single(i)
@@ -599,10 +596,10 @@ func (a *analyzer) execFor(n *ast.For, st *absState) {
 	// widen whatever still grows to top for up to maxWidenIters rounds. A
 	// state growing even then is forced to top and the body runs once
 	// more from there, so every site's findings include a run from a
-	// post-fixpoint. No room for the rounds inside maxLoopWork means
-	// straight to top.
+	// post-fixpoint. No room for the rounds inside typecheck.MaxLoopWork
+	// means straight to top.
 	runs := int64(maxFixIters + maxWidenIters + 2)
-	if outer*runs > maxLoopWork {
+	if outer*runs > typecheck.MaxLoopWork {
 		runs = 1
 	}
 	a.loopWork = outer * runs

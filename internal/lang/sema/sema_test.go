@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"time"
 
 	"buffy/internal/lang/sema"
 	"buffy/internal/lang/typecheck"
@@ -240,9 +239,25 @@ func TestHostileLoopNestBounded(t *testing.T) {
 
 // TestQMModelsVetClean vets every shipped queueing model: the corpus
 // must produce zero error- and warning-severity findings, and each vet
-// query must answer in well under a millisecond (it is an always-on
-// pre-solve gate).
+// query's work, its step count, is pinned (it is an always-on pre-solve
+// gate, so its cost is checked by a counter rather than a stopwatch).
 func TestQMModelsVetClean(t *testing.T) {
+	steps := map[string]int64{
+		"aimd.buffy":           466,
+		"delay.buffy":          8,
+		"drr.buffy":            2927,
+		"fq_buggy.buffy":       1887,
+		"fq_buggy_query.buffy": 2684,
+		"fq_fixed_query.buffy": 2941,
+		"path_server.buffy":    276,
+		"rr.buffy":             1209,
+		"rr_query.buffy":       1849,
+		"shaper.buffy":         180,
+		"sp.buffy":             373,
+		"sp_query.buffy":       841,
+		"sptandem.buffy":       1376,
+		"tbrl.buffy":           304,
+	}
 	models, err := filepath.Glob(filepath.Join("..", "..", "qm", "models", "*.buffy"))
 	if err != nil || len(models) == 0 {
 		t.Fatalf("no qm models found: %v", err)
@@ -253,21 +268,16 @@ func TestQMModelsVetClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Best of three: a single cold run can eat a scheduler blip.
-			best := time.Duration(1 << 62)
-			var res *vet.Result
-			for range 3 {
-				start := time.Now()
-				res = vet.Source(string(src), sema.Options{T: 4})
-				if d := time.Since(start); d < best {
-					best = d
-				}
-			}
+			res := vet.Source(string(src), sema.Options{T: 4})
 			if !res.Report.Clean() {
 				t.Errorf("model is not vet-clean:\n%+v", res.Report.Diags)
 			}
-			if best > time.Millisecond {
-				t.Errorf("vet latency %v, want < 1ms", best)
+			want, ok := steps[filepath.Base(path)]
+			if !ok {
+				t.Fatalf("no pinned step count; the vet run took %d steps", res.Report.Steps)
+			}
+			if got := res.Report.Steps; got != want {
+				t.Errorf("vet took %d steps, want %d", got, want)
 			}
 		})
 	}

@@ -12,6 +12,12 @@ import (
 	"buffy/internal/lang/ast"
 )
 
+// MaxLoopWork caps, within one step, how many times a loop nest may run
+// its body: the product of the enclosing loops' runs. The ir encoder
+// rejects a nest past it; the sema interval pass widens such a nest
+// instead of unrolling it.
+const MaxLoopWork = 1 << 16
+
 // Fold evaluates a compile-time constant: int and bool literals (bools
 // are 0 and 1), identifiers through lookup, unary - and !, and
 // + - * / %. Division and modulo truncate toward zero. Every error is an

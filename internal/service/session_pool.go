@@ -138,6 +138,12 @@ func (p *sessionPool) release(ent *poolEntry) {
 	if ent.refs > 0 {
 		ent.refs--
 	}
+	if ent.sess != nil && ent.sess.Closed() {
+		// The session closed itself (a step stopped part-way); free its
+		// slot so the next request builds a fresh one.
+		p.removeLocked(ent)
+		return
+	}
 	if ent.sess != nil {
 		if _, live := p.entries[ent.key]; live {
 			nb := ent.sess.Footprint()

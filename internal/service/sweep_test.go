@@ -488,6 +488,9 @@ func TestWarmSweepReportsOwnEffort(t *testing.T) {
 	if got := spanSum(tr, "compile", "terms"); got <= 0 {
 		t.Errorf("compile spans sum to %d terms, want > 0", got)
 	}
+	if got := spanSum(tr, "bitblast", "terms"); got <= 0 {
+		t.Errorf("bitblast spans sum to %d terms, want > 0", got)
+	}
 
 	hit, err := e.Submit(sweepReq("witness", 6))
 	if err != nil {

@@ -154,6 +154,9 @@ func (s *Session) footprintLocked() int64 {
 // The horizon guard and the query ride as assumptions, so nothing
 // query-specific sticks to the solver and the next query — any mode, any
 // horizon — reuses everything the search learnt.
+// A cancellation or a compile error part-way through a step closes the
+// session: the step's state is half-built, so every later Solve returns
+// ErrClosed.
 func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -173,6 +176,11 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 		return nil, ErrClosed
 	}
 	if err := s.m.Unroll(ctx, q.T); err != nil {
+		if s.m.Interrupted() {
+			// The machine stopped half-way through a step and can never
+			// deepen again: close, so later queries solve cold.
+			s.Close()
+		}
 		return nil, err
 	}
 	// The solver holds only the machine's assumes, so its assertion count

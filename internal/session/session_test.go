@@ -2,7 +2,9 @@ package session_test
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/interp"
@@ -347,6 +349,32 @@ func TestClosedSessionRefuses(t *testing.T) {
 	sess.Close()
 	if _, err := sess.Solve(context.Background(), session.Query{Mode: smtbe.Verify, T: 1}); err != session.ErrClosed {
 		t.Fatalf("Solve on closed session = %v, want ErrClosed", err)
+	}
+}
+
+// TestCancelledStepClosesSession cancels a Solve while the unrolling is
+// inside a long step. The machine is left half-way through that step, so
+// the session must close itself: the next Solve returns ErrClosed (the
+// caller's cue to solve cold) instead of answering on the half-built
+// state.
+func TestCancelledStepClosesSession(t *testing.T) {
+	info := load(t, `p(buffer a, buffer b) {
+		for (i in 0..256) { for (j in 0..256) { move-p(a, b, 1); move-p(b, a, 1); } }
+	}`)
+	sess, err := session.New(info, session.Options{IR: ir.Options{T: 2}})
+	if err != nil {
+		t.Fatalf("session.New: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := sess.Solve(ctx, session.Query{Mode: smtbe.Witness, T: 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled Solve = %v, want the context's error", err)
+	}
+	if !sess.Closed() {
+		t.Fatal("session still open after a step stopped part-way")
+	}
+	if _, err := sess.Solve(context.Background(), session.Query{Mode: smtbe.Witness, T: 1}); err != session.ErrClosed {
+		t.Fatalf("Solve after the interrupted step = %v, want ErrClosed", err)
 	}
 }
 

@@ -22,6 +22,18 @@
 // that define it plus x∧y→m and ¬x∧¬y→¬m, which are implied but let unit
 // propagation fix m before c is decided.
 //
+// Range-narrowed integers: before an int term is encoded, a memoized
+// pass that makes no variables gives it a signed interval. Constants are
+// exact, Add/Sub/Neg/Mul use interval arithmetic, Ite takes the union of
+// its branches, and a variable gets the full W-bit range. The term is
+// computed on the fewest low bits k that hold its interval, and bits
+// k..W-1 repeat bit k-1, so every bit vector stays W long. Eq/Lt/Le
+// compare at the larger of their operands' widths. This is exact: the
+// low k bits of a wrapping sum or product depend only on the operands'
+// low k bits, and a term whose interval fits in W bits never wraps. A
+// term whose interval leaves the W-bit range gets the full range and
+// width. A popcount of eight bools, in [0, 8], runs its adders on 5 bits.
+//
 // All Buffy analyses are bounded (bounded loops, bounded buffers, bounded
 // time horizon), so this lowering is a complete decision procedure for them:
 // it is the same reduction FPerf relies on Z3's QF_BV/QF_LIA engines for.
@@ -30,6 +42,9 @@ package bitblast
 import (
 	"fmt"
 	"maps"
+	"math"
+	"math/bits"
+	"slices"
 
 	"buffy/internal/smt/cnf"
 	"buffy/internal/smt/sat"
@@ -67,25 +82,56 @@ type Blaster struct {
 	W int
 	s *sat.Solver
 
-	boolCache map[*term.Term]cnf.Lit
-	bitsCache map[*term.Term][]cnf.Lit
+	// index maps a term id to 1 + the position of the term's slot in
+	// slots, or to 0 if it has none; ids are dense per builder and a
+	// Blaster serves one builder. Most of a builder's terms are never
+	// blasted, so the index is 4 bytes a term and slots holds only the
+	// terms seen. lits holds the W bits of every encoded int term.
+	index     []int32
+	slots     []slot
+	lits      []cnf.Lit
+	encoded   int
 	gateCache map[gateKey]cnf.Lit
+
+	// full encodes every int term at full width W: the reference the
+	// narrow path is tested against.
+	full bool
 
 	trueLit  cnf.Lit
 	falseLit cnf.Lit
 }
 
+// A slot records one term: a bool term's literal, or an int term's value
+// interval, its width and where its bits are.
+type slot struct {
+	lo, hi int64 // an int term's value interval, once ranged
+	ref    int32 // a bool term's literal, or the offset of an int term's bits in lits
+	width  uint8 // the fewest low bits whose sign extension holds [lo, hi]
+	state  uint8
+}
+
+const (
+	ranged  uint8 = 1 << iota // lo, hi and width are set
+	encoded                   // ref is set
+)
+
 // New returns a Blaster with the given integer width emitting clauses into s.
-func New(width int, s *sat.Solver) *Blaster {
+func New(width int, s *sat.Solver) *Blaster { return newBlaster(width, s, false) }
+
+// newBlaster returns a Blaster that narrows int terms to their ranges
+// unless full is set.
+func newBlaster(width int, s *sat.Solver, full bool) *Blaster {
 	if width < MinWidth || width > MaxWidth {
 		panic(fmt.Sprintf("bitblast: unsupported width %d", width))
 	}
 	bl := &Blaster{
 		W:         width,
 		s:         s,
-		boolCache: make(map[*term.Term]cnf.Lit, 1024),
-		bitsCache: make(map[*term.Term][]cnf.Lit, 1024),
+		index:     make([]int32, 0, 4096),
+		slots:     make([]slot, 0, 1024),
+		lits:      make([]cnf.Lit, 0, 1024*width),
 		gateCache: make(map[gateKey]cnf.Lit, 4096),
+		full:      full,
 	}
 	vt := s.NewVar()
 	bl.trueLit = cnf.PosLit(vt)
@@ -96,20 +142,35 @@ func New(width int, s *sat.Solver) *Blaster {
 
 // Fork returns a Blaster over ns that reuses this blaster's encoding
 // work: ns must be a CloneProblem of this blaster's solver so variable
-// numbering matches, and the caches are copied so already-encoded terms
+// numbering matches, and the tables are copied so already-encoded terms
 // resolve to the same literals while anything the fork encodes afterwards
 // stays private to it. Forking is read-only on the receiver, so multiple
 // forks may be taken concurrently between encodes.
 func (bl *Blaster) Fork(ns *sat.Solver) *Blaster {
-	return &Blaster{
-		W:         bl.W,
-		s:         ns,
-		boolCache: maps.Clone(bl.boolCache),
-		bitsCache: maps.Clone(bl.bitsCache),
-		gateCache: maps.Clone(bl.gateCache),
-		trueLit:   bl.trueLit,
-		falseLit:  bl.falseLit,
+	f := *bl
+	f.s = ns
+	f.index = slices.Clone(bl.index)
+	f.slots = slices.Clone(bl.slots)
+	f.lits = slices.Clone(bl.lits)
+	f.gateCache = maps.Clone(bl.gateCache)
+	return &f
+}
+
+// NumTerms returns the number of distinct terms encoded so far.
+func (bl *Blaster) NumTerms() int { return bl.encoded }
+
+// slot returns t's slot, adding an empty one if t has none. The pointer
+// is good until the next call that may add a slot.
+func (bl *Blaster) slot(t *term.Term) *slot {
+	id := int(t.ID())
+	if id >= len(bl.index) {
+		bl.index = append(bl.index, make([]int32, id+1-len(bl.index))...)
 	}
+	if bl.index[id] == 0 {
+		bl.slots = append(bl.slots, slot{})
+		bl.index[id] = int32(len(bl.slots))
+	}
+	return &bl.slots[bl.index[id]-1]
 }
 
 // Assert adds clauses forcing t (a boolean term) to hold.
@@ -141,8 +202,8 @@ func (bl *Blaster) Bool(t *term.Term) cnf.Lit {
 	if t.Sort() != term.Bool {
 		panic(fmt.Sprintf("bitblast: Bool on %v-sorted term", t.Sort()))
 	}
-	if l, ok := bl.boolCache[t]; ok {
-		return l
+	if s := bl.slot(t); s.state&encoded != 0 {
+		return cnf.Lit(s.ref)
 	}
 	var l cnf.Lit
 	switch t.Kind() {
@@ -167,22 +228,30 @@ func (bl *Blaster) Bool(t *term.Term) cnf.Lit {
 	case term.KindIff:
 		l = bl.xor2(bl.Bool(t.Arg(0)), bl.Bool(t.Arg(1))).Neg()
 	case term.KindEq:
-		if t.Arg(0).Sort() == term.Bool {
-			l = bl.xor2(bl.Bool(t.Arg(0)), bl.Bool(t.Arg(1))).Neg()
+		x, y := t.Arg(0), t.Arg(1)
+		if x.Sort() == term.Bool {
+			l = bl.xor2(bl.Bool(x), bl.Bool(y)).Neg()
 		} else {
-			l = bl.eqBits(bl.Bits(t.Arg(0)), bl.Bits(t.Arg(1)))
+			k := bl.cmpWidth(x, y)
+			l = bl.eqBits(bl.Bits(x)[:k], bl.Bits(y)[:k])
 		}
 	case term.KindLt:
-		l = bl.signedLt(bl.Bits(t.Arg(0)), bl.Bits(t.Arg(1)))
+		x, y := t.Arg(0), t.Arg(1)
+		k := bl.cmpWidth(x, y)
+		l = bl.signedLt(bl.Bits(x)[:k], bl.Bits(y)[:k])
 	case term.KindLe:
-		l = bl.signedLt(bl.Bits(t.Arg(1)), bl.Bits(t.Arg(0))).Neg()
+		x, y := t.Arg(0), t.Arg(1)
+		k := bl.cmpWidth(x, y)
+		l = bl.signedLt(bl.Bits(y)[:k], bl.Bits(x)[:k]).Neg()
 	case term.KindIte:
 		c := bl.Bool(t.Arg(0))
 		l = bl.mux(c, bl.Bool(t.Arg(1)), bl.Bool(t.Arg(2)))
 	default:
 		panic(fmt.Sprintf("bitblast: unhandled bool kind %v", t.Kind()))
 	}
-	bl.boolCache[t] = l
+	s := bl.slot(t)
+	s.ref, s.state = int32(l), s.state|encoded
+	bl.encoded++
 	return l
 }
 
@@ -194,18 +263,24 @@ func (bl *Blaster) boolArgs(t *term.Term) []cnf.Lit {
 	return lits
 }
 
-// Bits returns the W-bit little-endian encoding of integer term t.
+// Bits returns the W-bit little-endian encoding of integer term t. A term
+// whose range needs only k < W bits is computed on its low k bits, and
+// bits k..W-1 repeat bit k-1.
 func (bl *Blaster) Bits(t *term.Term) []cnf.Lit {
 	if t.Sort() != term.Int {
 		panic(fmt.Sprintf("bitblast: Bits on %v-sorted term", t.Sort()))
 	}
-	if bs, ok := bl.bitsCache[t]; ok {
-		return bs
+	if s := bl.slot(t); s.state&encoded != 0 {
+		return bl.lits[s.ref : int(s.ref)+bl.W : int(s.ref)+bl.W]
 	}
+	// The range pass makes no variables and runs before any argument is
+	// blasted, so narrowing does not change the order terms are blasted
+	// in, which the search is sensitive to.
+	k := bl.width(t)
 	var bs []cnf.Lit
 	switch t.Kind() {
 	case term.KindIntConst:
-		bs = bl.constBits(t.IntVal())
+		bs = bl.constBits(t.IntVal(), bl.W)
 	case term.KindVar:
 		bs = make([]cnf.Lit, bl.W)
 		for i := range bs {
@@ -213,43 +288,51 @@ func (bl *Blaster) Bits(t *term.Term) []cnf.Lit {
 		}
 	case term.KindAdd:
 		args := t.Args()
-		bs = bl.Bits(args[0])
+		bs = bl.Bits(args[0])[:k]
 		for _, a := range args[1:] {
-			bs = bl.adder(bs, bl.Bits(a), bl.falseLit)
+			bs = bl.adder(bs, bl.Bits(a)[:k], bl.falseLit)
 		}
 	case term.KindSub:
-		a, b := bl.Bits(t.Arg(0)), bl.Bits(t.Arg(1))
-		nb := make([]cnf.Lit, bl.W)
-		for i := range nb {
-			nb[i] = b[i].Neg()
-		}
-		bs = bl.adder(a, nb, bl.trueLit)
+		a, b := bl.Bits(t.Arg(0))[:k], bl.Bits(t.Arg(1))[:k]
+		bs = bl.adder(a, negated(b), bl.trueLit)
 	case term.KindNeg:
-		a := bl.Bits(t.Arg(0))
-		na := make([]cnf.Lit, bl.W)
-		for i := range na {
-			na[i] = a[i].Neg()
-		}
-		bs = bl.adder(bl.constBits(0), na, bl.trueLit)
+		a := bl.Bits(t.Arg(0))[:k]
+		bs = bl.adder(bl.constBits(0, k), negated(a), bl.trueLit)
 	case term.KindMul:
-		bs = bl.multiplier(bl.Bits(t.Arg(0)), bl.Bits(t.Arg(1)))
+		bs = bl.multiplier(bl.Bits(t.Arg(0))[:k], bl.Bits(t.Arg(1))[:k])
 	case term.KindIte:
 		c := bl.Bool(t.Arg(0))
 		x, y := bl.Bits(t.Arg(1)), bl.Bits(t.Arg(2))
-		bs = make([]cnf.Lit, bl.W)
+		bs = make([]cnf.Lit, k)
 		for i := range bs {
 			bs[i] = bl.mux(c, x[i], y[i])
 		}
 	default:
 		panic(fmt.Sprintf("bitblast: unhandled int kind %v", t.Kind()))
 	}
-	bl.bitsCache[t] = bs
-	return bs
+	off := len(bl.lits)
+	bl.lits = append(bl.lits, bs...)
+	for len(bl.lits) < off+bl.W {
+		bl.lits = append(bl.lits, bs[len(bs)-1])
+	}
+	s := bl.slot(t)
+	s.ref, s.state = int32(off), s.state|encoded
+	bl.encoded++
+	return bl.lits[off : off+bl.W : off+bl.W]
 }
 
-func (bl *Blaster) constBits(v int64) []cnf.Lit {
-	bs := make([]cnf.Lit, bl.W)
-	for i := 0; i < bl.W; i++ {
+func negated(bs []cnf.Lit) []cnf.Lit {
+	out := make([]cnf.Lit, len(bs))
+	for i, b := range bs {
+		out[i] = b.Neg()
+	}
+	return out
+}
+
+// constBits returns the low n bits of v.
+func (bl *Blaster) constBits(v int64, n int) []cnf.Lit {
+	bs := make([]cnf.Lit, n)
+	for i := range bs {
 		if v&(1<<uint(i)) != 0 {
 			bs[i] = bl.trueLit
 		} else {
@@ -257,6 +340,94 @@ func (bl *Blaster) constBits(v int64) []cnf.Lit {
 		}
 	}
 	return bs
+}
+
+// --- ranges ---
+
+// boundLimit is beyond every W-bit range. Interval bounds are checked
+// against it as they are summed or multiplied, so they never overflow
+// int64: a bound past it means the term leaves the W-bit range.
+const boundLimit = 1 << 62
+
+// cmpWidth returns the width at which x and y compare: the larger of
+// their widths, at which both are sign-extended.
+func (bl *Blaster) cmpWidth(x, y *term.Term) int {
+	return max(bl.width(x), bl.width(y))
+}
+
+// width returns the number of low bits int term t is computed on.
+func (bl *Blaster) width(t *term.Term) int {
+	_, _, k := bl.interval(t)
+	return k
+}
+
+// interval returns the interval of int term t's W-bit value and its
+// width. It is computed from the arguments' intervals and memoized, and
+// makes no variables. A variable, and any term whose interval leaves the
+// W-bit range, gets the full range and width W.
+func (bl *Blaster) interval(t *term.Term) (lo, hi int64, width int) {
+	if s := bl.slot(t); s.state&ranged != 0 {
+		return s.lo, s.hi, int(s.width)
+	}
+	lo, hi, ok := bl.bounds(t)
+	if bl.full || !ok || lo < bl.MinInt() || hi > bl.MaxInt() {
+		lo, hi = bl.MinInt(), bl.MaxInt()
+	}
+	width = max(bits.Len64(uint64(lo^lo>>63)), bits.Len64(uint64(hi^hi>>63))) + 1
+	s := bl.slot(t)
+	s.lo, s.hi, s.width, s.state = lo, hi, uint8(width), s.state|ranged
+	return lo, hi, width
+}
+
+// bounds applies interval arithmetic to t's arguments. ok is false for a
+// variable and when a bound passes boundLimit.
+func (bl *Blaster) bounds(t *term.Term) (lo, hi int64, ok bool) {
+	switch t.Kind() {
+	case term.KindIntConst:
+		v := t.IntVal() << (64 - bl.W) >> (64 - bl.W) // wrapped to W bits
+		return v, v, true
+	case term.KindAdd:
+		for _, a := range t.Args() {
+			alo, ahi, _ := bl.interval(a)
+			lo, hi = lo+alo, hi+ahi
+			if lo < -boundLimit || hi > boundLimit {
+				return 0, 0, false
+			}
+		}
+		return lo, hi, true
+	case term.KindSub:
+		xlo, xhi, _ := bl.interval(t.Arg(0))
+		ylo, yhi, _ := bl.interval(t.Arg(1))
+		return xlo - yhi, xhi - ylo, true
+	case term.KindNeg:
+		xlo, xhi, _ := bl.interval(t.Arg(0))
+		return -xhi, -xlo, true
+	case term.KindMul:
+		xlo, xhi, _ := bl.interval(t.Arg(0))
+		ylo, yhi, _ := bl.interval(t.Arg(1))
+		lo, hi = math.MaxInt64, math.MinInt64
+		for _, x := range [2]int64{xlo, xhi} {
+			for _, y := range [2]int64{ylo, yhi} {
+				if x != 0 && abs(y) > boundLimit/abs(x) {
+					return 0, 0, false
+				}
+				lo, hi = min(lo, x*y), max(hi, x*y)
+			}
+		}
+		return lo, hi, true
+	case term.KindIte:
+		xlo, xhi, _ := bl.interval(t.Arg(1))
+		ylo, yhi, _ := bl.interval(t.Arg(2))
+		return min(xlo, ylo), max(xhi, yhi), true
+	}
+	return 0, 0, false
+}
+
+func abs(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // --- gates ---
@@ -487,27 +658,28 @@ func (bl *Blaster) mux(c, x, y cnf.Lit) cnf.Lit {
 
 // --- arithmetic ---
 
-// adder returns a + b + cin truncated to W bits.
+// adder returns a + b + cin truncated to len(a) bits.
 func (bl *Blaster) adder(a, b []cnf.Lit, cin cnf.Lit) []cnf.Lit {
-	out := make([]cnf.Lit, bl.W)
+	out := make([]cnf.Lit, len(a))
 	c := cin
-	for i := 0; i < bl.W; i++ {
+	for i := range out {
 		axb := bl.xor2(a[i], b[i])
 		out[i] = bl.xor2(axb, c)
-		if i < bl.W-1 { // last carry is discarded
+		if i < len(out)-1 { // last carry is discarded
 			c = bl.maj(a[i], b[i], c)
 		}
 	}
 	return out
 }
 
-// multiplier returns a*b truncated to W bits (shift-add).
+// multiplier returns a*b truncated to len(a) bits (shift-add).
 func (bl *Blaster) multiplier(a, b []cnf.Lit) []cnf.Lit {
-	acc := bl.constBits(0)
-	for i := 0; i < bl.W; i++ {
+	n := len(a)
+	acc := bl.constBits(0, n)
+	for i := 0; i < n; i++ {
 		// partial = b[i] ? (a << i) : 0
-		partial := make([]cnf.Lit, bl.W)
-		for j := 0; j < bl.W; j++ {
+		partial := make([]cnf.Lit, n)
+		for j := 0; j < n; j++ {
 			if j < i {
 				partial[j] = bl.falseLit
 			} else {
@@ -520,8 +692,8 @@ func (bl *Blaster) multiplier(a, b []cnf.Lit) []cnf.Lit {
 }
 
 func (bl *Blaster) eqBits(a, b []cnf.Lit) cnf.Lit {
-	diffs := make([]cnf.Lit, bl.W)
-	for i := 0; i < bl.W; i++ {
+	diffs := make([]cnf.Lit, len(a))
+	for i := range diffs {
 		diffs[i] = bl.xor2(a[i], b[i])
 	}
 	return bl.orN(diffs).Neg()
@@ -531,9 +703,9 @@ func (bl *Blaster) eqBits(a, b []cnf.Lit) cnf.Lit {
 // with the sign bits flipped.
 func (bl *Blaster) signedLt(a, b []cnf.Lit) cnf.Lit {
 	lt := bl.falseLit
-	for i := 0; i < bl.W; i++ {
+	for i := range a {
 		ai, bi := a[i], b[i]
-		if i == bl.W-1 { // flip sign bits
+		if i == len(a)-1 { // flip sign bits
 			ai, bi = ai.Neg(), bi.Neg()
 		}
 		// lt = (¬ai ∧ bi) ∨ ((ai ↔ bi) ∧ lt): bi where the bits differ,

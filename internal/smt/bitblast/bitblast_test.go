@@ -133,10 +133,16 @@ func TestSharedSubtermsEncodedOnce(t *testing.T) {
 	sum := b.Add(x, b.IntConst(1))
 	bl.Assert(b.Le(sum, b.IntConst(10)))
 	n1 := s.NumVarsAllocated()
+	if got := bl.NumTerms(); got != 5 { // x, 1, x+1, 10 and the Le
+		t.Errorf("%d terms encoded, want 5", got)
+	}
 	// Asserting the identical term again must be free (full cache hit).
 	bl.Assert(b.Le(sum, b.IntConst(10)))
 	if n2 := s.NumVarsAllocated(); n2 != n1 {
 		t.Errorf("identical assertion allocated %d new vars", n2-n1)
+	}
+	if got := bl.NumTerms(); got != 5 {
+		t.Errorf("identical assertion encoded %d new terms", got-5)
 	}
 	// A new comparison over the same sum may allocate comparator gates,
 	// but not re-blast the adder (~3 gates/bit): well under 2 vars/bit.

@@ -9,32 +9,48 @@ import (
 	"buffy/internal/smt/term"
 )
 
-// blastDAG builds a random term DAG from fuzzer bytes at width 4..6, pins
-// its free variables to values drawn from seed through solver assumptions,
-// solves, and checks that every term's IntValue or BoolValue equals
-// term.Eval at that width.
+// buildDAG builds a random term DAG from fuzzer bytes at width w and
+// returns its int and bool terms.
 //
 // The DAG starts from three int and two bool variables. Each op is three
 // bytes: the operator, then two operand picks; a third operand, where one
 // is needed, is picked by the second pick byte with its nibbles swapped. A
 // pick indexes the int or bool terms built so far, counted back from the
-// newest.
-func blastDAG(t *testing.T, seed uint64, ops []byte) {
-	rng := rand.New(rand.NewSource(int64(seed)))
-	w := 4 + int(seed%3)
-	b := term.NewBuilder()
-	ints := []*term.Term{b.Var("x0", term.Int), b.Var("x1", term.Int), b.Var("x2", term.Int)}
-	bools := []*term.Term{b.Var("p0", term.Bool), b.Var("p1", term.Bool)}
+// newest. Besides the full-range variables, some int leaves have small
+// ranges (an Ite over small constants, a 0/1 Ite) and some sit at the
+// edges of the w-bit range, so the blaster's narrow path and its
+// fallback to full width both see sums, products and comparisons.
+func buildDAG(b *term.Builder, w int, ops []byte) (ints, bools []*term.Term) {
+	ints = []*term.Term{b.Var("x0", term.Int), b.Var("x1", term.Int), b.Var("x2", term.Int)}
+	bools = []*term.Term{b.Var("p0", term.Bool), b.Var("p1", term.Bool)}
 	pickI := func(k byte) *term.Term { return ints[len(ints)-1-int(k)%len(ints)] }
 	pickB := func(k byte) *term.Term { return bools[len(bools)-1-int(k)%len(bools)] }
+	small := func(k byte) *term.Term { return b.IntConst(int64(int8(k)) >> 5) } // -4..3
+	edge := int64(1)<<(w-1) - 1
+	// add skips a sum of more than 64 operands. Builder.Add flattens
+	// nested sums, so repeatedly adding the newest sum to itself doubles
+	// its operands each time, and a few hundred ops would never finish.
+	add := func(ts ...*term.Term) {
+		n := 0
+		for _, t := range ts {
+			if t.Kind() == term.KindAdd {
+				n += t.NumArgs()
+			} else {
+				n++
+			}
+		}
+		if n <= 64 {
+			ints = append(ints, b.Add(ts...))
+		}
+	}
 	for ; len(ops) >= 3; ops = ops[3:] {
 		op, i, j := ops[0], ops[1], ops[2]
 		k := j>>4 | j<<4
-		switch op % 18 {
+		switch op % 21 {
 		case 0:
-			ints = append(ints, b.Add(pickI(i), pickI(j)))
+			add(pickI(i), pickI(j))
 		case 1:
-			ints = append(ints, b.Add(pickI(i), pickI(j), pickI(k)))
+			add(pickI(i), pickI(j), pickI(k))
 		case 2:
 			ints = append(ints, b.Sub(pickI(i), pickI(j)))
 		case 3:
@@ -43,8 +59,14 @@ func blastDAG(t *testing.T, seed uint64, ops []byte) {
 			ints = append(ints, b.Mul(pickI(i), pickI(j)))
 		case 5:
 			ints = append(ints, b.Ite(pickB(i), pickI(j), pickI(k)))
-		case 6:
-			ints = append(ints, b.IntConst(int64(int8(i))>>(8-w)))
+		case 6: // a constant anywhere in the w-bit range
+			v := int64(int8(i))
+			if w < 8 {
+				v >>= 8 - w
+			} else {
+				v <<= w - 8
+			}
+			ints = append(ints, b.IntConst(v))
 		case 7:
 			bools = append(bools, b.Lt(pickI(i), pickI(j)))
 		case 8:
@@ -67,17 +89,25 @@ func blastDAG(t *testing.T, seed uint64, ops []byte) {
 			bools = append(bools, b.Ite(pickB(i), pickB(j), pickB(k)))
 		case 17:
 			bools = append(bools, b.BoolConst(i&1 == 1))
+		case 18:
+			ints = append(ints, b.Ite(pickB(i), small(j), small(k)))
+		case 19:
+			ints = append(ints, b.Ite(pickB(i), b.IntConst(1), b.IntConst(0)))
+		case 20: // the largest or smallest w-bit values
+			v := edge - int64(i&3)
+			if j&1 == 1 {
+				v = -edge - 1 + int64(i&3)
+			}
+			ints = append(ints, b.IntConst(v))
 		}
 	}
+	return ints, bools
+}
 
-	s := sat.New()
-	bl := New(w, s)
-	for _, x := range ints {
-		bl.Bits(x)
-	}
-	for _, p := range bools {
-		bl.Bool(p)
-	}
+// pinVars draws a value for every variable of b from rng and returns it
+// as an assignment and as the assumption literals that force it in bl.
+func pinVars(b *term.Builder, bl *Blaster, rng *rand.Rand) (term.Assignment, []cnf.Lit) {
+	w := bl.W
 	a := term.Assignment{}
 	var assume []cnf.Lit
 	for _, v := range b.Vars() {
@@ -93,6 +123,28 @@ func blastDAG(t *testing.T, seed uint64, ops []byte) {
 			assume = append(assume, pin(bit, val>>i&1 == 1))
 		}
 	}
+	return a, assume
+}
+
+// blastDAG builds a random term DAG from fuzzer bytes at width 4..6, pins
+// its free variables to values drawn from seed through solver assumptions,
+// solves, and checks that every term's IntValue or BoolValue equals
+// term.Eval at that width.
+func blastDAG(t *testing.T, seed uint64, ops []byte) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	w := 4 + int(seed%3)
+	b := term.NewBuilder()
+	ints, bools := buildDAG(b, w, ops)
+
+	s := sat.New()
+	bl := New(w, s)
+	for _, x := range ints {
+		bl.Bits(x)
+	}
+	for _, p := range bools {
+		bl.Bool(p)
+	}
+	a, assume := pinVars(b, bl, rng)
 	if got := s.Solve(assume...); got != sat.Sat {
 		t.Fatalf("width %d: %v with every input pinned, want sat", w, got)
 	}

@@ -1,6 +1,7 @@
 package bitblast
 
 import (
+	"fmt"
 	"testing"
 
 	"buffy/internal/smt/cnf"
@@ -109,40 +110,82 @@ func TestGateCacheNormalization(t *testing.T) {
 	}
 }
 
-// TestGateCosts pins the CNF cost of one W=12 operation over fresh
-// variables, so a change to a gate's encoding fails here and not only in
-// the trajectory's bitblast counters. An adder bit is two xor2 and a maj
-// (3 vars, 14 clauses; the first carry is an and2 and the last is
-// dropped), a comparator bit is one maj (the first an and2), and an Ite
-// is one mux per bit.
+// TestGateCosts pins the CNF cost of one W=12 operation, so a change to a
+// gate's encoding fails here and not only in the trajectory's bitblast
+// counters. Over fresh variables, which have the full range, an adder bit
+// is two xor2 and a maj (3 vars, 14 clauses; the first carry is an and2
+// and the last is dropped), a comparator bit is one maj (the first an
+// and2), and an Ite is one mux per bit. A popcount of eight bools lies in
+// [0, 8], so its adders run on 5 bits (56 vars, 196 clauses at full
+// width), and a slot index minus that count, compared with a popcount of
+// four, runs and compares on 4 bits (22, 80 at full width). A sum
+// that leaves the 12-bit range falls back to full width and costs what it
+// did before range narrowing.
 func TestGateCosts(t *testing.T) {
 	const w = 12
+	popcount := func(b *term.Builder, ps []*term.Term) *term.Term {
+		bits := make([]*term.Term, len(ps))
+		for i, p := range ps {
+			bits[i] = b.Ite(p, b.IntConst(1), b.IntConst(0))
+		}
+		return b.Add(bits...)
+	}
+	// build returns the terms to blast before measuring, then the term
+	// whose cost is pinned.
 	cases := []struct {
 		name          string
-		build         func(b *term.Builder, x, y, c *term.Term) *term.Term
+		build         func(b *term.Builder, x, y, c *term.Term, ps []*term.Term) (pre []*term.Term, e *term.Term)
 		vars, clauses int
 	}{
-		{"add", func(b *term.Builder, x, y, _ *term.Term) *term.Term { return b.Add(x, y) }, 34, 155},
-		{"lt", func(b *term.Builder, x, y, _ *term.Term) *term.Term { return b.Lt(x, y) }, 12, 69},
-		{"le", func(b *term.Builder, x, y, _ *term.Term) *term.Term { return b.Le(x, y) }, 12, 69},
-		{"ite", func(b *term.Builder, x, y, c *term.Term) *term.Term { return b.Ite(c, x, y) }, 12, 72},
+		{"add", func(b *term.Builder, x, y, _ *term.Term, _ []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, b.Add(x, y)
+		}, 34, 155},
+		{"lt", func(b *term.Builder, x, y, _ *term.Term, _ []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, b.Lt(x, y)
+		}, 12, 69},
+		{"le", func(b *term.Builder, x, y, _ *term.Term, _ []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, b.Le(x, y)
+		}, 12, 69},
+		{"ite", func(b *term.Builder, x, y, c *term.Term, _ []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, b.Ite(c, x, y)
+		}, 12, 72},
+		{"popcount8", func(b *term.Builder, _, _, _ *term.Term, ps []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, popcount(b, ps)
+		}, 47, 166},
+		{"j-count<moved", func(b *term.Builder, _, _, _ *term.Term, ps []*term.Term) ([]*term.Term, *term.Term) {
+			count, moved := popcount(b, ps), popcount(b, ps[:4])
+			return []*term.Term{count, moved}, b.Lt(b.Sub(b.IntConst(3), count), moved)
+		}, 5, 25},
+		{"x+ite(c,5,0)", func(b *term.Builder, x, _, c *term.Term, _ []*term.Term) ([]*term.Term, *term.Term) {
+			return nil, b.Add(x, b.Ite(c, b.IntConst(5), b.IntConst(0)))
+		}, 24, 88},
 	}
 	for _, tc := range cases {
 		s := sat.New()
 		bl := New(w, s)
 		b := term.NewBuilder()
 		x, y, c := b.Var("x", term.Int), b.Var("y", term.Int), b.Var("c", term.Bool)
-		bl.Bits(x)
-		bl.Bits(y)
-		bl.Bool(c)
-		v0, c0 := s.NumVarsAllocated(), s.NumClauses()
-		if e := tc.build(b, x, y, c); e.Sort() == term.Int {
-			bl.Bits(e)
-		} else {
-			bl.Bool(e)
+		ps := make([]*term.Term, 8)
+		for i := range ps {
+			ps[i] = b.Var(fmt.Sprintf("p%d", i), term.Bool)
 		}
+		pre, e := tc.build(b, x, y, c, ps)
+		for _, u := range append([]*term.Term{x, y, c}, append(ps, pre...)...) {
+			blast(bl, u)
+		}
+		v0, c0 := s.NumVarsAllocated(), s.NumClauses()
+		blast(bl, e)
 		if dv, dc := s.NumVarsAllocated()-v0, s.NumClauses()-c0; dv != tc.vars || dc != tc.clauses {
 			t.Errorf("%s: %d vars, %d clauses; want %d, %d", tc.name, dv, dc, tc.vars, tc.clauses)
 		}
+	}
+}
+
+// blast encodes t, an int or a bool term.
+func blast(bl *Blaster, t *term.Term) {
+	if t.Sort() == term.Int {
+		bl.Bits(t)
+	} else {
+		bl.Bool(t)
 	}
 }

@@ -291,3 +291,6 @@ func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
 
 // NumVars returns the number of SAT variables allocated so far.
 func (s *Solver) NumVars() int { return s.sat.NumVarsAllocated() }
+
+// NumBlastedTerms returns the number of distinct terms bit-blasted so far.
+func (s *Solver) NumBlastedTerms() int { return s.bl.NumTerms() }
