@@ -192,11 +192,154 @@ func lazyTable(rows, cols int) []lazy {
 	return t
 }
 
-// move is the shared implementation of MoveP/MoveB: want[i] marks the
-// packets that leave the receiver and are appended, in order, to dst.
-// Each selector below depends on fewer indices than the loops that use
-// it, so it sits in a lazy table instead of being rebuilt per use.
+// moveTerms holds what every move builds the same way, whichever way it
+// then selects slot values: the counts, the valid bits and the slot
+// indices. The pickers read them as the slots are filled.
+type moveTerms struct {
+	want, wantRank []*term.Term // wantRank[i]: # wanted before i
+	movedCount     *term.Term
+	keep, keepRank []*term.Term // keep = valid && !want; keepRank[i]: # kept before i
+	keepCount      *term.Term
+	newValid       []*term.Term // receiver slot j after the move
+	dCount         *term.Term   // dst backlog before the move
+	appIdx         []*term.Term // dst slot j's index into the moved sequence
+}
+
+// byteSlot is the field index a picker reads a slot's byte size at.
+const byteSlot = -1
+
+// value returns receiver slot i's field f, or its bytes at byteSlot.
+func (s *listState) value(i, f int) *term.Term {
+	if f == byteSlot {
+		return s.bytes[i]
+	}
+	return s.fields[i][f]
+}
+
+// A picker returns what slot j holds after a move in field f (or its bytes
+// at byteSlot), as a choice among receiver slot values. It is called slot
+// by slot, after the slot's valid bit is built.
+type picker func(j, f int) *term.Term
+
+// move moves the packets want marks out of the receiver and appends them,
+// in order, to dst. It selects each slot's packet by rank, which works
+// for any mask; filtered moves use it.
 func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
+	return s.transfer(c, dst, want, s.rankPickers)
+}
+
+// movePrefix is move for a mask that is a prefix of the valid slots, as
+// every unfiltered move's is: valid slots are packed, and `rank < n` and
+// `cum <= n` are both monotone along them (a valid packet has bytes >= 1).
+// Then moved slot k is receiver slot k, so the receiver shifts left by
+// movedCount and dst slot j takes receiver slot j - dCount.
+func (s *listState) movePrefix(c *Ctx, dst State, want []*term.Term) error {
+	return s.transfer(c, dst, want, s.shiftPickers)
+}
+
+// rankPickers selects by rank: receiver slot j takes the kept packet of
+// rank j, and dst slot j the moved packet of rank appIdx[j]. Each selector
+// depends on fewer indices than the loops that use it, so it sits in a
+// lazy table instead of being rebuilt per use.
+func (s *listState) rankPickers(c *Ctx, m *moveTerms, nf int) (keepAt, appAt picker) {
+	b := c.B
+	zero := b.IntConst(0)
+	n := len(m.want)
+	keepJ, keepHit := -1, lazy(nil) // keepHit[i]: packet i lands in slot keepJ
+	keepAt = func(j, f int) *term.Term {
+		if j != keepJ {
+			keepJ, keepHit = j, make(lazy, n)
+		}
+		jT := b.IntConst(int64(j))
+		out := zero
+		for i := n - 1; i >= 0; i-- {
+			hit := keepHit.get(i, func() *term.Term { return b.And(m.keep[i], b.Eq(m.keepRank[i], jT)) })
+			out = b.Ite(hit, s.value(i, f), out)
+		}
+		return out
+	}
+	// moved[f][k] is moved slot k's field f, with bytes at f == nf;
+	// movedHit[k][i] says packet i is moved slot k. Neither depends on the
+	// dst slot.
+	moved := lazyTable(nf+1, n)
+	movedHit := lazyTable(n, n)
+	selMoved := func(k, f int) *term.Term {
+		out := zero
+		kT := b.IntConst(int64(k))
+		for i := n - 1; i >= 0; i-- {
+			hit := movedHit[k].get(i, func() *term.Term { return b.And(m.want[i], b.Eq(m.wantRank[i], kT)) })
+			out = b.Ite(hit, s.value(i, f), out)
+		}
+		return out
+	}
+	appJ, appHit := -1, lazy(nil) // appHit[k]: moved slot k lands in slot appJ
+	appAt = func(j, f int) *term.Term {
+		if j != appJ {
+			appJ, appHit = j, make(lazy, n)
+		}
+		row := moved[nf]
+		if f != byteSlot {
+			row = moved[f]
+		}
+		out := zero
+		for k := n - 1; k >= 0; k-- {
+			hit := appHit.get(k, func() *term.Term { return b.Eq(m.appIdx[j], b.IntConst(int64(k))) })
+			out = b.Ite(hit, row.get(k, func() *term.Term { return selMoved(k, f) }), out)
+		}
+		return out
+	}
+	return keepAt, appAt
+}
+
+// shiftPickers selects by shifting, for a prefix mask: receiver slot j
+// takes receiver slot j + movedCount, and dst slot j takes receiver slot
+// j - dCount. Each shift tests its count against each offset once, shared
+// by every slot and field. A kept slot past the new backlog reads 0, as it
+// does under rankPickers; an appended slot is only read where it is new.
+func (s *listState) shiftPickers(c *Ctx, m *moveTerms, _ int) (keepAt, appAt picker) {
+	b := c.B
+	zero := b.IntConst(0)
+	up := shift(b, func() *term.Term { return m.movedCount }, 1, s.cfg.Cap)
+	down := shift(b, func() *term.Term { return m.dCount }, -1, s.cfg.Cap)
+	keepAt = func(j, f int) *term.Term {
+		return b.Ite(m.newValid[j], up(j, func(i int) *term.Term { return s.value(i, f) }), zero)
+	}
+	appAt = func(j, f int) *term.Term {
+		return down(j, func(i int) *term.Term { return s.value(i, f) })
+	}
+	return keepAt, appAt
+}
+
+// shift returns a selector for slot j of source slot j + dir*by, where by
+// (read on first use) is a count and the source has n slots. Only the
+// offsets that land in the source are tested, the last of them untested,
+// so the result is exact wherever j + dir*by lands in [0, n): callers
+// read it only there.
+func shift(b *term.Builder, by func() *term.Term, dir, n int) func(j int, proj func(i int) *term.Term) *term.Term {
+	var eq lazy // eq[v]: by == v
+	return func(j int, proj func(i int) *term.Term) *term.Term {
+		// Offsets v >= 0 with 0 <= j + dir*v < n, from lo to hi.
+		lo, hi := 0, n-1-j
+		if dir < 0 {
+			lo, hi = max(0, j-n+1), j
+		}
+		if hi >= len(eq) {
+			eq = append(eq, make(lazy, hi+1-len(eq))...)
+		}
+		out := proj(j + dir*hi)
+		for v := hi - 1; v >= lo; v-- {
+			hit := eq.get(v, func() *term.Term { return b.Eq(by(), b.IntConst(int64(v))) })
+			out = b.Ite(hit, proj(j+dir*v), out)
+		}
+		return out
+	}
+}
+
+// transfer builds the parts of a move that do not depend on how slot
+// values are selected, and fills the slots through the pickers pick
+// returns: want[i] marks the packets that leave the receiver and are
+// appended, in order, to dst.
+func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, pick func(*Ctx, *moveTerms, int) (picker, picker)) error {
 	d, ok := dst.(*listState)
 	if !ok {
 		return fmt.Errorf("buffer: cannot move between %s and %s states", s.Model().Name(), dst.Model().Name())
@@ -206,106 +349,71 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 	}
 	b := c.B
 	zero := b.IntConst(0)
+	m := &moveTerms{want: want, appIdx: make([]*term.Term, d.cfg.Cap)}
 
 	// Moved packets, compacted in order: moved slot k holds the k-th
 	// wanted packet.
-	movedCount := zero
-	wantRank := make([]*term.Term, len(want)) // # wanted before i
+	m.movedCount = zero
+	m.wantRank = make([]*term.Term, len(want))
 	for i, w := range want {
-		wantRank[i] = movedCount
-		movedCount = b.Add(movedCount, boolToInt(b, w))
+		m.wantRank[i] = m.movedCount
+		m.movedCount = b.Add(m.movedCount, boolToInt(b, w))
 	}
 
 	// Compact the receiver: keep = valid && !want.
-	keep := make([]*term.Term, len(s.valid))
-	keepRank := make([]*term.Term, len(s.valid))
-	keepCount := zero
+	m.keep = make([]*term.Term, len(s.valid))
+	m.keepRank = make([]*term.Term, len(s.valid))
+	m.keepCount = zero
 	for i := range s.valid {
-		keep[i] = b.And(s.valid[i], b.Not(want[i]))
-		keepRank[i] = keepCount
-		keepCount = b.Add(keepCount, boolToInt(b, keep[i]))
+		m.keep[i] = b.And(s.valid[i], b.Not(want[i]))
+		m.keepRank[i] = m.keepCount
+		m.keepCount = b.Add(m.keepCount, boolToInt(b, m.keep[i]))
 	}
-	newValid := make([]*term.Term, s.cfg.Cap)
+	// Fields dst has but the receiver lacks arrive as zero.
+	nf := min(d.cfg.NumFields, s.cfg.NumFields)
+	keepAt, appAt := pick(c, m, nf)
+	m.newValid = make([]*term.Term, s.cfg.Cap)
 	newFields := make([][]*term.Term, s.cfg.Cap)
 	newBytes := make([]*term.Term, s.cfg.Cap)
 	for j := 0; j < s.cfg.Cap; j++ {
-		jT := b.IntConst(int64(j))
-		newValid[j] = b.Lt(jT, keepCount)
-		keepHit := make(lazy, len(keep)) // packet i lands in slot j
-		selKeep := func(proj func(i int) *term.Term) *term.Term {
-			out := zero
-			for i := len(keep) - 1; i >= 0; i-- {
-				hit := keepHit.get(i, func() *term.Term { return b.And(keep[i], b.Eq(keepRank[i], jT)) })
-				out = b.Ite(hit, proj(i), out)
-			}
-			return out
-		}
+		m.newValid[j] = b.Lt(b.IntConst(int64(j)), m.keepCount)
 		fs := make([]*term.Term, s.cfg.NumFields)
 		for f := range fs {
-			fs[f] = selKeep(func(i int) *term.Term { return s.fields[i][f] })
+			fs[f] = keepAt(j, f)
 		}
 		newFields[j] = fs
-		newBytes[j] = selKeep(func(i int) *term.Term { return s.bytes[i] })
+		newBytes[j] = keepAt(j, byteSlot)
 	}
 
 	// Append the moved packets to dst (which may be the same shape but a
-	// different capacity). Drops happen past dst capacity. Fields dst has
-	// but the receiver lacks arrive as zero.
-	dCount := d.count(c)
+	// different capacity). Drops happen past dst capacity.
+	m.dCount = d.count(c)
 	dValid := make([]*term.Term, d.cfg.Cap)
 	dFields := make([][]*term.Term, d.cfg.Cap)
 	dBytes := make([]*term.Term, d.cfg.Cap)
-	nf := min(d.cfg.NumFields, s.cfg.NumFields)
-	// moved[f][k] is moved slot k's field f, with bytes at f == nf;
-	// movedHit[k][i] says packet i is moved slot k. Neither depends on
-	// the dst slot.
-	moved := lazyTable(nf+1, len(want))
-	movedHit := lazyTable(len(want), len(want))
-	selMoved := func(k, f int) *term.Term {
-		out := zero
-		kT := b.IntConst(int64(k))
-		for i := len(want) - 1; i >= 0; i-- {
-			hit := movedHit[k].get(i, func() *term.Term { return b.And(want[i], b.Eq(wantRank[i], kT)) })
-			v := s.bytes[i]
-			if f < nf {
-				v = s.fields[i][f]
-			}
-			out = b.Ite(hit, v, out)
-		}
-		return out
-	}
 	for j := 0; j < d.cfg.Cap; j++ {
 		jT := b.IntConst(int64(j))
-		isOld := b.Lt(jT, dCount)
-		appIdx := b.Sub(jT, dCount) // index into the moved sequence
-		isNew := b.And(b.Not(isOld), b.Lt(appIdx, movedCount))
+		isOld := b.Lt(jT, m.dCount)
+		m.appIdx[j] = b.Sub(jT, m.dCount)
+		isNew := b.And(b.Not(isOld), b.Lt(m.appIdx[j], m.movedCount))
 		dValid[j] = b.Or(d.valid[j], isNew)
-		appHit := make(lazy, len(want)) // moved slot k lands in slot j
-		selApp := func(f int) *term.Term {
-			out := zero
-			for k := len(want) - 1; k >= 0; k-- {
-				hit := appHit.get(k, func() *term.Term { return b.Eq(appIdx, b.IntConst(int64(k))) })
-				out = b.Ite(hit, moved[f].get(k, func() *term.Term { return selMoved(k, f) }), out)
-			}
-			return out
-		}
 		fs := make([]*term.Term, d.cfg.NumFields)
 		for f := range fs {
 			app := zero
 			if f < nf {
-				app = selApp(f)
+				app = appAt(j, f)
 			}
 			fs[f] = b.Ite(isNew, app, d.fields[j][f])
 		}
 		dFields[j] = fs
-		dBytes[j] = b.Ite(isNew, selApp(nf), d.bytes[j])
+		dBytes[j] = b.Ite(isNew, appAt(j, byteSlot), d.bytes[j])
 	}
 	// Packets that did not fit into dst are dropped there.
-	overflow := b.Sub(b.Add(dCount, movedCount), b.IntConst(int64(d.cfg.Cap)))
+	overflow := b.Sub(b.Add(m.dCount, m.movedCount), b.IntConst(int64(d.cfg.Cap)))
 	overflow = b.Max(overflow, zero)
 	d.dropped = b.Add(d.dropped, overflow)
 
-	s.valid, s.fields, s.bytes = newValid, newFields, newBytes
+	s.valid, s.fields, s.bytes = m.newValid, newFields, newBytes
 	d.valid, d.fields, d.bytes = dValid, dFields, dBytes
 	return nil
 }
@@ -315,15 +423,7 @@ func (s *listState) MoveP(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Te
 	if f != nil && (f.Field < 0 || f.Field >= s.cfg.NumFields) {
 		return fmt.Errorf("buffer: field index %d out of range", f.Field)
 	}
-	b := c.B
-	mask := s.matchMask(c, f)
-	want := make([]*term.Term, len(mask))
-	rank := b.IntConst(0)
-	for i, m := range mask {
-		want[i] = b.And(g, m, b.Lt(rank, n))
-		rank = b.Add(rank, boolToInt(b, m))
-	}
-	return s.move(c, dst, want)
+	return s.moveMatched(c, dst, s.wantP(c, n, f, g), f)
 }
 
 // MoveB implements State: move the maximal matching prefix whose cumulative
@@ -332,6 +432,34 @@ func (s *listState) MoveB(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Te
 	if f != nil && (f.Field < 0 || f.Field >= s.cfg.NumFields) {
 		return fmt.Errorf("buffer: field index %d out of range", f.Field)
 	}
+	return s.moveMatched(c, dst, s.wantB(c, n, f, g), f)
+}
+
+// moveMatched moves the packets want marks: by shifts when unfiltered,
+// since then want is a prefix of the valid slots.
+func (s *listState) moveMatched(c *Ctx, dst State, want []*term.Term, f *Filter) error {
+	if f == nil {
+		return s.movePrefix(c, dst, want)
+	}
+	return s.move(c, dst, want)
+}
+
+// wantP marks, under g, the first n packets that match f.
+func (s *listState) wantP(c *Ctx, n *term.Term, f *Filter, g *term.Term) []*term.Term {
+	b := c.B
+	mask := s.matchMask(c, f)
+	want := make([]*term.Term, len(mask))
+	rank := b.IntConst(0)
+	for i, m := range mask {
+		want[i] = b.And(g, m, b.Lt(rank, n))
+		rank = b.Add(rank, boolToInt(b, m))
+	}
+	return want
+}
+
+// wantB marks, under g, the packets that match f while the running byte
+// total of the matching packets stays within n.
+func (s *listState) wantB(c *Ctx, n *term.Term, f *Filter, g *term.Term) []*term.Term {
 	b := c.B
 	mask := s.matchMask(c, f)
 	want := make([]*term.Term, len(mask))
@@ -340,7 +468,7 @@ func (s *listState) MoveB(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Te
 		cum = b.Add(cum, b.Ite(m, s.bytes[i], b.IntConst(0)))
 		want[i] = b.And(g, m, b.Le(cum, n))
 	}
-	return s.move(c, dst, want)
+	return want
 }
 
 // Arrive implements State.
@@ -374,7 +502,7 @@ func (s *listState) Arrive(c *Ctx, p Packet, g *term.Term) {
 func (s *listState) FlushInto(c *Ctx, dst State) error {
 	want := make([]*term.Term, len(s.valid))
 	copy(want, s.valid)
-	return s.move(c, dst, want)
+	return s.movePrefix(c, dst, want)
 }
 
 // Slots implements State.

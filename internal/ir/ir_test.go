@@ -139,6 +139,23 @@ func TestLoopNestBoundExceeded(t *testing.T) {
 	}
 }
 
+// TestSelfDoublingSumCompiles: each n = n + n would double the operand
+// list of a fully flattened sum, so 30 of them would need 2^30 operands.
+// term.Builder.Add bounds the flattening, and the program compiles to a
+// few hundred terms.
+func TestSelfDoublingSumCompiles(t *testing.T) {
+	src := `p(buffer a, buffer b) {
+		local int n;
+		n = backlog-p(a);
+		for (i in 0..30) { n = n + n; }
+		move-p(a, b, n);
+	}`
+	c, _ := compile(t, src, Options{T: 1})
+	if got := c.B.NumTerms(); got > 1000 {
+		t.Errorf("compiled to %d terms, want at most 1000", got)
+	}
+}
+
 // TestLoopTripsOverflow checks that bounds whose difference overflows
 // int64 are rejected rather than unrolled.
 func TestLoopTripsOverflow(t *testing.T) {

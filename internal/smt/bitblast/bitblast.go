@@ -717,6 +717,13 @@ func (bl *Blaster) signedLt(a, b []cnf.Lit) cnf.Lit {
 
 // --- model extraction ---
 
+// Encoded reports whether t has been blasted, so that reading its value
+// adds no variables.
+func (bl *Blaster) Encoded(t *term.Term) bool {
+	id := int(t.ID())
+	return id < len(bl.index) && bl.index[id] != 0 && bl.slots[bl.index[id]-1].state&encoded != 0
+}
+
 // BoolValue reads the model value of boolean term t after a Sat result.
 // Terms never blasted are evaluated structurally where possible.
 func (bl *Blaster) BoolValue(t *term.Term) bool {

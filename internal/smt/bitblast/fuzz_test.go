@@ -27,30 +27,14 @@ func buildDAG(b *term.Builder, w int, ops []byte) (ints, bools []*term.Term) {
 	pickB := func(k byte) *term.Term { return bools[len(bools)-1-int(k)%len(bools)] }
 	small := func(k byte) *term.Term { return b.IntConst(int64(int8(k)) >> 5) } // -4..3
 	edge := int64(1)<<(w-1) - 1
-	// add skips a sum of more than 64 operands. Builder.Add flattens
-	// nested sums, so repeatedly adding the newest sum to itself doubles
-	// its operands each time, and a few hundred ops would never finish.
-	add := func(ts ...*term.Term) {
-		n := 0
-		for _, t := range ts {
-			if t.Kind() == term.KindAdd {
-				n += t.NumArgs()
-			} else {
-				n++
-			}
-		}
-		if n <= 64 {
-			ints = append(ints, b.Add(ts...))
-		}
-	}
 	for ; len(ops) >= 3; ops = ops[3:] {
 		op, i, j := ops[0], ops[1], ops[2]
 		k := j>>4 | j<<4
 		switch op % 21 {
 		case 0:
-			add(pickI(i), pickI(j))
+			ints = append(ints, b.Add(pickI(i), pickI(j)))
 		case 1:
-			add(pickI(i), pickI(j), pickI(k))
+			ints = append(ints, b.Add(pickI(i), pickI(j), pickI(k)))
 		case 2:
 			ints = append(ints, b.Sub(pickI(i), pickI(j)))
 		case 3:

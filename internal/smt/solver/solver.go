@@ -240,13 +240,17 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 
 // snapshotModel reads every builder variable's value out of the SAT
 // assignment. Variables that never reached the SAT solver read as 0/false,
-// which is a legal completion since they are unconstrained.
+// which is a legal completion since they are unconstrained; reading them
+// through the blaster would give each one SAT variables for good.
 func (s *Solver) snapshotModel() {
 	m := make(term.Assignment, 64)
 	for _, v := range s.b.Vars() {
-		if v.Sort() == term.Bool {
+		switch {
+		case !s.bl.Encoded(v):
+			m[v] = term.Value{Sort: v.Sort()} // 0 or false
+		case v.Sort() == term.Bool:
 			m[v] = term.BoolValue(s.bl.BoolValue(v))
-		} else {
+		default:
 			m[v] = term.IntValue(s.bl.IntValue(v))
 		}
 	}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -170,6 +171,41 @@ func TestModelSatisfiesAssertions(t *testing.T) {
 	for _, a := range s.Assertions() {
 		if v := term.Eval(a, m, s.Width()); !v.Bool {
 			t.Errorf("assertion %s not satisfied by model", a)
+		}
+	}
+}
+
+// TestModelSkipsUnencodedVars: reading the model gives a variable that
+// never reached the SAT solver the value 0/false and no SAT variables, so
+// a warm solver does not carry them into its next search.
+func TestModelSkipsUnencodedVars(t *testing.T) {
+	s := newSolver()
+	b := s.Builder()
+	x := b.Var("x", term.Int)
+	for i := 0; i < 100; i++ {
+		b.Var(fmt.Sprintf("unused%d", i), term.Int)
+	}
+	p := b.Var("p", term.Bool)
+	s.Assert(b.Lt(b.IntConst(2), x))
+	vars := s.NumVars()
+	for round := 0; round < 2; round++ {
+		if got := s.Check(); got != Sat {
+			t.Fatalf("round %d: got %v, want sat", round, got)
+		}
+		if got := s.NumVars(); got != vars {
+			t.Fatalf("round %d: %d SAT vars after Check, %d before", round, got, vars)
+		}
+		m := s.Model()
+		for _, a := range s.Assertions() {
+			if !term.Eval(a, m, s.Width()).Bool {
+				t.Errorf("round %d: assertion %s not satisfied by model", round, a)
+			}
+		}
+		if v, ok := m[b.Var("unused7", term.Int)]; !ok || v.Int != 0 {
+			t.Errorf("round %d: unused var reads %v (present %v), want 0", round, v.Int, ok)
+		}
+		if s.BoolValue(p) {
+			t.Errorf("round %d: unused bool reads true", round)
 		}
 	}
 }

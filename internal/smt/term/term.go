@@ -538,7 +538,13 @@ func (b *Builder) Gt(x, y *Term) *Term { return b.Lt(y, x) }
 // Ge returns x >= y, normalized to Le.
 func (b *Builder) Ge(x, y *Term) *Term { return b.Le(y, x) }
 
-// Add returns the sum of ts. Add() is 0.
+// MaxAddArgs bounds the operands Add gives a sum by inlining nested sums.
+// Unbounded inlining lets n = n + n double the operand list at every step;
+// past the bound a nested sum stays one operand.
+const MaxAddArgs = 256
+
+// Add returns the sum of ts, inlining the operands of nested sums while
+// the result stays within MaxAddArgs. Add() is 0.
 func (b *Builder) Add(ts ...*Term) *Term {
 	var cst int64
 	var buf [8]*Term
@@ -551,7 +557,7 @@ func (b *Builder) Add(ts ...*Term) *Term {
 		switch {
 		case t.kind == KindIntConst:
 			cst += t.ival
-		case t.kind == KindAdd:
+		case t.kind == KindAdd && len(flat)+len(t.args) < MaxAddArgs:
 			for _, a := range t.args {
 				if a.kind == KindIntConst {
 					cst += a.ival

@@ -202,6 +202,32 @@ func TestComparisonFolding(t *testing.T) {
 	}
 }
 
+// TestAddFlatteningBounded: n = n + n doubles a fully inlined operand
+// list, so 40 doublings would need 2^40 operands. With the bound each
+// doubling builds one term of at most MaxAddArgs operands, and the sum
+// still evaluates to 3 * 2^40.
+func TestAddFlatteningBounded(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", Int)
+	n := b.Add(x, b.IntConst(0))
+	before := b.NumTerms()
+	const doublings = 40
+	for i := 0; i < doublings; i++ {
+		n = b.Add(n, n)
+	}
+	if got := b.NumTerms() - before; got != doublings {
+		t.Errorf("%d doublings built %d terms, want %d", doublings, got, doublings)
+	}
+	for _, tm := range b.terms {
+		if tm.kind == KindAdd && len(tm.args) > MaxAddArgs {
+			t.Fatalf("a sum has %d operands, over MaxAddArgs = %d", len(tm.args), MaxAddArgs)
+		}
+	}
+	if got := Eval(n, Assignment{x: IntValue(3)}, 0); got.Int != 3<<doublings {
+		t.Errorf("n = %d, want %d", got.Int, int64(3)<<doublings)
+	}
+}
+
 func TestEval(t *testing.T) {
 	b := NewBuilder()
 	x := b.Var("x", Int)
