@@ -57,15 +57,15 @@ func TestMovePrefixMatchesMove(t *testing.T) {
 					t.Fatal(err)
 				}
 				diff := append(stateDiffs(c, "src.", rs, ps), stateDiffs(c, "dst.", rd, pd)...)
-				any := make([]*term.Term, len(diff))
+				differs := make([]*term.Term, len(diff))
 				for i, d := range diff {
-					any[i] = d.t
+					differs[i] = d.t
 				}
 				// Some state moves a packet, so the UNSAT below is not vacuous.
 				if sv.CheckAssuming(b.Lt(rs.BacklogP(c), src.BacklogP(c))) != solver.Sat {
 					t.Fatal("no symbolic state moves a packet")
 				}
-				if sv.CheckAssuming(b.Or(any...)) != solver.Unsat {
+				if sv.CheckAssuming(b.Or(differs...)) != solver.Unsat {
 					for _, d := range diff {
 						if sv.BoolValue(d.t) {
 							t.Errorf("%s differs", d.name)
