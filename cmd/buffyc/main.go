@@ -207,17 +207,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if !res.Found {
-			if res.Inconclusive {
-				fmt.Printf("%s: synthesis inconclusive — solver budget exhausted (%d checks)\n",
-					prog.Name(), res.Checks)
-			} else {
-				fmt.Printf("%s: no workload guarantees the query\n", prog.Name())
-			}
-			return
+		switch {
+		case res.Found:
+			fmt.Printf("%s: workload synthesized in %.3fs (%d checks):\n  %v\n",
+				prog.Name(), res.Duration.Seconds(), res.Checks, res.Workload)
+		case res.Inconclusive:
+			fmt.Printf("%s: synthesis inconclusive — solver budget exhausted (%d checks)\n",
+				prog.Name(), res.Checks)
+		default:
+			fmt.Printf("%s: no workload guarantees the query\n", prog.Name())
 		}
-		fmt.Printf("%s: workload synthesized in %.3fs (%d checks):\n  %v\n",
-			prog.Name(), res.Duration.Seconds(), res.Checks, res.Workload)
 	case "bound":
 		a.CrossCheck = *crossCheck
 		res, err := prog.BoundContext(ctx, a)
@@ -314,12 +313,7 @@ func printExplain(progress *sat.Progress, winner string) {
 	if rep == nil || rep.Totals.Solves == 0 {
 		return
 	}
-	rep.Winner = winner
-	for i := range rep.Configs {
-		if rep.Configs[i].Name != "" && rep.Configs[i].Name == winner {
-			rep.Configs[i].Winner = true
-		}
-	}
+	rep.SetWinner(winner)
 	fmt.Print(rep.Render())
 }
 

@@ -130,11 +130,8 @@ func SynthesizeContext(ctx context.Context, info *typecheck.Info, opts Options) 
 	if len(c.Asserts) == 0 {
 		return nil, fmt.Errorf("fperf: program %s has no assert() query", info.Prog.Name)
 	}
-	for _, a := range c.Assumes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sv.Assert(a)
+	if err := sv.AssertAll(ctx, c.Assumes); err != nil {
+		return nil, err
 	}
 	b := sv.Builder()
 	holds := b.And(c.AssertHolds(), c.AssertReached())

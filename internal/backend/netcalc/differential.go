@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"buffy/internal/buffer"
@@ -92,12 +93,6 @@ func CrossCheck(ctx context.Context, info *typecheck.Info, r *Result, opts Cross
 	if err != nil {
 		return report, err
 	}
-	for _, a := range c.Assumes {
-		if err := ctx.Err(); err != nil {
-			return report, err
-		}
-		sv.Assert(a)
-	}
 	bufCtx := &buffer.Ctx{B: c.B, Assume: func(*term.Term) {}, Prefix: "netcalc"}
 
 	// pathBacklog(t): the victim's in-system packets at the end of step t.
@@ -169,7 +164,9 @@ func CrossCheck(ctx context.Context, info *typecheck.Info, r *Result, opts Cross
 			viols = append(viols, b.Lt(deps[t+int(d)], arrived))
 		}
 	}
-	sv.Assert(b.Or(viols...))
+	if err := sv.AssertAll(cctx, append(slices.Clip(c.Assumes), b.Or(viols...))); err != nil {
+		return report, err
+	}
 
 	outcome := sv.CheckContextNoModel(cctx)
 	report.Duration = time.Since(start)

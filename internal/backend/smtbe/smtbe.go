@@ -219,8 +219,7 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 	if err != nil {
 		return nil, err
 	}
-	bl := Blaster{S: s}
-	if err := bl.Assert(ectx, slices.Concat(c.Assumes, query)); err != nil {
+	if err := s.AssertAll(ectx, slices.Concat(c.Assumes, query)); err != nil {
 		return nil, err
 	}
 	return &Encoded{Mode: opts.Mode, C: c, S: s}, nil
@@ -248,39 +247,6 @@ func QueryTerms(c *ir.Compiled, mode Mode, k int) ([]*term.Term, error) {
 		return []*term.Term{c.AssertHoldsUpTo(k), c.AssertReachedUpTo(k)}, nil
 	}
 	return []*term.Term{c.ViolationUpTo(k)}, nil
-}
-
-// Blaster bit-blasts constraints into one solver, each batch under a
-// "bitblast" span. The span's clauses, vars and terms counters are the
-// solver's growth since the previous span. The reading starts at zero, so
-// the first span counts what solver.New allocated (the constant-true var)
-// and a solver's spans sum to its size when the last one ended.
-type Blaster struct {
-	S                    *solver.Solver
-	clauses, vars, terms int
-}
-
-// Assert asserts terms in order, checking ctx between them so blasting
-// large constraints stays cancellable. An empty batch opens no span.
-func (bl *Blaster) Assert(ctx context.Context, terms []*term.Term) error {
-	if len(terms) == 0 {
-		return nil
-	}
-	_, span := telemetry.StartSpan(ctx, "bitblast")
-	defer span.End()
-	for _, t := range terms {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bl.S.Assert(t)
-	}
-	clauses, vars, blasted := bl.S.NumClauses(), bl.S.NumVars(), bl.S.NumBlastedTerms()
-	span.SetAttrs(
-		telemetry.Count("clauses", int64(clauses-bl.clauses)),
-		telemetry.Count("vars", int64(vars-bl.vars)),
-		telemetry.Count("terms", int64(blasted-bl.terms)))
-	bl.clauses, bl.vars, bl.terms = clauses, vars, blasted
-	return nil
 }
 
 // Answer checks s under the assumptions and reads the outcome as a Result

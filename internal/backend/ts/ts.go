@@ -16,6 +16,7 @@
 package ts
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -103,7 +104,7 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 		var bad []*term.Term
 		bad = append(bad, b.Not(conj(m, ctx, b))) // initial state
 		for i := 0; i < opts.K; i++ {
-			if err := m.RunStep(i); err != nil {
+			if err := m.Unroll(context.Background(), i+1); err != nil {
 				return nil, err
 			}
 			bad = append(bad, b.Not(conj(m, ctx, b)))
@@ -135,7 +136,7 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 		var pre []*term.Term
 		pre = append(pre, conj(m, ctx, b))
 		for i := 0; i < opts.K; i++ {
-			if err := m.RunStep(i); err != nil {
+			if err := m.Unroll(context.Background(), i+1); err != nil {
 				return nil, err
 			}
 			if i < opts.K-1 {
@@ -178,7 +179,7 @@ func CheckBounded(info *typecheck.Info, opts Options, prop Prop) (bool, error) {
 		T = 1
 	}
 	for i := 0; i < T; i++ {
-		if err := m.RunStep(i); err != nil {
+		if err := m.Unroll(context.Background(), i+1); err != nil {
 			return false, err
 		}
 		bad = append(bad, b.Not(prop(m, ctx)))

@@ -13,6 +13,7 @@
 package compose
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -146,7 +147,7 @@ func (s *System) Run(T int) error {
 				}
 			}
 			m.InjectArrivalsInto(t, external)
-			if err := m.RunStepWith(t); err != nil {
+			if err := m.Unroll(context.Background(), t+1); err != nil {
 				return fmt.Errorf("compose: %s step %d: %w", name, t, err)
 			}
 		}

@@ -35,29 +35,11 @@ func (s *System) ExtractTrace(sv *solver.Solver) *SystemTrace {
 	ctx := &buffer.Ctx{B: s.b, Assume: func(*term.Term) {}, Prefix: "systrace"}
 	for _, name := range s.order {
 		m := s.machines[name]
-		res := m.Result()
-		for _, a := range res.Arrivals {
-			if !sv.BoolValue(a.Valid) {
-				continue
-			}
-			ev := smtbe.PacketEvent{Step: a.Step, Buffer: a.Buffer, Bytes: sv.IntValue(a.Bytes)}
-			for _, f := range a.Fields {
-				ev.Fields = append(ev.Fields, sv.IntValue(f))
-			}
-			tr.Packets[name] = append(tr.Packets[name], ev)
-		}
-		for _, h := range res.Havocs {
-			ev := smtbe.HavocEvent{Step: h.Step, Name: h.Name}
-			if h.Var.Sort() == term.Bool {
-				ev.Bool = true
-				if sv.BoolValue(h.Var) {
-					ev.Value = 1
-				}
-			} else {
-				ev.Value = sv.IntValue(h.Var)
-			}
-			tr.Havocs[name] = append(tr.Havocs[name], ev)
-		}
+		steps := smtbe.ExtractTrace(m.Result(), sv)
+		tr.Packets[name] = steps.Packets
+		tr.Havocs[name] = steps.Havocs
+		// The final observables come after the last step's flush, so they
+		// are read from the live machine, not from its last snapshot.
 		bl := make(map[string]int64)
 		dr := make(map[string]int64)
 		for bn, st := range m.Buffers() {

@@ -114,8 +114,9 @@ type Analysis struct {
 	Progress *sat.Progress
 	// K is the induction depth for ProveForAllHorizons (default 1).
 	K int
-	// CrossCheck makes Bound differentially validate its analytical bounds
-	// against the SMT backend at horizon T (ErrDisagreement on violation).
+	// CrossCheck makes BoundContext differentially validate its analytical
+	// bounds against the SMT backend at horizon T (ErrDisagreement on
+	// violation).
 	CrossCheck bool
 }
 
@@ -215,18 +216,13 @@ func (p *Program) portfolioCheck(ctx context.Context, a Analysis, mode smtbe.Mod
 	})
 }
 
-// Bound runs the network-calculus back-end: analytical worst-case delay
-// and backlog bounds for the program's victim flow, answered in
+// BoundContext runs the network-calculus back-end: analytical worst-case
+// delay and backlog bounds for the program's victim flow, answered in
 // microseconds (min-plus algebra, no solver search, no horizon). With
 // a.CrossCheck set it additionally proves at horizon a.T that the bounds
 // dominate every execution the SMT backend can reach — a SAT witness
-// beyond the bound is the hard error netcalc.ErrDisagreement.
-func (p *Program) Bound(a Analysis) (*netcalc.Result, error) {
-	return p.BoundContext(context.Background(), a)
-}
-
-// BoundContext is Bound with cooperative cancellation (only the optional
-// differential cross-check solve can block; the bound itself is instant).
+// beyond the bound is the hard error netcalc.ErrDisagreement. Cancelling
+// ctx aborts that cross-check solve, the only part that can block.
 func (p *Program) BoundContext(ctx context.Context, a Analysis) (*netcalc.Result, error) {
 	if err := p.vetGate(ctx, a); err != nil {
 		return nil, err

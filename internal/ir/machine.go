@@ -266,17 +266,14 @@ func (m *Machine) ListNames() []string { return sortedNames(m.lists) }
 // can never run another.
 var ErrStepInterrupted = errors.New("ir: machine stopped part-way through a step")
 
-// RunStep executes one time step: symbolic arrivals flush into the input
-// buffers, then the program body runs once. After a step fails, the
-// machine is left half-way through it and every later step fails too.
-func (m *Machine) RunStep(t int) error { return m.runStep(context.Background(), t) }
-
 // Interrupted reports whether a step stopped part-way, leaving the
 // machine unable to run further steps.
 func (m *Machine) Interrupted() bool { return m.broken != nil }
 
-// runStep is RunStep, stopping at the next statement once ctx is
-// cancelled.
+// runStep executes time step t: symbolic arrivals flush into the input
+// buffers, then the program body runs once, stopping at the next
+// statement once ctx is cancelled. After a step fails, the machine is
+// left half-way through it and every later step fails too.
 func (m *Machine) runStep(ctx context.Context, t int) error {
 	if m.broken != nil {
 		return m.broken
@@ -286,7 +283,7 @@ func (m *Machine) runStep(ctx context.Context, t int) error {
 	m.curT = m.b.IntConst(int64(t))
 	m.guard = m.b.True()
 	if !m.opts.NoArrivals {
-		m.injectArrivals(t)
+		m.InjectArrivalsInto(t, m.inputNames)
 	}
 	// Reset locals to their zero values at the start of every step (§3:
 	// local scope is a single time step).
@@ -317,21 +314,6 @@ func (m *Machine) runStep(ctx context.Context, t int) error {
 	}
 	m.snapshot()
 	return nil
-}
-
-// RunStepWith executes one step with arrivals injected by the caller before
-// the call (composition runtime).
-func (m *Machine) RunStepWith(t int) error {
-	save := m.opts.NoArrivals
-	m.opts.NoArrivals = true
-	err := m.RunStep(t)
-	m.opts.NoArrivals = save
-	return err
-}
-
-// injectArrivals creates the symbolic input packets for step t.
-func (m *Machine) injectArrivals(t int) {
-	m.InjectArrivalsInto(t, m.inputNames)
 }
 
 // InjectArrivalsInto creates symbolic input packets for step t on the given

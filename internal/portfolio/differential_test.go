@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestDifferentialAllConfigsAgree(t *testing.T) {
 			t.Parallel()
 			info := qm.MustLoad(entry.src)
 			for _, cfg := range builtinConfigs() {
-				res, err := Check(info, Options{
+				res, err := CheckContext(context.Background(), info, Options{
 					Configs: []Config{cfg},
 					Base: smtbe.Options{
 						IR:   ir.Options{T: entry.t, Params: entry.params},
@@ -85,7 +86,7 @@ func TestPortfolioMatchesSingleConfigOnCorpus(t *testing.T) {
 		t.Run(entry.name, func(t *testing.T) {
 			t.Parallel()
 			info := qm.MustLoad(entry.src)
-			res, err := Check(info, Options{
+			res, err := CheckContext(context.Background(), info, Options{
 				N: 4,
 				Base: smtbe.Options{
 					IR:   ir.Options{T: entry.t, Params: entry.params},

@@ -101,11 +101,6 @@ func conclusive(res *smtbe.Result, err error) bool {
 	return err == nil && res != nil && res.Status != smtbe.Unknown
 }
 
-// Check is CheckContext without cancellation.
-func Check(info *typecheck.Info, opts Options) (*Result, error) {
-	return CheckContext(context.Background(), info, opts)
-}
-
 // CheckContext races the portfolio's configurations on the query and
 // returns the first conclusive answer. Losing searches are cancelled
 // cooperatively and observed to completion (their stats are collected)

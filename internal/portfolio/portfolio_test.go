@@ -55,7 +55,7 @@ func TestFirstWinsCancelsLosers(t *testing.T) {
 		},
 	})
 
-	res, err := Check(nil, Options{Configs: []Config{
+	res, err := CheckContext(context.Background(), nil, Options{Configs: []Config{
 		{Name: "fast", Search: sat.Options{RestartBase: 1}},
 		{Name: "slow", Search: sat.Options{RestartBase: 2}},
 	}})
@@ -102,7 +102,7 @@ func TestDisagreementFlagged(t *testing.T) {
 		close(second)
 	}()
 
-	res, err := Check(nil, Options{Configs: []Config{
+	res, err := CheckContext(context.Background(), nil, Options{Configs: []Config{
 		{Name: "a", Search: sat.Options{RestartBase: 1}},
 		{Name: "b", Search: sat.Options{RestartBase: 2}},
 	}})
@@ -123,7 +123,7 @@ func TestPanickingConfigFailsGracefully(t *testing.T) {
 			return &smtbe.Result{Status: smtbe.NoWitness}, nil
 		},
 	})
-	res, err := Check(nil, Options{Configs: []Config{
+	res, err := CheckContext(context.Background(), nil, Options{Configs: []Config{
 		{Name: "bad", Search: sat.Options{RestartBase: 1}},
 		{Name: "good", Search: sat.Options{RestartBase: 2}},
 	}})
@@ -142,7 +142,7 @@ func TestPanickingConfigFailsGracefully(t *testing.T) {
 // portfolio reports Unknown without error, like a single solver would.
 func TestAllUnknownReturnsUnknown(t *testing.T) {
 	info := qm.MustLoad(qm.FQBuggyQuerySrc)
-	res, err := Check(info, Options{
+	res, err := CheckContext(context.Background(), info, Options{
 		Configs: DefaultConfigs(2),
 		Base: smtbe.Options{
 			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},
@@ -192,7 +192,7 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 			RandSeed: seed, RandFreq: 1.0, VarDecay: 0.999, RestartBase: 2_000_000,
 		}}
 	}
-	res, err := Check(info, Options{
+	res, err := CheckContext(context.Background(), info, Options{
 		Configs: []Config{
 			{Name: "classic"},
 			crippled("rand-a", 101),

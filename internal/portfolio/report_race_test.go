@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 		}
 	}()
 
-	res, err := Check(info, Options{
+	res, err := CheckContext(context.Background(), info, Options{
 		N: 4,
 		Base: smtbe.Options{
 			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},

@@ -683,12 +683,7 @@ func (e *Engine) finish(job *Job, o jobOutcome, elapsed time.Duration) {
 			// too). Static-tier and netcalc answers never ran a solver, so
 			// they carry no report. The winner is known only here, where
 			// the portfolio outcome is.
-			rep.Winner = res.PortfolioWinner
-			for i := range rep.Configs {
-				if rep.Configs[i].Name != "" && rep.Configs[i].Name == rep.Winner {
-					rep.Configs[i].Winner = true
-				}
-			}
+			rep.SetWinner(res.PortfolioWinner)
 			res.Search = rep
 		}
 		if res.conclusive() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"buffy/internal/qm"
 	"buffy/internal/telemetry"
 )
 
@@ -174,6 +175,36 @@ func TestMetricsLabelSets(t *testing.T) {
 	}
 	if m.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %v, want > 0", m.UptimeSeconds)
+	}
+}
+
+// TestBackendJobsReportCNF: a workload synthesis and a cross-checked
+// bound each blast their own solver, and report that CNF on bitblast
+// spans the way a verify does, so /metrics' layer work counts it too.
+func TestBackendJobsReportCNF(t *testing.T) {
+	synth := &Request{Kind: KindSynthesize, Source: qm.RRQuerySrc, T: 4, Params: map[string]int64{"N": 2}}
+	bound := &Request{
+		Kind: KindBound, Source: qm.TBRLSrc, T: 6, Model: "count",
+		Params:          map[string]int64{"RATE": 1, "BURST": 3, "C": 2},
+		ArrivalsPerStep: 2, BufferCap: 16, CrossCheck: true,
+	}
+	for _, req := range []*Request{synth, bound} {
+		t.Run(string(req.Kind), func(t *testing.T) {
+			e := New(Config{Workers: 1, CacheEntries: -1})
+			defer shutdown(t, e)
+			job, err := e.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, job, 2*time.Minute)
+			clauses := spanSum(job.Trace(), "bitblast", "clauses")
+			if n := spanCount(job.Trace(), "bitblast"); n == 0 || clauses <= 0 {
+				t.Fatalf("%d bitblast spans with %d clauses, want at least one with clauses > 0", n, clauses)
+			}
+			if got := e.Metrics().LayerWork["bitblast.clauses"]; got != clauses {
+				t.Errorf("layer work bitblast.clauses = %d, bitblast spans sum to %d", got, clauses)
+			}
+		})
 	}
 }
 

@@ -16,11 +16,11 @@
 //   - the unrolling deepens lazily, so a sweep from 1..maxT pays each
 //     step's compilation exactly once.
 //
-// A warm query runs the cold path's code: ir's step runner deepens the
-// unrolling, smtbe's Blaster asserts the new constraints, and smtbe's
-// QueryTerms and Answer pose the query and read its outcome, so a
-// deepening query reports the same compile, bitblast and search spans
-// as a cold solve.
+// A warm query runs the cold path's code: ir's Unroll deepens the
+// unrolling, the solver's AssertAll asserts the new constraints, and
+// smtbe's QueryTerms and Answer pose the query and read its outcome, so a
+// deepening query reports the same compile, bitblast and search spans as
+// a cold solve.
 //
 // Programs that use T in a compile-time constant position (loop bounds,
 // array sizes — the encoding's shape depends on T there) cannot share one
@@ -86,11 +86,10 @@ type Query struct {
 // use; queries serialize on an internal lock (the solver is
 // single-threaded), so concurrent holders simply queue.
 type Session struct {
-	mu    sync.Mutex
-	sv    *solver.Solver
-	m     *ir.Machine
-	opts  Options
-	blast smtbe.Blaster
+	mu   sync.Mutex
+	sv   *solver.Solver
+	m    *ir.Machine
+	opts Options
 
 	closed  atomic.Bool
 	queries atomic.Int64
@@ -113,7 +112,7 @@ func New(info *typecheck.Info, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{sv: sv, m: m, opts: opts, blast: smtbe.Blaster{S: sv}}, nil
+	return &Session{sv: sv, m: m, opts: opts}, nil
 }
 
 // MaxT returns the session's capacity horizon.
@@ -185,7 +184,7 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	}
 	// The solver holds only the machine's assumes, so its assertion count
 	// is how many of them are asserted already.
-	if err := s.blast.Assert(ctx, s.m.Assumes()[len(s.sv.Assertions()):]); err != nil {
+	if err := s.sv.AssertAll(ctx, s.m.Assumes()[len(s.sv.Assertions()):]); err != nil {
 		return nil, err
 	}
 	c := s.m.Result()

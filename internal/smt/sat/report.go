@@ -84,8 +84,17 @@ type SearchReport struct {
 	Configs       []ConfigEffort   `json:"configs,omitempty"`
 	// Winner names the portfolio configuration that produced the answer;
 	// empty for single-config solves. Set by the caller that knows the
-	// race outcome (service / buffyc), not by Progress.
+	// race outcome (service / buffyc) through SetWinner, not by Progress.
 	Winner string `json:"winner,omitempty"`
+}
+
+// SetWinner records the portfolio configuration that produced the answer
+// ("" outside a race) on the report and on that configuration's entry.
+func (r *SearchReport) SetWinner(name string) {
+	r.Winner = name
+	for i := range r.Configs {
+		r.Configs[i].Winner = name != "" && r.Configs[i].Name == name
+	}
 }
 
 // depthBucket maps a decision depth to its histogram bucket index.
@@ -288,7 +297,7 @@ func (r *SearchReport) Render() string {
 		fmt.Fprintf(&b, "%-16s %8s %10s %12s %8s %7s\n", "config", "solves", "conflicts", "propagations", "restarts", "learnt")
 		for _, c := range r.Configs {
 			marker := " "
-			if c.Winner || (r.Winner != "" && c.Name == r.Winner) {
+			if c.Winner {
 				marker = "*"
 			}
 			fmt.Fprintf(&b, "%-15s%s %8d %10d %12d %8d %7d\n",

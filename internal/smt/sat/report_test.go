@@ -141,6 +141,46 @@ func TestRecorderConfigAttribution(t *testing.T) {
 	}
 }
 
+// TestReportSetWinner: SetWinner stamps the report and the winning
+// config's entry, and Render marks exactly the stamped entries.
+func TestReportSetWinner(t *testing.T) {
+	rec := &Progress{}
+	rec.event("solve_start", "geom", 0, 0)
+	rec.event("solve_start", "luby", 0, 0)
+	rec.observe("geom", Stats{Conflicts: 100}, 0, 3, nil)
+	rec.observe("luby", Stats{Conflicts: 40}, 0, 5, nil)
+	rep := rec.Report()
+	rep.SetWinner("luby")
+	if rep.Winner != "luby" {
+		t.Errorf("Winner = %q, want luby", rep.Winner)
+	}
+	for _, c := range rep.Configs {
+		if c.Winner != (c.Name == "luby") {
+			t.Errorf("config %s: Winner = %v", c.Name, c.Winner)
+		}
+	}
+	out := rep.Render()
+	marked := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && (f[0] == "geom" || f[0] == "luby") {
+			marked[f[0]] = f[1] == "*"
+		}
+	}
+	if !marked["luby"] || marked["geom"] || !strings.Contains(out, "winner: luby") {
+		t.Errorf("render does not mark exactly luby as the winner:\n%s", out)
+	}
+
+	// Outside a race there is no winner, not even the unnamed config.
+	single := &Progress{}
+	single.event("solve_start", "", 0, 0)
+	single.observe("", Stats{Conflicts: 7}, 0, 1, nil)
+	rep = single.Report()
+	rep.SetWinner("")
+	if rep.Winner != "" || len(rep.Configs) != 1 || rep.Configs[0].Winner {
+		t.Errorf("SetWinner(\"\") stamped %+v", rep)
+	}
+}
+
 // TestReportJSONRoundTrip: the report rides the durable result store,
 // so a decode of its encode must be lossless.
 func TestReportJSONRoundTrip(t *testing.T) {
@@ -150,7 +190,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	rec.observe("cfg", d, 0.25, 7, nil)
 	rec.event("restart", "cfg", 64, 128)
 	rep := rec.Report()
-	rep.Winner = "cfg"
+	rep.SetWinner("cfg")
 
 	data, err := json.Marshal(rep)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"buffy/internal/smt/term"
+	"buffy/internal/telemetry"
 )
 
 // hardInstance asserts a term-level pigeonhole principle PHP(10,9):
@@ -84,5 +85,48 @@ func TestCheckAssumingContextBackground(t *testing.T) {
 	}
 	if got := s.CheckAssumingContext(context.Background(), b.Le(x, b.IntConst(4))); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
+	}
+}
+
+// TestAssertAllSpans: each non-empty batch opens one bitblast span whose
+// counters are the solver's growth since the previous span, so the spans
+// sum to the solver's size; a cancelled batch stops before its next term.
+func TestAssertAllSpans(t *testing.T) {
+	tr := telemetry.NewTrace("assertall")
+	ctx := telemetry.WithTrace(context.Background(), tr)
+	s := New(Options{})
+	b := s.Builder()
+	x, y := b.Var("x", term.Int), b.Var("y", term.Int)
+	if err := s.AssertAll(ctx, []*term.Term{b.Lt(x, y)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AssertAll(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AssertAll(ctx, []*term.Term{b.Lt(y, b.IntConst(5)), b.Lt(b.IntConst(0), x)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Snapshot().Spans); n != 2 {
+		t.Errorf("%d spans for two non-empty batches, want 2", n)
+	}
+	work := tr.Work()
+	if got, want := work["bitblast.clauses"], int64(s.NumClauses()); got != want {
+		t.Errorf("spans sum to %d clauses, solver has %d", got, want)
+	}
+	if got, want := work["bitblast.vars"], int64(s.NumVars()); got != want {
+		t.Errorf("spans sum to %d vars, solver has %d", got, want)
+	}
+	if got, want := work["bitblast.terms"], int64(s.NumBlastedTerms()); got != want {
+		t.Errorf("spans sum to %d terms, solver blasted %d", got, want)
+	}
+
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := len(s.Assertions())
+	if err := s.AssertAll(cctx, []*term.Term{b.Lt(x, b.IntConst(3))}); err != context.Canceled {
+		t.Errorf("cancelled batch: err %v, want context.Canceled", err)
+	}
+	if len(s.Assertions()) != before {
+		t.Error("cancelled batch asserted a term")
 	}
 }

@@ -78,6 +78,9 @@ type Solver struct {
 	asserted []*term.Term
 	unsat    bool // top-level inconsistency detected during blasting
 
+	// blasted is the solver's size when the last bitblast span ended.
+	blasted struct{ clauses, vars, terms int }
+
 	// effort is the last check's work: the Stats since the previous check
 	// ended on searched, so the checks on one solver sum to its lifetime.
 	effort, searched sat.Stats
@@ -141,6 +144,34 @@ func (s *Solver) Assert(t *term.Term) {
 		return
 	}
 	s.bl.Assert(t)
+}
+
+// AssertAll asserts terms in order under one "bitblast" span, checking ctx
+// before each so blasting large constraints stays cancellable. The span's
+// clauses, vars and terms counters are the solver's growth since the
+// previous span ended. The reading starts at zero, so the first span
+// counts what New allocated (the constant-true var), and a solver's spans
+// sum to its size when the last one ended. Assumptions a check blasts are
+// counted by the next span. An empty batch opens no span.
+func (s *Solver) AssertAll(ctx context.Context, terms []*term.Term) error {
+	if len(terms) == 0 {
+		return nil
+	}
+	_, span := telemetry.StartSpan(ctx, "bitblast")
+	defer span.End()
+	for _, t := range terms {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.Assert(t)
+	}
+	clauses, vars, blasted := s.NumClauses(), s.NumVars(), s.NumBlastedTerms()
+	span.SetAttrs(
+		telemetry.Count("clauses", int64(clauses-s.blasted.clauses)),
+		telemetry.Count("vars", int64(vars-s.blasted.vars)),
+		telemetry.Count("terms", int64(blasted-s.blasted.terms)))
+	s.blasted.clauses, s.blasted.vars, s.blasted.terms = clauses, vars, blasted
+	return nil
 }
 
 // Assertions returns the asserted terms in order.

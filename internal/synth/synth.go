@@ -9,6 +9,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -181,7 +182,7 @@ func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*Houdini
 	for i, c := range cands {
 		pre[i] = c.Prop(m, ctx)
 	}
-	if err := m.RunStep(0); err != nil {
+	if err := m.Unroll(context.Background(), 1); err != nil {
 		return nil, err
 	}
 	post := make([]*term.Term, len(cands))
