@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,7 +76,7 @@ func main() {
 	cap := flag.Int("cap", 0, "buffer capacity (default 8)")
 	planOut := flag.String("trace-out", "", "save the discovered trace as a replayable arrival plan (JSON)")
 	stats := flag.Bool("stats", false, "print solver effort statistics (conflicts, decisions, propagations)")
-	showTrace := flag.Bool("trace", false, "record a span trace of the analysis pipeline and print the tree (parse, compile, bitblast, search)")
+	showTrace := flag.Bool("trace", false, "record a span trace of the analysis pipeline and print the tree (parse, compile, bitblast, search) and its work counters")
 	traceJSON := flag.Bool("trace-json", false, "record a span trace and print it as OTLP-shaped JSON (the exporter's wire format) instead of the tree")
 	explain := flag.Bool("explain", false, "record solver search introspection and render the report: effort timelines, restart/simplify marks, depth/LBD histograms, per-config breakdown")
 	nPortfolio := flag.Int("portfolio", 0, "race N diversified solver configs, first conclusive answer wins (verify/witness; 0 = single solver)")
@@ -282,8 +283,8 @@ func main() {
 	printTrace(tr, *traceJSON)
 }
 
-// printTrace renders the recorded span tree after the analysis output (a
-// no-op without -trace/-trace-json). With asJSON it prints the exporter's
+// printTrace renders the recorded span tree and the work counters folded
+// from it after the analysis output (a no-op without -trace/-trace-json). With asJSON it prints the exporter's
 // OTLP wire format instead, so `buffyc -trace-json | jq` shows exactly
 // what buffy-serve -otlp-endpoint would push to a collector.
 func printTrace(tr *telemetry.Trace, asJSON bool) {
@@ -303,6 +304,20 @@ func printTrace(tr *telemetry.Trace, asJSON bool) {
 		return
 	}
 	fmt.Print(snap.Render())
+	// The layer work counters, summed over the spans as the trajectory
+	// probes and /metrics sum them.
+	work := tr.Work()
+	keys := make([]string, 0, len(work))
+	for k := range work {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if len(keys) > 0 {
+		fmt.Println("work:")
+	}
+	for _, k := range keys {
+		fmt.Printf("  %-26s %d\n", k, work[k])
+	}
 }
 
 // printExplain renders the -explain search report after the analysis

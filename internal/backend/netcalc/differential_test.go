@@ -5,10 +5,10 @@ import (
 	"errors"
 	"math/big"
 	"testing"
-	"time"
 
 	"buffy/internal/backend/netcalc"
 	"buffy/internal/qm"
+	"buffy/internal/telemetry"
 )
 
 // TestCorpusDomination is the headline differential: on every bounded
@@ -85,28 +85,25 @@ func TestDisagreementIsHardError(t *testing.T) {
 	}
 }
 
-// TestBoundLatency asserts the acceptance criterion: every corpus model
-// answers its bound query via netcalc in under a millisecond.
-func TestBoundLatency(t *testing.T) {
+// TestBoundWork pins the curve operations each corpus model's bound query
+// runs, the netcalc span's curve_ops counter: a deterministic stand-in
+// for its latency, which is microseconds on any machine.
+func TestBoundWork(t *testing.T) {
+	want := map[string]int64{"tbrl": 3, "sptandem": 24, "shaper": 3, "delay": 3, "sp": 12, "rr": 8, "drr": 8}
 	for _, e := range netcalc.Corpus() {
 		info, err := qm.Load(e.Src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm once (first-call allocations), then measure.
-		if _, err := netcalc.Analyze(context.Background(), info, e.NetOptions()); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		r, err := netcalc.Analyze(context.Background(), info, e.NetOptions())
-		elapsed := time.Since(start)
+		tr := telemetry.NewTrace("bound")
+		r, err := netcalc.Analyze(telemetry.WithTrace(context.Background(), tr), info, e.NetOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if elapsed >= time.Millisecond {
-			t.Errorf("%s: bound query took %v, want < 1ms", e.Name, elapsed)
+		if got := tr.Work()["netcalc.curve_ops"]; got != want[e.Name] {
+			t.Errorf("%s: %d curve operations, want %d", e.Name, got, want[e.Name])
 		}
-		t.Logf("%s: %v (bounded=%v)", e.Name, elapsed, r.Bounded)
+		t.Logf("%s: bounded=%v in %v", e.Name, r.Bounded, r.Duration)
 	}
 }
 

@@ -92,7 +92,8 @@ func Analyze(ctx context.Context, info *typecheck.Info, opts Options) (*Result, 
 	r.Duration = time.Since(start)
 	sp.SetAttrs(
 		telemetry.String("program", r.Program),
-		telemetry.Bool("bounded", r.Bounded))
+		telemetry.Bool("bounded", r.Bounded),
+		telemetry.Count("curve_ops", net.Ops()))
 	return r, nil
 }
 

@@ -47,7 +47,15 @@ type Flow struct {
 type Network struct {
 	Servers []*Server
 	Flows   []*Flow
+
+	// ops counts the curve operations (sums, differences, convolutions,
+	// deviations, output curves) the last Analyze ran: its work, which
+	// depends on the network alone.
+	ops int64
 }
+
+// Ops returns the curve operations the last Analyze ran.
+func (n *Network) Ops() int64 { return n.ops }
 
 func (n *Network) server(name string) *Server {
 	for _, s := range n.Servers {
@@ -91,6 +99,7 @@ func (fb FlowBounds) String() string {
 // server in a path, cyclic topology); an unbounded flow is not an error —
 // it is reported as !Bounded.
 func (n *Network) Analyze() ([]FlowBounds, error) {
+	n.ops = 0
 	order, err := n.topoOrder()
 	if err != nil {
 		return nil, err
@@ -232,6 +241,7 @@ func (n *Network) tfaPropagate(order []*Server) (map[hopKey]Curve, map[hopKey]ho
 				agg = Add(agg, c.alpha)
 			}
 			aggDelay, aggBounded = HDev(agg, s.Beta)
+			n.ops += int64(len(here))
 		}
 		for _, c := range here {
 			hb := hopBounds{}
@@ -249,6 +259,7 @@ func (n *Network) tfaPropagate(order []*Server) (map[hopKey]Curve, map[hopKey]ho
 				if ok {
 					d, okD := HDev(c.alpha, resid)
 					q, okQ := VDev(c.alpha, resid)
+					n.ops += 2
 					if okD && okQ {
 						hb = hopBounds{bounded: true, delay: d, backlog: q}
 					}
@@ -259,6 +270,7 @@ func (n *Network) tfaPropagate(order []*Server) (map[hopKey]Curve, map[hopKey]ho
 			i := hopIndex[c.f.Name][s.Name]
 			if hb.bounded && i+1 < len(c.f.Path) {
 				alphas[hopKey{c.f.Name, c.f.Path[i+1]}] = c.alpha.DelayedOutput(hb.delay)
+				n.ops++
 			}
 		}
 	}
@@ -311,11 +323,13 @@ func (n *Network) residual(s *Server, f *Flow, alphas map[hopKey]Curve) (Curve, 
 		} else {
 			c := Add(*cross, a)
 			cross = &c
+			n.ops++
 		}
 	}
 	if cross == nil {
 		return s.Beta, true
 	}
+	n.ops += 2
 	return MaxZero(Sub(s.Beta, *cross)), true
 }
 
@@ -363,10 +377,12 @@ func (n *Network) sfaBounds(f *Flow, alphas map[hopKey]Curve) MethodBounds {
 		} else {
 			c := ConvolveConvex(*e2e, resid)
 			e2e = &c
+			n.ops++
 		}
 	}
 	d, okD := HDev(f.Alpha, *e2e)
 	q, okQ := VDev(f.Alpha, *e2e)
+	n.ops += 2
 	if !okD || !okQ {
 		return MethodBounds{}
 	}

@@ -257,10 +257,12 @@ func QueryTerms(c *ir.Compiled, mode Mode, k int) ([]*term.Term, error) {
 // counts from start, so callers fold their encode time into it. An
 // Unknown caused by ctx comes back with ctx's error.
 func Answer(ctx context.Context, s *solver.Solver, mode Mode, c *ir.Compiled, mu *sync.Mutex, start time.Time, assumptions ...*term.Term) (*Result, error) {
-	// The size is read before the check: a warm check blasts its
-	// assumptions as it starts, and the next bitblast span counts them.
-	res := &Result{Mode: mode, Compiled: c, Solver: s, NumClauses: s.NumClauses(), NumVars: s.NumVars()}
+	res := &Result{Mode: mode, Compiled: c, Solver: s}
 	outcome := s.CheckContextNoModel(ctx, assumptions...)
+	// The size is read after the check: a warm check blasts its
+	// assumptions as it starts, on a bitblast span of its own, and the
+	// search adds no problem clauses.
+	res.NumClauses, res.NumVars = s.NumClauses(), s.NumVars()
 	res.SatStats = s.Effort()
 	switch {
 	case outcome == solver.Unknown:

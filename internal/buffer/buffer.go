@@ -60,7 +60,38 @@ type Config struct {
 	NumClasses int
 	// MaxBytes bounds a single packet's byte size (list model arrivals).
 	MaxBytes int
+	// Live is the slot state a list buffer tracks; nil tracks all of it.
+	Live *Live
 }
+
+// Live is the slot state a program can read: the packet fields some filter
+// names, and the byte sizes when some byte view or move-b reads them. A
+// list buffer keeps every other field, and untracked sizes, at 0 in every
+// slot and builds no terms for them. The other models ignore it.
+type Live struct {
+	Fields []bool // Fields[f]: field f is tracked
+	Bytes  bool
+}
+
+// Union returns the slot state l or o tracks; nil tracks everything.
+func (l *Live) Union(o *Live) *Live {
+	if l == nil || o == nil {
+		return nil
+	}
+	u := &Live{Fields: make([]bool, max(len(l.Fields), len(o.Fields))), Bytes: l.Bytes || o.Bytes}
+	for f := range u.Fields {
+		u.Fields[f] = f < len(l.Fields) && l.Fields[f] || f < len(o.Fields) && o.Fields[f]
+	}
+	return u
+}
+
+// tracksField reports whether a list buffer of this shape tracks field f.
+func (cfg Config) tracksField(f int) bool {
+	return cfg.Live == nil || f < len(cfg.Live.Fields) && cfg.Live.Fields[f]
+}
+
+// tracksBytes reports whether a list buffer of this shape tracks sizes.
+func (cfg Config) tracksBytes() bool { return cfg.Live == nil || cfg.Live.Bytes }
 
 // Packet is a symbolic packet: per-field values and a byte size.
 type Packet struct {

@@ -231,6 +231,45 @@ func TestCountModelRejectsFilters(t *testing.T) {
 	}
 }
 
+// A list buffer keeps untracked fields and sizes at 0 through arrivals
+// and moves, and refuses to read them rather than read 0.
+func TestUntrackedSlotState(t *testing.T) {
+	s := solver.New(solver.Options{})
+	c := testCtx(s)
+	b := s.Builder()
+	cfg := Config{Cap: 4, NumFields: 2, Live: &Live{Fields: []bool{false, true}}}
+	src, dst := ListModel{}.Empty(c, cfg), ListModel{}.Empty(c, cfg)
+	src.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(3), b.IntConst(1)}, Bytes: b.IntConst(2)}, b.True())
+	if err := src.MoveP(c, dst, b.IntConst(1), nil, b.True()); err != nil {
+		t.Fatal(err)
+	}
+	if v := constVal(t, dst.BacklogP(c)); v != 1 {
+		t.Fatalf("moved backlog-p = %d, want 1", v)
+	}
+	got, err := dst.FilterBacklogP(c, Filter{Field: 1, Value: b.IntConst(1)})
+	if err != nil || constVal(t, got) != 1 {
+		t.Fatalf("tracked field filter = %v, %v; want 1", got, err)
+	}
+	for _, sl := range dst.Slots() {
+		if sl.Name == "slot0.f0" || sl.Name == "slot0.bytes" {
+			t.Errorf("Slots lists untracked %s", sl.Name)
+		}
+	}
+	if _, err := dst.FilterBacklogP(c, Filter{Field: 0, Value: b.IntConst(3)}); err == nil {
+		t.Error("filter on an untracked field: want an error")
+	}
+	if _, err := dst.FilterBacklogB(c, Filter{Field: 1, Value: b.IntConst(1)}); err == nil {
+		t.Error("byte view without sizes: want an error")
+	}
+	if err := dst.MoveB(c, src, b.IntConst(2), nil, b.True()); err == nil {
+		t.Error("move-b without sizes: want an error")
+	}
+	u := cfg.Live.Union(&Live{Fields: []bool{true}, Bytes: true})
+	if !u.Bytes || !u.Fields[0] || !u.Fields[1] || cfg.Live.Union(nil) != nil {
+		t.Errorf("Union = %+v; a union with nil must track everything", u)
+	}
+}
+
 func TestMoveBytes(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)

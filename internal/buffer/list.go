@@ -8,7 +8,8 @@ import (
 
 // ListModel models a buffer as a bounded, ordered list of packets — the
 // FPerf precision level. Packet identity, order, per-packet fields and
-// per-packet byte sizes are all tracked exactly.
+// per-packet byte sizes are all tracked exactly, or, for the fields and
+// sizes Config.Live leaves out, held at 0.
 type ListModel struct{}
 
 // Name implements Model.
@@ -16,12 +17,14 @@ func (ListModel) Name() string { return "list" }
 
 // listState stores packets in packed slots: all valid slots precede all
 // invalid ones, and packets leave from the front (slot 0) in FIFO order.
+// A field or the bytes the config does not track are 0 in every slot.
 type listState struct {
 	cfg     Config
 	valid   []*term.Term   // bool per slot
 	fields  [][]*term.Term // [slot][field] int
 	bytes   []*term.Term   // int per slot
 	dropped *term.Term
+	cnt     *term.Term // the packet count; nil until built or after valid changes
 }
 
 // Empty implements Model.
@@ -44,10 +47,11 @@ func (ListModel) Empty(c *Ctx, cfg Config) State {
 // Symbolic implements Model: fresh per-slot variables under the packed
 // invariant (valid slots form a prefix), unit-or-larger byte sizes on
 // valid slots, field values within the class bound, and a non-negative
-// drop counter.
+// drop counter. Untracked fields and sizes stay 0, with no variable.
 func (ListModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
 	cfg = cfg.Normalize()
 	b := c.B
+	zero := b.IntConst(0)
 	s := &listState{cfg: cfg}
 	for i := 0; i < cfg.Cap; i++ {
 		v := b.Var(fmt.Sprintf("%s.slot%d.valid", prefix, i), term.Bool)
@@ -57,16 +61,23 @@ func (ListModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
 		}
 		fs := make([]*term.Term, cfg.NumFields)
 		for f := range fs {
+			fs[f] = zero
+			if !cfg.tracksField(f) {
+				continue
+			}
 			fv := b.Var(fmt.Sprintf("%s.slot%d.f%d", prefix, i, f), term.Int)
 			c.Assume(b.Le(b.IntConst(0), fv))
 			c.Assume(b.Lt(fv, b.IntConst(int64(cfg.NumClasses))))
 			fs[f] = fv
 		}
 		s.fields = append(s.fields, fs)
-		by := b.Var(fmt.Sprintf("%s.slot%d.bytes", prefix, i), term.Int)
-		c.Assume(b.Implies(v, b.Le(b.IntConst(1), by)))
-		c.Assume(b.Implies(b.Not(v), b.Eq(by, b.IntConst(0))))
-		c.Assume(b.Le(by, b.IntConst(int64(cfg.MaxBytes))))
+		by := zero
+		if cfg.tracksBytes() {
+			by = b.Var(fmt.Sprintf("%s.slot%d.bytes", prefix, i), term.Int)
+			c.Assume(b.Implies(v, b.Le(b.IntConst(1), by)))
+			c.Assume(b.Implies(b.Not(v), b.Eq(by, b.IntConst(0))))
+			c.Assume(b.Le(by, b.IntConst(int64(cfg.MaxBytes))))
+		}
 		s.bytes = append(s.bytes, by)
 	}
 	d := b.Var(prefix+".dropped", term.Int)
@@ -86,10 +97,17 @@ func (ListModel) Ite(c *Ctx, cond *term.Term, then, els State) State {
 		out.valid = append(out.valid, c.B.Ite(cond, a.valid[i], b2.valid[i]))
 		fs := make([]*term.Term, a.cfg.NumFields)
 		for f := range fs {
-			fs[f] = c.B.Ite(cond, a.fields[i][f], b2.fields[i][f])
+			fs[f] = a.fields[i][f]
+			if a.cfg.tracksField(f) {
+				fs[f] = c.B.Ite(cond, a.fields[i][f], b2.fields[i][f])
+			}
 		}
 		out.fields = append(out.fields, fs)
-		out.bytes = append(out.bytes, c.B.Ite(cond, a.bytes[i], b2.bytes[i]))
+		by := a.bytes[i]
+		if a.cfg.tracksBytes() {
+			by = c.B.Ite(cond, a.bytes[i], b2.bytes[i])
+		}
+		out.bytes = append(out.bytes, by)
 	}
 	return out
 }
@@ -98,7 +116,7 @@ func (s *listState) Model() Model   { return ListModel{} }
 func (s *listState) Config() Config { return s.cfg }
 
 func (s *listState) Clone() State {
-	out := &listState{cfg: s.cfg, dropped: s.dropped}
+	out := &listState{cfg: s.cfg, dropped: s.dropped, cnt: s.cnt}
 	out.valid = append([]*term.Term(nil), s.valid...)
 	out.bytes = append([]*term.Term(nil), s.bytes...)
 	for _, fs := range s.fields {
@@ -113,19 +131,63 @@ func boolToInt(b *term.Builder, t *term.Term) *term.Term {
 	return b.Ite(t, b.IntConst(1), b.IntConst(0))
 }
 
-func (s *listState) count(c *Ctx) *term.Term {
-	terms := make([]*term.Term, len(s.valid))
-	for i, v := range s.valid {
-		terms[i] = boolToInt(c.B, v)
+// countUp returns the number of the bits bit(0), ..., bit(n-1) that are
+// set, building them in order, and, when ranked, the prefix counts:
+// ranks[i] counts the set bits before i.
+func countUp(b *term.Builder, n int, bit func(i int) *term.Term, ranked bool) (ranks []*term.Term, total *term.Term) {
+	if !ranked {
+		ints := make([]*term.Term, n)
+		for i := range ints {
+			ints[i] = boolToInt(b, bit(i))
+		}
+		return nil, b.Add(ints...)
 	}
-	return c.B.Add(terms...)
+	ranks = make([]*term.Term, n)
+	total = b.IntConst(0)
+	for i := range ranks {
+		ranks[i] = total
+		total = b.Add(total, boolToInt(b, bit(i)))
+	}
+	return ranks, total
+}
+
+// count returns the packet count, built once per set of valid bits: every
+// write to s.valid resets s.cnt.
+func (s *listState) count(c *Ctx) *term.Term {
+	if s.cnt == nil {
+		_, s.cnt = countUp(c.B, len(s.valid), func(i int) *term.Term { return s.valid[i] }, false)
+	}
+	return s.cnt
+}
+
+// checkField rejects a filter on a field the state does not hold or track.
+func (s *listState) checkField(f int) error {
+	if f < 0 || f >= s.cfg.NumFields {
+		return fmt.Errorf("buffer: field index %d out of range", f)
+	}
+	if !s.cfg.tracksField(f) {
+		return fmt.Errorf("buffer: field %d is not tracked by this buffer", f)
+	}
+	return nil
+}
+
+// checkBytes rejects a byte view of a state that does not track sizes.
+func (s *listState) checkBytes() error {
+	if !s.cfg.tracksBytes() {
+		return fmt.Errorf("buffer: packet sizes are not tracked by this buffer")
+	}
+	return nil
 }
 
 // BacklogP implements State.
 func (s *listState) BacklogP(c *Ctx) *term.Term { return s.count(c) }
 
-// BacklogB implements State.
+// BacklogB implements State. It panics on a state that does not track
+// sizes: ir tracks them in every program with a byte view.
 func (s *listState) BacklogB(c *Ctx) *term.Term {
+	if err := s.checkBytes(); err != nil {
+		panic(err)
+	}
 	terms := make([]*term.Term, len(s.valid))
 	for i, v := range s.valid {
 		terms[i] = c.B.Ite(v, s.bytes[i], c.B.IntConst(0))
@@ -147,8 +209,8 @@ func (s *listState) matchMask(c *Ctx, f *Filter) []*term.Term {
 
 // FilterBacklogP implements State.
 func (s *listState) FilterBacklogP(c *Ctx, f Filter) (*term.Term, error) {
-	if f.Field < 0 || f.Field >= s.cfg.NumFields {
-		return nil, fmt.Errorf("buffer: field index %d out of range", f.Field)
+	if err := s.checkField(f.Field); err != nil {
+		return nil, err
 	}
 	mask := s.matchMask(c, &f)
 	terms := make([]*term.Term, len(mask))
@@ -160,8 +222,11 @@ func (s *listState) FilterBacklogP(c *Ctx, f Filter) (*term.Term, error) {
 
 // FilterBacklogB implements State.
 func (s *listState) FilterBacklogB(c *Ctx, f Filter) (*term.Term, error) {
-	if f.Field < 0 || f.Field >= s.cfg.NumFields {
-		return nil, fmt.Errorf("buffer: field index %d out of range", f.Field)
+	if err := s.checkField(f.Field); err != nil {
+		return nil, err
+	}
+	if err := s.checkBytes(); err != nil {
+		return nil, err
 	}
 	mask := s.matchMask(c, &f)
 	terms := make([]*term.Term, len(mask))
@@ -196,9 +261,9 @@ func lazyTable(rows, cols int) []lazy {
 // then selects slot values: the counts, the valid bits and the slot
 // indices. The pickers read them as the slots are filled.
 type moveTerms struct {
-	want, wantRank []*term.Term // wantRank[i]: # wanted before i
+	want, wantRank []*term.Term // wantRank[i]: # wanted before i (rank moves only)
 	movedCount     *term.Term
-	keep, keepRank []*term.Term // keep = valid && !want; keepRank[i]: # kept before i
+	keep, keepRank []*term.Term // keep = valid && !want; keepRank[i]: # kept before i (rank moves only)
 	keepCount      *term.Term
 	newValid       []*term.Term // receiver slot j after the move
 	dCount         *term.Term   // dst backlog before the move
@@ -225,7 +290,7 @@ type picker func(j, f int) *term.Term
 // in order, to dst. It selects each slot's packet by rank, which works
 // for any mask; filtered moves use it.
 func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
-	return s.transfer(c, dst, want, s.rankPickers)
+	return s.transfer(c, dst, want, true)
 }
 
 // movePrefix is move for a mask that is a prefix of the valid slots, as
@@ -234,7 +299,7 @@ func (s *listState) move(c *Ctx, dst State, want []*term.Term) error {
 // Then moved slot k is receiver slot k, so the receiver shifts left by
 // movedCount and dst slot j takes receiver slot j - dCount.
 func (s *listState) movePrefix(c *Ctx, dst State, want []*term.Term) error {
-	return s.transfer(c, dst, want, s.shiftPickers)
+	return s.transfer(c, dst, want, false)
 }
 
 // rankPickers selects by rank: receiver slot j takes the kept packet of
@@ -296,7 +361,7 @@ func (s *listState) rankPickers(c *Ctx, m *moveTerms, nf int) (keepAt, appAt pic
 // j - dCount. Each shift tests its count against each offset once, shared
 // by every slot and field. A kept slot past the new backlog reads 0, as it
 // does under rankPickers; an appended slot is only read where it is new.
-func (s *listState) shiftPickers(c *Ctx, m *moveTerms, _ int) (keepAt, appAt picker) {
+func (s *listState) shiftPickers(c *Ctx, m *moveTerms) (keepAt, appAt picker) {
 	b := c.B
 	zero := b.IntConst(0)
 	up := shift(b, func() *term.Term { return m.movedCount }, 1, s.cfg.Cap)
@@ -336,10 +401,11 @@ func shift(b *term.Builder, by func() *term.Term, dir, n int) func(j int, proj f
 }
 
 // transfer builds the parts of a move that do not depend on how slot
-// values are selected, and fills the slots through the pickers pick
-// returns: want[i] marks the packets that leave the receiver and are
-// appended, in order, to dst.
-func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, pick func(*Ctx, *moveTerms, int) (picker, picker)) error {
+// values are selected, and fills the slots by rank (byRank) or by shifts:
+// want[i] marks the packets that leave the receiver and are appended, in
+// order, to dst. Only rank selection reads the prefix counts, and only
+// tracked fields and sizes are selected at all.
+func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, byRank bool) error {
 	d, ok := dst.(*listState)
 	if !ok {
 		return fmt.Errorf("buffer: cannot move between %s and %s states", s.Model().Name(), dst.Model().Name())
@@ -353,25 +419,22 @@ func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, pick func(*Ct
 
 	// Moved packets, compacted in order: moved slot k holds the k-th
 	// wanted packet.
-	m.movedCount = zero
-	m.wantRank = make([]*term.Term, len(want))
-	for i, w := range want {
-		m.wantRank[i] = m.movedCount
-		m.movedCount = b.Add(m.movedCount, boolToInt(b, w))
-	}
+	m.wantRank, m.movedCount = countUp(b, len(want), func(i int) *term.Term { return want[i] }, byRank)
 
 	// Compact the receiver: keep = valid && !want.
 	m.keep = make([]*term.Term, len(s.valid))
-	m.keepRank = make([]*term.Term, len(s.valid))
-	m.keepCount = zero
-	for i := range s.valid {
+	m.keepRank, m.keepCount = countUp(b, len(s.valid), func(i int) *term.Term {
 		m.keep[i] = b.And(s.valid[i], b.Not(want[i]))
-		m.keepRank[i] = m.keepCount
-		m.keepCount = b.Add(m.keepCount, boolToInt(b, m.keep[i]))
-	}
+		return m.keep[i]
+	}, byRank)
 	// Fields dst has but the receiver lacks arrive as zero.
 	nf := min(d.cfg.NumFields, s.cfg.NumFields)
-	keepAt, appAt := pick(c, m, nf)
+	var keepAt, appAt picker
+	if byRank {
+		keepAt, appAt = s.rankPickers(c, m, nf)
+	} else {
+		keepAt, appAt = s.shiftPickers(c, m)
+	}
 	m.newValid = make([]*term.Term, s.cfg.Cap)
 	newFields := make([][]*term.Term, s.cfg.Cap)
 	newBytes := make([]*term.Term, s.cfg.Cap)
@@ -379,10 +442,16 @@ func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, pick func(*Ct
 		m.newValid[j] = b.Lt(b.IntConst(int64(j)), m.keepCount)
 		fs := make([]*term.Term, s.cfg.NumFields)
 		for f := range fs {
-			fs[f] = keepAt(j, f)
+			fs[f] = s.fields[j][f]
+			if s.cfg.tracksField(f) {
+				fs[f] = keepAt(j, f)
+			}
 		}
 		newFields[j] = fs
-		newBytes[j] = keepAt(j, byteSlot)
+		newBytes[j] = s.bytes[j]
+		if s.cfg.tracksBytes() {
+			newBytes[j] = keepAt(j, byteSlot)
+		}
 	}
 
 	// Append the moved packets to dst (which may be the same shape but a
@@ -399,29 +468,42 @@ func (s *listState) transfer(c *Ctx, dst State, want []*term.Term, pick func(*Ct
 		dValid[j] = b.Or(d.valid[j], isNew)
 		fs := make([]*term.Term, d.cfg.NumFields)
 		for f := range fs {
+			fs[f] = d.fields[j][f]
+			if !d.cfg.tracksField(f) {
+				continue
+			}
 			app := zero
-			if f < nf {
+			if f < nf && s.cfg.tracksField(f) {
 				app = appAt(j, f)
 			}
 			fs[f] = b.Ite(isNew, app, d.fields[j][f])
 		}
 		dFields[j] = fs
-		dBytes[j] = b.Ite(isNew, appAt(j, byteSlot), d.bytes[j])
+		dBytes[j] = d.bytes[j]
+		if d.cfg.tracksBytes() {
+			app := zero
+			if s.cfg.tracksBytes() {
+				app = appAt(j, byteSlot)
+			}
+			dBytes[j] = b.Ite(isNew, app, d.bytes[j])
+		}
 	}
 	// Packets that did not fit into dst are dropped there.
 	overflow := b.Sub(b.Add(m.dCount, m.movedCount), b.IntConst(int64(d.cfg.Cap)))
 	overflow = b.Max(overflow, zero)
 	d.dropped = b.Add(d.dropped, overflow)
 
-	s.valid, s.fields, s.bytes = m.newValid, newFields, newBytes
-	d.valid, d.fields, d.bytes = dValid, dFields, dBytes
+	s.valid, s.fields, s.bytes, s.cnt = m.newValid, newFields, newBytes, nil
+	d.valid, d.fields, d.bytes, d.cnt = dValid, dFields, dBytes, nil
 	return nil
 }
 
 // MoveP implements State: move the first min(n, matched) matching packets.
 func (s *listState) MoveP(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Term) error {
-	if f != nil && (f.Field < 0 || f.Field >= s.cfg.NumFields) {
-		return fmt.Errorf("buffer: field index %d out of range", f.Field)
+	if f != nil {
+		if err := s.checkField(f.Field); err != nil {
+			return err
+		}
 	}
 	return s.moveMatched(c, dst, s.wantP(c, n, f, g), f)
 }
@@ -429,8 +511,13 @@ func (s *listState) MoveP(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Te
 // MoveB implements State: move the maximal matching prefix whose cumulative
 // byte size is at most n.
 func (s *listState) MoveB(c *Ctx, dst State, n *term.Term, f *Filter, g *term.Term) error {
-	if f != nil && (f.Field < 0 || f.Field >= s.cfg.NumFields) {
-		return fmt.Errorf("buffer: field index %d out of range", f.Field)
+	if err := s.checkBytes(); err != nil {
+		return err
+	}
+	if f != nil {
+		if err := s.checkField(f.Field); err != nil {
+			return err
+		}
 	}
 	return s.moveMatched(c, dst, s.wantB(c, n, f, g), f)
 }
@@ -481,6 +568,9 @@ func (s *listState) Arrive(c *Ctx, p Packet, g *term.Term) {
 		here := b.And(place, b.Eq(cnt, b.IntConst(int64(j))))
 		s.valid[j] = b.Or(s.valid[j], here)
 		for f := 0; f < s.cfg.NumFields; f++ {
+			if !s.cfg.tracksField(f) {
+				continue
+			}
 			var fv *term.Term
 			if f < len(p.Fields) {
 				fv = p.Fields[f]
@@ -489,12 +579,15 @@ func (s *listState) Arrive(c *Ctx, p Packet, g *term.Term) {
 			}
 			s.fields[j][f] = b.Ite(here, fv, s.fields[j][f])
 		}
-		bytes := p.Bytes
-		if bytes == nil {
-			bytes = b.IntConst(1)
+		if s.cfg.tracksBytes() {
+			bytes := p.Bytes
+			if bytes == nil {
+				bytes = b.IntConst(1)
+			}
+			s.bytes[j] = b.Ite(here, bytes, s.bytes[j])
 		}
-		s.bytes[j] = b.Ite(here, bytes, s.bytes[j])
 	}
+	s.cnt = nil
 	s.dropped = b.Add(s.dropped, b.Ite(b.And(g, b.Not(fits)), b.IntConst(1), b.IntConst(0)))
 }
 
@@ -505,15 +598,20 @@ func (s *listState) FlushInto(c *Ctx, dst State) error {
 	return s.movePrefix(c, dst, want)
 }
 
-// Slots implements State.
+// Slots implements State. Untracked fields and sizes, 0 in every slot,
+// are left out.
 func (s *listState) Slots() []Slot {
 	var out []Slot
 	for i := range s.valid {
 		out = append(out, Slot{fmt.Sprintf("slot%d.valid", i), s.valid[i]})
 		for f := range s.fields[i] {
-			out = append(out, Slot{fmt.Sprintf("slot%d.f%d", i, f), s.fields[i][f]})
+			if s.cfg.tracksField(f) {
+				out = append(out, Slot{fmt.Sprintf("slot%d.f%d", i, f), s.fields[i][f]})
+			}
 		}
-		out = append(out, Slot{fmt.Sprintf("slot%d.bytes", i), s.bytes[i]})
+		if s.cfg.tracksBytes() {
+			out = append(out, Slot{fmt.Sprintf("slot%d.bytes", i), s.bytes[i]})
+		}
 	}
 	out = append(out, Slot{"dropped", s.dropped})
 	return out
@@ -526,21 +624,31 @@ func (s *listState) SetSlots(ts []*term.Term) {
 		s.valid[i] = ts[k]
 		k++
 		for f := range s.fields[i] {
-			s.fields[i][f] = ts[k]
+			if s.cfg.tracksField(f) {
+				s.fields[i][f] = ts[k]
+				k++
+			}
+		}
+		if s.cfg.tracksBytes() {
+			s.bytes[i] = ts[k]
 			k++
 		}
-		s.bytes[i] = ts[k]
-		k++
 	}
 	s.dropped = ts[k]
+	s.cnt = nil
 }
 
 // MultiFilterBacklog counts packets (or bytes) matching ALL the given
 // filters — chained `|>` views, exact only at this precision level.
 func (s *listState) MultiFilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error) {
 	for _, f := range fs {
-		if f.Field < 0 || f.Field >= s.cfg.NumFields {
-			return nil, fmt.Errorf("buffer: field index %d out of range", f.Field)
+		if err := s.checkField(f.Field); err != nil {
+			return nil, err
+		}
+	}
+	if bytes {
+		if err := s.checkBytes(); err != nil {
+			return nil, err
 		}
 	}
 	b := c.B

@@ -134,8 +134,11 @@ func contains(xs []string, x string) bool {
 
 // Run executes T composed steps: external inputs receive symbolic
 // arrivals, every program runs its step, then connected outputs flush into
-// their inputs (visible next step).
+// their inputs (visible next step). Run a system once.
 func (s *System) Run(T int) error {
+	if s.steps == 0 {
+		s.shareLiveState()
+	}
 	s.steps = T
 	for t := 0; t < T; t++ {
 		for _, name := range s.order {
@@ -161,6 +164,29 @@ func (s *System) Run(T int) error {
 		}
 	}
 	return nil
+}
+
+// shareLiveState makes every buffer in the system track the slot state
+// any of its programs reads (buffer.Config.Live). A flush carries packets
+// from one program into the next, and the downstream program may filter
+// on a field or read sizes the upstream one never reads. It runs before
+// the first step, while every buffer is still empty.
+func (s *System) shareLiveState() {
+	live := &buffer.Live{}
+	for _, name := range s.order {
+		for _, st := range s.machines[name].Buffers() {
+			live = live.Union(st.Config().Live)
+		}
+	}
+	for _, name := range s.order {
+		m := s.machines[name]
+		for _, bn := range m.BufferNames() {
+			st := m.Buffers()[bn]
+			cfg := st.Config()
+			cfg.Live = live
+			m.SetBuffer(bn, st.Model().Empty(m.Ctx(), cfg))
+		}
+	}
 }
 
 // Assumes returns all accumulated assumptions: per-program semantics and

@@ -127,6 +127,7 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 		NumFields:  len(info.Prog.Fields),
 		NumClasses: m.opts.NumClasses,
 		MaxBytes:   m.opts.MaxBytes,
+		Live:       liveSlots(info),
 	}
 	outCfg := cfg
 	outCfg.Cap = m.opts.OutBufferCap
@@ -161,6 +162,37 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 		}
 	}
 	return m, nil
+}
+
+// trackAllSlots makes every machine track all slot state: the reference
+// the live-state encoding is tested against.
+var trackAllSlots bool
+
+// liveSlots returns the slot state the program can read: a field some
+// filter names, and the sizes when some backlog-b or move-b reads them.
+// Arrivals keep their own field and size variables, so the decoder reads
+// no slot state.
+func liveSlots(info *typecheck.Info) *buffer.Live {
+	if trackAllSlots {
+		return nil
+	}
+	live := &buffer.Live{Fields: make([]bool, len(info.Prog.Fields))}
+	ast.WalkExprs(info.Prog.Body, func(e ast.Expr) {
+		switch n := e.(type) {
+		case *ast.Filter:
+			if f, ok := info.FieldIndex[n.Field]; ok {
+				live.Fields[f] = true
+			}
+		case *ast.Backlog:
+			live.Bytes = live.Bytes || n.Bytes
+		}
+	})
+	ast.Walk(info.Prog.Body, func(s ast.Stmt) {
+		if mv, ok := s.(*ast.Move); ok {
+			live.Bytes = live.Bytes || mv.Bytes
+		}
+	})
+	return live
 }
 
 func (m *Machine) initVar(d *ast.VarDecl) error {

@@ -326,21 +326,46 @@ func (s *Solver) CloneProblem(opts Options) *Solver {
 		n.ok = false
 		return n
 	}
+	s.eachProblemClause(n.AddClause)
+	return n
+}
+
+// eachProblemClause calls f on the top-level facts, as unit clauses in
+// trail order, then on the problem clauses in the order they were added,
+// until f returns false. The literals alias the solver's storage.
+func (s *Solver) eachProblemClause(f func(lits ...cnf.Lit) bool) {
 	lvl0 := s.trail
 	if len(s.trailLim) > 0 {
 		lvl0 = s.trail[:s.trailLim[0]]
 	}
 	for _, l := range lvl0 {
-		if !n.AddClause(l) {
-			return n
+		if !f(l) {
+			return
 		}
 	}
 	for _, c := range s.clauses {
-		if !n.AddClause(s.lits(c)...) {
-			return n
+		if !f(s.lits(c)...) {
+			return
 		}
 	}
-	return n
+}
+
+// ProblemClauses returns copies of the clauses CloneProblem copies: the
+// top-level facts as unit clauses in trail order, then the problem
+// clauses in the order they were added, as AddClause simplified them.
+// Before the first search that is the problem as added; a search appends
+// the top-level facts it derives. A problem found unsatisfiable while its
+// clauses were added ends in the empty clause.
+func (s *Solver) ProblemClauses() []cnf.Clause {
+	var out []cnf.Clause
+	s.eachProblemClause(func(lits ...cnf.Lit) bool {
+		out = append(out, append(cnf.Clause(nil), lits...))
+		return true
+	})
+	if !s.ok {
+		out = append(out, cnf.Clause{})
+	}
+	return out
 }
 
 // LoadFormula imports all clauses of f.

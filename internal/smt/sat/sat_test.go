@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"buffy/internal/smt/cnf"
@@ -328,5 +329,35 @@ func TestRandomWithInvariantChecking(t *testing.T) {
 			continue
 		}
 		s.Solve() // must not panic; verdict checked by the brute-force test
+	}
+}
+
+// TestProblemClauses: the top-level facts come first, in trail order, then
+// the problem clauses as AddClause simplified them; a conflict found while
+// adding ends the list in the empty clause.
+func TestProblemClauses(t *testing.T) {
+	s := New()
+	newVars(s, 4)
+	s.AddClause(lit(1, false), lit(2, false), lit(2, false))
+	s.AddClause(lit(3, true))
+	s.AddClause(lit(3, false), lit(4, false), lit(1, true))
+	s.AddClause(lit(1, false), lit(3, false)) // unit 1 under ¬3, which implies 4
+	want := []cnf.Clause{
+		{lit(3, true)}, {lit(1, false)}, {lit(4, false)},
+		{lit(1, false), lit(2, false)},
+		{lit(4, false), lit(1, true)},
+	}
+	got := s.ProblemClauses()
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("clause %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+	s.AddClause(lit(3, false))
+	if got := s.ProblemClauses(); len(got[len(got)-1]) != 0 {
+		t.Errorf("after a top-level conflict the last clause is %v, want the empty clause", got[len(got)-1])
 	}
 }

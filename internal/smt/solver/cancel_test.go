@@ -130,3 +130,55 @@ func TestAssertAllSpans(t *testing.T) {
 		t.Error("cancelled batch asserted a term")
 	}
 }
+
+// TestCheckAssumingSpans: a check that blasts new assumption terms counts
+// their growth on a bitblast span of its own, so the spans still sum to
+// the solver's size; a check whose assumptions are blasted already, or
+// that has none, opens none.
+func TestCheckAssumingSpans(t *testing.T) {
+	tr := telemetry.NewTrace("assuming")
+	ctx := telemetry.WithTrace(context.Background(), tr)
+	s := New(Options{})
+	b := s.Builder()
+	x, y := b.Var("x", term.Int), b.Var("y", term.Int)
+	if err := s.AssertAll(ctx, []*term.Term{b.Lt(x, y)}); err != nil {
+		t.Fatal(err)
+	}
+	bitblastSpans := func() int {
+		n := 0
+		for _, sp := range tr.Snapshot().Spans {
+			if sp.Name == "bitblast" {
+				n++
+			}
+		}
+		return n
+	}
+	checks := []struct {
+		assumptions []*term.Term
+		want        Result
+		spans       int
+	}{
+		{[]*term.Term{b.Lt(y, b.IntConst(5)), b.Lt(b.IntConst(2), x)}, Sat, 2},
+		{[]*term.Term{b.Lt(y, b.IntConst(5))}, Sat, 2},
+		{nil, Sat, 2},
+		{[]*term.Term{b.Lt(y, b.IntConst(3)), b.Lt(b.IntConst(2), x)}, Unsat, 3},
+	}
+	for i, c := range checks {
+		if got := s.CheckAssumingContext(ctx, c.assumptions...); got != c.want {
+			t.Fatalf("check %d: %v, want %v", i, got, c.want)
+		}
+		if n := bitblastSpans(); n != c.spans {
+			t.Errorf("after check %d: %d bitblast spans, want %d", i, n, c.spans)
+		}
+	}
+	work := tr.Work()
+	if got, want := work["bitblast.clauses"], int64(s.NumClauses()); got != want {
+		t.Errorf("spans sum to %d clauses, solver has %d", got, want)
+	}
+	if got, want := work["bitblast.vars"], int64(s.NumVars()); got != want {
+		t.Errorf("spans sum to %d vars, solver has %d", got, want)
+	}
+	if got, want := work["bitblast.terms"], int64(s.NumBlastedTerms()); got != want {
+		t.Errorf("spans sum to %d terms, solver blasted %d", got, want)
+	}
+}

@@ -12,6 +12,7 @@ package solver
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"buffy/internal/smt/bitblast"
@@ -151,8 +152,9 @@ func (s *Solver) Assert(t *term.Term) {
 // clauses, vars and terms counters are the solver's growth since the
 // previous span ended. The reading starts at zero, so the first span
 // counts what New allocated (the constant-true var), and a solver's spans
-// sum to its size when the last one ended. Assumptions a check blasts are
-// counted by the next span. An empty batch opens no span.
+// sum to its size when the last one ended. A check that blasts new
+// assumption terms counts them on a span of its own. An empty batch opens
+// no span.
 func (s *Solver) AssertAll(ctx context.Context, terms []*term.Term) error {
 	if len(terms) == 0 {
 		return nil
@@ -165,13 +167,19 @@ func (s *Solver) AssertAll(ctx context.Context, terms []*term.Term) error {
 		}
 		s.Assert(t)
 	}
+	s.countBlasted(span)
+	return nil
+}
+
+// countBlasted sets span's clauses, vars and terms counters to the
+// solver's growth since the previous bitblast span ended.
+func (s *Solver) countBlasted(span *telemetry.Span) {
 	clauses, vars, blasted := s.NumClauses(), s.NumVars(), s.NumBlastedTerms()
 	span.SetAttrs(
 		telemetry.Count("clauses", int64(clauses-s.blasted.clauses)),
 		telemetry.Count("vars", int64(vars-s.blasted.vars)),
 		telemetry.Count("terms", int64(blasted-s.blasted.terms)))
 	s.blasted.clauses, s.blasted.vars, s.blasted.terms = clauses, vars, blasted
-	return nil
 }
 
 // Assertions returns the asserted terms in order.
@@ -220,15 +228,24 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 	if s.unsat {
 		return Unsat
 	}
+	if slices.Contains(assumptions, s.b.False()) {
+		return Unsat
+	}
 	lits := make([]cnf.Lit, 0, len(assumptions))
+	// Assumptions not blasted yet grow the CNF, and a bitblast span counts
+	// that growth as AssertAll counts its own.
+	var blast *telemetry.Span
+	if slices.ContainsFunc(assumptions, func(a *term.Term) bool { return a != s.b.True() && !s.bl.Encoded(a) }) {
+		_, blast = telemetry.StartSpan(ctx, "bitblast")
+	}
 	for _, a := range assumptions {
-		if a == s.b.False() {
-			return Unsat
+		if a != s.b.True() {
+			lits = append(lits, s.bl.Bool(a))
 		}
-		if a == s.b.True() {
-			continue
-		}
-		lits = append(lits, s.bl.Bool(a))
+	}
+	if blast != nil {
+		s.countBlasted(blast)
+		blast.End()
 	}
 	lim := sat.Limits{
 		MaxConflicts:    s.opts.MaxConflicts,
@@ -326,6 +343,12 @@ func (s *Solver) NumClauses() int { return s.sat.NumClauses() }
 
 // NumVars returns the number of SAT variables allocated so far.
 func (s *Solver) NumVars() int { return s.sat.NumVarsAllocated() }
+
+// Clauses returns the CNF the solver holds, as sat's ProblemClauses does:
+// the top-level facts, then the problem clauses in the order blasting
+// added them. Two encodings with equal Clauses and NumVars are the same
+// SAT problem, variable for variable.
+func (s *Solver) Clauses() []cnf.Clause { return s.sat.ProblemClauses() }
 
 // NumBlastedTerms returns the number of distinct terms bit-blasted so far.
 func (s *Solver) NumBlastedTerms() int { return s.bl.NumTerms() }
