@@ -251,8 +251,8 @@ func runA1() error {
 	_ = s1.MoveP(ctx, sink1, b.IntConst(2), nil, b.True())
 	_ = s2.MoveP(ctx, sink2, b.IntConst(2), nil, b.True())
 	f := buffer.Filter{Field: 0, Value: b.IntConst(2)}
-	c1, _ := sink1.FilterBacklogP(ctx, f)
-	c2, _ := sink2.FilterBacklogP(ctx, f)
+	c1, _ := sink1.FilterBacklog(ctx, []buffer.Filter{f}, false)
+	c2, _ := sink2.FilterBacklog(ctx, []buffer.Filter{f}, false)
 	fmt.Printf("ordering example: after 2 departures, flow-2 packets out: %s vs %s (list model distinguishes;\n", c1, c2)
 	fmt.Println("a count-only model sees identical states — §3's precision trade-off)")
 	return nil

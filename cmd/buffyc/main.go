@@ -6,7 +6,7 @@
 //	buffyc -mode sweep -maxT 8 -param N=3 sched.buffy   # minimal-horizon sweep
 //	                                                     # on one warm session
 //	buffyc -mode synth    -T 5 -param N=2 sched.buffy   # FPerf-style workload
-//	buffyc -backend netcalc -param RATE=1 -param BURST=3 -param C=2 tbrl.buffy
+//	buffyc -mode bound -param RATE=1 -param BURST=3 -param C=2 tbrl.buffy
 //	                                                     # analytical bounds (µs)
 //	buffyc -mode bound -crosscheck -T 6 ... tbrl.buffy   # + SMT differential
 //	buffyc -mode dafny    -T 4 -param N=3 sched.buffy   # emit Dafny source
@@ -64,7 +64,6 @@ func (p paramFlags) Set(s string) error {
 func main() {
 	params := paramFlags{}
 	mode := flag.String("mode", "verify", "verify | witness | sweep | synth | bound | vet | dafny | dafny-verify | smtlib | invariants | fmt")
-	backend := flag.String("backend", "", "analysis backend: smt | netcalc | dafny (default: inferred from -mode; an incompatible pairing is an error)")
 	crossCheck := flag.Bool("crosscheck", false, "differentially validate the netcalc bounds against the SMT backend at horizon T (mode bound)")
 	vetStrict := flag.Bool("vet-strict", false, "mode vet: exit nonzero on warnings too, not just errors (the CI corpus gate)")
 	T := flag.Int("T", 4, "time horizon (steps)")
@@ -85,24 +84,6 @@ func main() {
 	maxLearnt := flag.Int64("max-learnt-bytes", 0, "learnt-clause memory budget per solve, estimated bytes (0 = unlimited)")
 	flag.Var(params, "param", "compile-time parameter, name=value (repeatable)")
 	flag.Parse()
-
-	// An explicit -backend with -mode left at its default implies the
-	// backend's canonical mode (buffyc -backend netcalc == -mode bound);
-	// an explicit incompatible pairing is rejected before any work.
-	modeSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "mode" {
-			modeSet = true
-		}
-	})
-	if *backend != "" && !modeSet {
-		if m, ok := defaultMode[*backend]; ok {
-			*mode = m
-		}
-	}
-	if err := checkBackendMode(*backend, *mode); err != nil {
-		fatal(err)
-	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: buffyc [flags] program.buffy")

@@ -52,7 +52,7 @@ func main() {
 		if err := src.MoveP(ctx, sink, b.IntConst(2), nil, b.True()); err != nil {
 			log.Fatal(err)
 		}
-		n, err := sink.FilterBacklogP(ctx, buffer.Filter{Field: 0, Value: b.IntConst(2)})
+		n, err := sink.FilterBacklog(ctx, []buffer.Filter{{Field: 0, Value: b.IntConst(2)}}, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,13 +7,6 @@ import (
 	"buffy/internal/qm"
 )
 
-// Corpus returns the standard netcalc model corpus: every qm topology with
-// a registered lowering, configured at small horizons the SMT backend can
-// exhaust, so the differential harness gets a complete sweep. Bounded marks
-// the entries whose victim flow has finite analytical bounds; the others
-// are expected to answer "unbounded" (strict priority offers the victim no
-// guarantee, and rr/drr fair shares of 1/N are below the integral arrival
-// rate of 1).
 // NetOptions returns the entry's netcalc analysis options.
 func (e CorpusEntry) NetOptions() Options {
 	return Options{Params: e.Params, ArrivalsPerStep: e.Arrivals}
@@ -30,6 +23,13 @@ func (e CorpusEntry) IROptions() ir.Options {
 	}
 }
 
+// Corpus returns the standard netcalc model corpus: every qm topology with
+// a registered lowering, configured at small horizons the SMT backend can
+// exhaust, so the differential harness gets a complete sweep. Bounded marks
+// the entries whose victim flow has finite analytical bounds; the others
+// are expected to answer "unbounded" (strict priority offers the victim no
+// guarantee, and rr/drr fair shares of 1/N are below the integral arrival
+// rate of 1).
 func Corpus() []CorpusEntry {
 	return []CorpusEntry{
 		{

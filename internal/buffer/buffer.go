@@ -15,9 +15,12 @@
 //     overapproximation of FIFO order).
 //
 // All models encode buffer state as terms, so the same Buffy program
-// compiles against any model without modification — the language-level
-// operations (backlog, filter, move, arrive, flush) are the Model/State
-// interface below.
+// compiles against any model without modification. The contract is what
+// the compiler calls: a Model builds states (Name, Empty, Symbolic), and a
+// State answers the backlogs (BacklogP, BacklogB, and FilterBacklog for
+// any filter chain its precision level can express), moves packets
+// (MoveP, MoveB, FlushInto), takes arrivals (Arrive), counts drops
+// (Dropped) and copies itself (Clone).
 package buffer
 
 import (
@@ -114,8 +117,6 @@ type Model interface {
 	// c.Assume) to the model's reachable-state well-formedness invariant —
 	// the starting point for inductive reasoning over arbitrary horizons.
 	Symbolic(c *Ctx, cfg Config, prefix string) State
-	// Ite merges two states of this model: cond ? then : els.
-	Ite(c *Ctx, cond *term.Term, then, els State) State
 }
 
 // State is the symbolic contents of one buffer. Mutating methods update the
@@ -129,10 +130,11 @@ type State interface {
 	BacklogP(c *Ctx) *term.Term
 	// BacklogB returns the number of bytes currently in the buffer.
 	BacklogB(c *Ctx) *term.Term
-	// FilterBacklogP returns the packet count of the filtered view.
-	FilterBacklogP(c *Ctx, f Filter) (*term.Term, error)
-	// FilterBacklogB returns the byte count of the filtered view.
-	FilterBacklogB(c *Ctx, f Filter) (*term.Term, error)
+	// FilterBacklog returns the packet count (or, with bytes, the byte
+	// count) of the packets that pass every filter in fs, which holds at
+	// least one. A model answers only the chains its precision level can
+	// express and returns an error for the others.
+	FilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error)
 
 	// MoveP moves min(n, filtered backlog) packets from the receiver into
 	// dst, under guard g (no effect where g is false). f may be nil.
@@ -150,19 +152,6 @@ type State interface {
 	// Dropped returns the cumulative count of packets dropped at this
 	// buffer (capacity overflow) — the loss signal for queries.
 	Dropped() *term.Term
-
-	// Slots exposes the state's raw term slots for transition-system
-	// construction: a stable, ordered list of (name, term) pairs that
-	// fully determines the state.
-	Slots() []Slot
-	// SetSlots replaces the state from raw terms in Slots() order.
-	SetSlots(ts []*term.Term)
-}
-
-// Slot is one named component of a buffer state.
-type Slot struct {
-	Name string
-	Term *term.Term
 }
 
 // ModelByName returns a model by its name ("list", "count", "multiclass").

@@ -176,16 +176,28 @@ func TestFilteredBacklog(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 6, NumClasses: 4})
-		for _, fl := range []int64{1, 2, 1, 1, 3} {
-			st.Arrive(c, pkt(b, fl, 1), b.True())
+		st := m.Empty(c, Config{Cap: 6, NumFields: 2, NumClasses: 4})
+		for i, fl := range []int64{1, 2, 1, 1, 3} {
+			st.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(fl), b.IntConst(int64(i % 2))}, Bytes: b.IntConst(1)}, b.True())
 		}
-		n, err := st.FilterBacklogP(c, Filter{Field: 0, Value: b.IntConst(1)})
+		f := Filter{Field: 0, Value: b.IntConst(1)}
+		n, err := st.FilterBacklog(c, []Filter{f}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
 		if v := constVal(t, n); v != 3 {
 			t.Errorf("%s: filtered backlog = %d, want 3", m.Name(), v)
+		}
+		// flow == 1 |> second field == 0: packets 0 and 2. Only the list
+		// model keeps the second field.
+		n, err = st.FilterBacklog(c, []Filter{f, {Field: 1, Value: b.IntConst(0)}}, false)
+		switch {
+		case m.Name() == "list" && err != nil:
+			t.Fatalf("list: chained filter: %v", err)
+		case m.Name() == "list" && constVal(t, n) != 2:
+			t.Errorf("list: chained filtered backlog = %s, want 2", n)
+		case m.Name() != "list" && err == nil:
+			t.Errorf("%s: chained filter: want an error", m.Name())
 		}
 	}
 }
@@ -204,8 +216,8 @@ func TestFilteredMove(t *testing.T) {
 		if err := src.MoveP(c, dst, b.IntConst(5), f, b.True()); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		dstFiltered, _ := dst.FilterBacklogP(c, *f)
-		srcFiltered, _ := src.FilterBacklogP(c, *f)
+		dstFiltered, _ := dst.FilterBacklog(c, []Filter{*f}, false)
+		srcFiltered, _ := src.FilterBacklog(c, []Filter{*f}, false)
 		s.Assert(b.Or(
 			b.Neq(dstFiltered, b.IntConst(2)),
 			b.Neq(srcFiltered, b.IntConst(0)),
@@ -221,11 +233,15 @@ func TestCountModelRejectsFilters(t *testing.T) {
 	c := testCtx(s)
 	b := s.Builder()
 	st := CountModel{}.Empty(c, Config{})
-	if _, err := st.FilterBacklogP(c, Filter{Field: 0, Value: b.IntConst(1)}); err == nil {
-		t.Error("count model should reject filters")
+	f := &Filter{Field: 0, Value: b.IntConst(1)}
+	for _, fs := range [][]Filter{{*f}, {*f, {Field: 1, Value: b.IntConst(0)}}} {
+		for _, bytes := range []bool{false, true} {
+			if _, err := st.FilterBacklog(c, fs, bytes); err == nil {
+				t.Errorf("count model should reject %d filters (bytes %v)", len(fs), bytes)
+			}
+		}
 	}
 	dst := CountModel{}.Empty(c, Config{})
-	f := &Filter{Field: 0, Value: b.IntConst(1)}
 	if err := st.MoveP(c, dst, b.IntConst(1), f, b.True()); err == nil {
 		t.Error("count model should reject filtered moves")
 	}
@@ -246,19 +262,22 @@ func TestUntrackedSlotState(t *testing.T) {
 	if v := constVal(t, dst.BacklogP(c)); v != 1 {
 		t.Fatalf("moved backlog-p = %d, want 1", v)
 	}
-	got, err := dst.FilterBacklogP(c, Filter{Field: 1, Value: b.IntConst(1)})
+	tracked := []Filter{{Field: 1, Value: b.IntConst(1)}}
+	got, err := dst.FilterBacklog(c, tracked, false)
 	if err != nil || constVal(t, got) != 1 {
 		t.Fatalf("tracked field filter = %v, %v; want 1", got, err)
 	}
-	for _, sl := range dst.Slots() {
-		if sl.Name == "slot0.f0" || sl.Name == "slot0.bytes" {
-			t.Errorf("Slots lists untracked %s", sl.Name)
+	for _, st := range []*listState{src.(*listState), dst.(*listState)} {
+		for i := range st.valid {
+			if st.fields[i][0] != b.IntConst(0) || st.bytes[i] != b.IntConst(0) {
+				t.Errorf("slot %d: untracked field %s, size %s; want the constant 0", i, st.fields[i][0], st.bytes[i])
+			}
 		}
 	}
-	if _, err := dst.FilterBacklogP(c, Filter{Field: 0, Value: b.IntConst(3)}); err == nil {
+	if _, err := dst.FilterBacklog(c, []Filter{{Field: 0, Value: b.IntConst(3)}}, false); err == nil {
 		t.Error("filter on an untracked field: want an error")
 	}
-	if _, err := dst.FilterBacklogB(c, Filter{Field: 1, Value: b.IntConst(1)}); err == nil {
+	if _, err := dst.FilterBacklog(c, tracked, true); err == nil {
 		t.Error("byte view without sizes: want an error")
 	}
 	if err := dst.MoveB(c, src, b.IntConst(2), nil, b.True()); err == nil {
@@ -334,24 +353,6 @@ func TestFlushInto(t *testing.T) {
 	}
 }
 
-func TestIteMerge(t *testing.T) {
-	for _, m := range models() {
-		s := solver.New(solver.Options{})
-		c := testCtx(s)
-		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 4})
-		thenSt := st.Clone()
-		thenSt.Arrive(c, pkt(b, 1, 1), b.True())
-		cond := b.Var(m.Name()+"_cond", term.Bool)
-		merged := m.Ite(c, cond, thenSt, st)
-		// backlog(merged) == cond ? 1 : 0
-		s.Assert(b.Neq(merged.BacklogP(c), b.Ite(cond, b.IntConst(1), b.IntConst(0))))
-		if got := s.Check(); got != solver.Unsat {
-			t.Errorf("%s: ite merge wrong (%v)", m.Name(), got)
-		}
-	}
-}
-
 func TestSymbolicArrivalMove(t *testing.T) {
 	// A symbolic packet arrives; the solver must be able to pick its flow
 	// field so a filtered move succeeds.
@@ -374,29 +375,6 @@ func TestSymbolicArrivalMove(t *testing.T) {
 	}
 	if v := s.IntValue(flow); v != 2 {
 		t.Errorf("flow = %d, want 2 (only value allowing the filtered move)", v)
-	}
-}
-
-func TestSlotsRoundTrip(t *testing.T) {
-	for _, m := range models() {
-		s := solver.New(solver.Options{})
-		c := testCtx(s)
-		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 3})
-		st.Arrive(c, pkt(b, 1, 2), b.True())
-		slots := st.Slots()
-		if len(slots) == 0 {
-			t.Fatalf("%s: no slots", m.Name())
-		}
-		fresh := m.Empty(c, Config{Cap: 3})
-		ts := make([]*term.Term, len(slots))
-		for i, sl := range slots {
-			ts[i] = sl.Term
-		}
-		fresh.SetSlots(ts)
-		if got, want := constVal(t, fresh.BacklogP(c)), constVal(t, st.BacklogP(c)); got != want {
-			t.Errorf("%s: slot round-trip backlog %d != %d", m.Name(), got, want)
-		}
 	}
 }
 

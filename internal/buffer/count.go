@@ -41,16 +41,6 @@ func (CountModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
 	return &countState{cfg: cfg, n: n, dropped: d}
 }
 
-// Ite implements Model.
-func (CountModel) Ite(c *Ctx, cond *term.Term, then, els State) State {
-	a, b2 := then.(*countState), els.(*countState)
-	return &countState{
-		cfg:     a.cfg,
-		n:       c.B.Ite(cond, a.n, b2.n),
-		dropped: c.B.Ite(cond, a.dropped, b2.dropped),
-	}
-}
-
 func (s *countState) Model() Model   { return CountModel{} }
 func (s *countState) Config() Config { return s.cfg }
 func (s *countState) Clone() State   { cp := *s; return &cp }
@@ -65,13 +55,8 @@ func (s *countState) BacklogB(c *Ctx) *term.Term { return s.n }
 
 var errCountFilter = fmt.Errorf("buffer: the count model abstracts packet contents away and cannot evaluate filters; use the list or multiclass model")
 
-// FilterBacklogP implements State.
-func (s *countState) FilterBacklogP(c *Ctx, f Filter) (*term.Term, error) {
-	return nil, errCountFilter
-}
-
-// FilterBacklogB implements State.
-func (s *countState) FilterBacklogB(c *Ctx, f Filter) (*term.Term, error) {
+// FilterBacklog implements State: the count model answers no filter.
+func (s *countState) FilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error) {
 	return nil, errCountFilter
 }
 
@@ -115,14 +100,4 @@ func (s *countState) Arrive(c *Ctx, p Packet, g *term.Term) {
 // FlushInto implements State.
 func (s *countState) FlushInto(c *Ctx, dst State) error {
 	return s.MoveP(c, dst, s.n, nil, c.B.True())
-}
-
-// Slots implements State.
-func (s *countState) Slots() []Slot {
-	return []Slot{{"n", s.n}, {"dropped", s.dropped}}
-}
-
-// SetSlots implements State.
-func (s *countState) SetSlots(ts []*term.Term) {
-	s.n, s.dropped = ts[0], ts[1]
 }

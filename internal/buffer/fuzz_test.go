@@ -62,6 +62,17 @@ func (r *refBuffer) filterP(field int, v int64) int64 {
 	return n
 }
 
+// chain returns the packets and bytes whose fields 0 and 1 equal v0, v1.
+func (r *refBuffer) chain(v0, v1 int64) (pkts, bytes int64) {
+	for _, p := range r.pkts {
+		if p.f[0] == v0 && p.f[1] == v1 {
+			pkts++
+			bytes += p.bytes
+		}
+	}
+	return pkts, bytes
+}
+
 // moveP moves the first n packets matching (field 0 == flow, or any when
 // flow<0) to d.
 func (r *refBuffer) moveP(d *refBuffer, n int64, flow int64) {
@@ -127,7 +138,7 @@ func TestListModelAgainstReference(t *testing.T) {
 				}
 				for field := 0; field < ref.fields; field++ {
 					for v := int64(0); v < 3; v++ {
-						got, err := sym.FilterBacklogP(c, Filter{Field: field, Value: b.IntConst(v)})
+						got, err := sym.FilterBacklog(c, []Filter{{Field: field, Value: b.IntConst(v)}}, false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -135,6 +146,19 @@ func TestListModelAgainstReference(t *testing.T) {
 							t.Fatalf("iter %d op %d (%s): filter(%s, f%d == %d) = %s, want %d",
 								iter, opIdx, op, nm, field, v, got, ref.filterP(field, v))
 						}
+					}
+				}
+				for v := int64(0); ref.fields == 2 && v < 9; v++ {
+					fs := []Filter{{Field: 0, Value: b.IntConst(v / 3)}, {Field: 1, Value: b.IntConst(v % 3)}}
+					wantP, wantB := ref.chain(v/3, v%3)
+					gotP, errP := sym.FilterBacklog(c, fs, false)
+					gotB, errB := sym.FilterBacklog(c, fs, true)
+					if errP != nil || errB != nil {
+						t.Fatal(errP, errB)
+					}
+					if gotP.IntVal() != wantP || gotB.IntVal() != wantB {
+						t.Fatalf("iter %d op %d (%s): chain(%s, f0 == %d |> f1 == %d) = %s pkts, %s bytes; want %d, %d",
+							iter, opIdx, op, nm, v/3, v%3, gotP, gotB, wantP, wantB)
 					}
 				}
 				if got := sym.Dropped(); got.IntVal() != ref.dropped {

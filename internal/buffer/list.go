@@ -86,32 +86,6 @@ func (ListModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
 	return s
 }
 
-// Ite implements Model.
-func (ListModel) Ite(c *Ctx, cond *term.Term, then, els State) State {
-	a, b2 := then.(*listState), els.(*listState)
-	if a.cfg.Cap != b2.cfg.Cap || a.cfg.NumFields != b2.cfg.NumFields {
-		panic("buffer: Ite on differently-shaped list states")
-	}
-	out := &listState{cfg: a.cfg, dropped: c.B.Ite(cond, a.dropped, b2.dropped)}
-	for i := 0; i < a.cfg.Cap; i++ {
-		out.valid = append(out.valid, c.B.Ite(cond, a.valid[i], b2.valid[i]))
-		fs := make([]*term.Term, a.cfg.NumFields)
-		for f := range fs {
-			fs[f] = a.fields[i][f]
-			if a.cfg.tracksField(f) {
-				fs[f] = c.B.Ite(cond, a.fields[i][f], b2.fields[i][f])
-			}
-		}
-		out.fields = append(out.fields, fs)
-		by := a.bytes[i]
-		if a.cfg.tracksBytes() {
-			by = c.B.Ite(cond, a.bytes[i], b2.bytes[i])
-		}
-		out.bytes = append(out.bytes, by)
-	}
-	return out
-}
-
 func (s *listState) Model() Model   { return ListModel{} }
 func (s *listState) Config() Config { return s.cfg }
 
@@ -195,11 +169,13 @@ func (s *listState) BacklogB(c *Ctx) *term.Term {
 	return c.B.Add(terms...)
 }
 
-func (s *listState) matchMask(c *Ctx, f *Filter) []*term.Term {
+// matchMask returns, per slot, whether it holds a packet that passes
+// every filter in fs.
+func (s *listState) matchMask(c *Ctx, fs []Filter) []*term.Term {
 	mask := make([]*term.Term, len(s.valid))
 	for i := range s.valid {
 		m := s.valid[i]
-		if f != nil {
+		for _, f := range fs {
 			m = c.B.And(m, c.B.Eq(s.fields[i][f.Field], f.Value))
 		}
 		mask[i] = m
@@ -207,31 +183,36 @@ func (s *listState) matchMask(c *Ctx, f *Filter) []*term.Term {
 	return mask
 }
 
-// FilterBacklogP implements State.
-func (s *listState) FilterBacklogP(c *Ctx, f Filter) (*term.Term, error) {
-	if err := s.checkField(f.Field); err != nil {
-		return nil, err
+// chain returns the filter f as a chain, empty when f is nil.
+func chain(f *Filter) []Filter {
+	if f == nil {
+		return nil
 	}
-	mask := s.matchMask(c, &f)
-	terms := make([]*term.Term, len(mask))
-	for i, m := range mask {
-		terms[i] = boolToInt(c.B, m)
-	}
-	return c.B.Add(terms...), nil
+	return []Filter{*f}
 }
 
-// FilterBacklogB implements State.
-func (s *listState) FilterBacklogB(c *Ctx, f Filter) (*term.Term, error) {
-	if err := s.checkField(f.Field); err != nil {
-		return nil, err
+// FilterBacklog implements State: any chain of filters on tracked fields,
+// exact at this precision level. It builds every slot's mask before the
+// sum.
+func (s *listState) FilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error) {
+	for _, f := range fs {
+		if err := s.checkField(f.Field); err != nil {
+			return nil, err
+		}
 	}
-	if err := s.checkBytes(); err != nil {
-		return nil, err
+	if bytes {
+		if err := s.checkBytes(); err != nil {
+			return nil, err
+		}
 	}
-	mask := s.matchMask(c, &f)
+	mask := s.matchMask(c, fs)
 	terms := make([]*term.Term, len(mask))
 	for i, m := range mask {
-		terms[i] = c.B.Ite(m, s.bytes[i], c.B.IntConst(0))
+		if bytes {
+			terms[i] = c.B.Ite(m, s.bytes[i], c.B.IntConst(0))
+		} else {
+			terms[i] = boolToInt(c.B, m)
+		}
 	}
 	return c.B.Add(terms...), nil
 }
@@ -534,7 +515,7 @@ func (s *listState) moveMatched(c *Ctx, dst State, want []*term.Term, f *Filter)
 // wantP marks, under g, the first n packets that match f.
 func (s *listState) wantP(c *Ctx, n *term.Term, f *Filter, g *term.Term) []*term.Term {
 	b := c.B
-	mask := s.matchMask(c, f)
+	mask := s.matchMask(c, chain(f))
 	want := make([]*term.Term, len(mask))
 	rank := b.IntConst(0)
 	for i, m := range mask {
@@ -548,7 +529,7 @@ func (s *listState) wantP(c *Ctx, n *term.Term, f *Filter, g *term.Term) []*term
 // total of the matching packets stays within n.
 func (s *listState) wantB(c *Ctx, n *term.Term, f *Filter, g *term.Term) []*term.Term {
 	b := c.B
-	mask := s.matchMask(c, f)
+	mask := s.matchMask(c, chain(f))
 	want := make([]*term.Term, len(mask))
 	cum := b.IntConst(0)
 	for i, m := range mask {
@@ -596,73 +577,4 @@ func (s *listState) FlushInto(c *Ctx, dst State) error {
 	want := make([]*term.Term, len(s.valid))
 	copy(want, s.valid)
 	return s.movePrefix(c, dst, want)
-}
-
-// Slots implements State. Untracked fields and sizes, 0 in every slot,
-// are left out.
-func (s *listState) Slots() []Slot {
-	var out []Slot
-	for i := range s.valid {
-		out = append(out, Slot{fmt.Sprintf("slot%d.valid", i), s.valid[i]})
-		for f := range s.fields[i] {
-			if s.cfg.tracksField(f) {
-				out = append(out, Slot{fmt.Sprintf("slot%d.f%d", i, f), s.fields[i][f]})
-			}
-		}
-		if s.cfg.tracksBytes() {
-			out = append(out, Slot{fmt.Sprintf("slot%d.bytes", i), s.bytes[i]})
-		}
-	}
-	out = append(out, Slot{"dropped", s.dropped})
-	return out
-}
-
-// SetSlots implements State.
-func (s *listState) SetSlots(ts []*term.Term) {
-	k := 0
-	for i := range s.valid {
-		s.valid[i] = ts[k]
-		k++
-		for f := range s.fields[i] {
-			if s.cfg.tracksField(f) {
-				s.fields[i][f] = ts[k]
-				k++
-			}
-		}
-		if s.cfg.tracksBytes() {
-			s.bytes[i] = ts[k]
-			k++
-		}
-	}
-	s.dropped = ts[k]
-	s.cnt = nil
-}
-
-// MultiFilterBacklog counts packets (or bytes) matching ALL the given
-// filters — chained `|>` views, exact only at this precision level.
-func (s *listState) MultiFilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error) {
-	for _, f := range fs {
-		if err := s.checkField(f.Field); err != nil {
-			return nil, err
-		}
-	}
-	if bytes {
-		if err := s.checkBytes(); err != nil {
-			return nil, err
-		}
-	}
-	b := c.B
-	terms := make([]*term.Term, len(s.valid))
-	for i := range s.valid {
-		m := s.valid[i]
-		for _, f := range fs {
-			m = b.And(m, b.Eq(s.fields[i][f.Field], f.Value))
-		}
-		if bytes {
-			terms[i] = b.Ite(m, s.bytes[i], b.IntConst(0))
-		} else {
-			terms[i] = boolToInt(b, m)
-		}
-	}
-	return b.Add(terms...), nil
 }

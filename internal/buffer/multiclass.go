@@ -54,16 +54,6 @@ func (MultiClassModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
 	return s
 }
 
-// Ite implements Model.
-func (MultiClassModel) Ite(c *Ctx, cond *term.Term, then, els State) State {
-	a, b2 := then.(*multiClassState), els.(*multiClassState)
-	out := &multiClassState{cfg: a.cfg, dropped: c.B.Ite(cond, a.dropped, b2.dropped)}
-	for i := range a.counts {
-		out.counts = append(out.counts, c.B.Ite(cond, a.counts[i], b2.counts[i]))
-	}
-	return out
-}
-
 func (s *multiClassState) Model() Model   { return MultiClassModel{} }
 func (s *multiClassState) Config() Config { return s.cfg }
 
@@ -100,17 +90,16 @@ func (s *multiClassState) checkFilter(f Filter) error {
 	return nil
 }
 
-// FilterBacklogP implements State.
-func (s *multiClassState) FilterBacklogP(c *Ctx, f Filter) (*term.Term, error) {
-	if err := s.checkFilter(f); err != nil {
+// FilterBacklog implements State: exactly one filter, on the class field.
+// Packets are unit-sized, so the byte count is the packet count.
+func (s *multiClassState) FilterBacklog(c *Ctx, fs []Filter, bytes bool) (*term.Term, error) {
+	if len(fs) != 1 {
+		return nil, fmt.Errorf("buffer: the multiclass model evaluates one filter at a time; chained filters need the list model")
+	}
+	if err := s.checkFilter(fs[0]); err != nil {
 		return nil, err
 	}
-	return s.classCount(c, f.Value), nil
-}
-
-// FilterBacklogB implements State.
-func (s *multiClassState) FilterBacklogB(c *Ctx, f Filter) (*term.Term, error) {
-	return s.FilterBacklogP(c, f)
+	return s.classCount(c, fs[0].Value), nil
 }
 
 // MoveP implements State.
@@ -248,20 +237,4 @@ func (s *multiClassState) FlushInto(c *Ctx, dst State) error {
 	}
 	d.dropped = b.Add(d.dropped, overflow)
 	return nil
-}
-
-// Slots implements State.
-func (s *multiClassState) Slots() []Slot {
-	var out []Slot
-	for cl, t := range s.counts {
-		out = append(out, Slot{fmt.Sprintf("class%d", cl), t})
-	}
-	out = append(out, Slot{"dropped", s.dropped})
-	return out
-}
-
-// SetSlots implements State.
-func (s *multiClassState) SetSlots(ts []*term.Term) {
-	copy(s.counts, ts[:len(s.counts)])
-	s.dropped = ts[len(s.counts)]
 }

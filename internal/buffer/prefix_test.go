@@ -85,17 +85,22 @@ type namedDiff struct {
 }
 
 // stateDiffs returns a namedDiff for each observation of two same-shaped
-// list states: both backlogs and every slot term, the drop counter among
-// them.
+// list states: both backlogs, the drop counter and every slot term.
 func stateDiffs(c *Ctx, prefix string, x, y *listState) []namedDiff {
 	b := c.B
 	out := []namedDiff{
 		{prefix + "backlog-p", b.Neq(x.BacklogP(c), y.BacklogP(c))},
 		{prefix + "backlog-b", b.Neq(x.BacklogB(c), y.BacklogB(c))},
+		{prefix + "dropped", b.Neq(x.dropped, y.dropped)},
 	}
-	xs, ys := x.Slots(), y.Slots()
-	for i := range xs {
-		out = append(out, namedDiff{prefix + xs[i].Name, b.Neq(xs[i].Term, ys[i].Term)})
+	for i := range x.valid {
+		slot := fmt.Sprintf("%sslot%d.", prefix, i)
+		out = append(out,
+			namedDiff{slot + "valid", b.Neq(x.valid[i], y.valid[i])},
+			namedDiff{slot + "bytes", b.Neq(x.bytes[i], y.bytes[i])})
+		for f := range x.fields[i] {
+			out = append(out, namedDiff{fmt.Sprintf("%sf%d", slot, f), b.Neq(x.fields[i][f], y.fields[i][f])})
+		}
 	}
 	return out
 }

@@ -289,42 +289,20 @@ func (m *Machine) backlogOf(ref *bufRef, bytes bool, p Pos) (*term.Term, error) 
 		arm := ref.arms[i]
 		st := m.bufs[arm.name]
 		var v *term.Term
-		var err error
 		switch {
-		case len(ref.filters) == 0 && !bytes:
-			v = st.BacklogP(m.ctx)
-		case len(ref.filters) == 0 && bytes:
-			v = st.BacklogB(m.ctx)
-		default:
-			v, err = m.filteredBacklog(st, ref.filters, bytes)
-			if err != nil {
+		case len(ref.filters) > 0:
+			var err error
+			if v, err = st.FilterBacklog(m.ctx, ref.filters, bytes); err != nil {
 				return nil, &Error{p, err.Error()}
 			}
+		case bytes:
+			v = st.BacklogB(m.ctx)
+		default:
+			v = st.BacklogP(m.ctx)
 		}
 		out = m.b.Ite(arm.cond, v, out)
 	}
 	return out, nil
-}
-
-// filteredBacklog applies one or more filters. A single filter maps to the
-// model's primitive; chains are only exact on the list model, where they
-// are computed by intersecting masks via repeated single-filter calls is
-// not possible — instead we require single filters for non-list models and
-// compute chains on the list model by nesting.
-func (m *Machine) filteredBacklog(st buffer.State, filters []buffer.Filter, bytes bool) (*term.Term, error) {
-	if len(filters) == 1 {
-		if bytes {
-			return st.FilterBacklogB(m.ctx, filters[0])
-		}
-		return st.FilterBacklogP(m.ctx, filters[0])
-	}
-	ls, ok := st.(interface {
-		MultiFilterBacklog(c *buffer.Ctx, fs []buffer.Filter, bytes bool) (*term.Term, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("chained filters need the list buffer model")
-	}
-	return ls.MultiFilterBacklog(m.ctx, filters, bytes)
 }
 
 // fold evaluates a compile-time constant with the unrolled loop

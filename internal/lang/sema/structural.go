@@ -119,7 +119,7 @@ func structuralPass(info *typecheck.Info, opts Options, rep *Report) (badHorizon
 		rep.add(Diagnostic{
 			Code: CodeNotFeedFwd, Severity: Warn, Pos: movePosFor(prog, cyc[0]),
 			Msg:  fmt.Sprintf("buffer topology is not feed-forward: cycle %s", cycleString(cyc)),
-			Hint: "netcalc lowering (-backend netcalc, POST /v1/bound) will reject this program; only the SMT tier can analyze it",
+			Hint: "netcalc lowering (-mode bound, POST /v1/bound) will reject this program; only the SMT tier can analyze it",
 		})
 	} else if !badHorizon {
 		// B004: horizon shallower than the longest input->output path —

@@ -185,6 +185,13 @@ func TestCallerCancellationPropagates(t *testing.T) {
 // config. The classic config wins with a conclusive answer and every
 // crippled loser observes cancellation mid-search — visible as Status
 // Unknown with partial sat.Stats.
+//
+// Neither outcome is left to the goroutine scheduler. The classic config
+// starts searching only once every crippled config has published search
+// effort, so none can be cancelled before its first decision. And at T=8
+// the crippled configs cannot catch up: searching alone, the classic
+// config finds the witness in 2,289 conflicts (~0.1 s on a 2-vCPU VM),
+// while seeds 101, 202 and 303 need 8,072, 8,272 and 10,811 (1.2–1.9 s).
 func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 	info := qm.MustLoad(qm.FQBuggyQuerySrc)
 	crippled := func(name string, seed uint64) Config {
@@ -192,6 +199,19 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 			RandSeed: seed, RandFreq: 1.0, VarDecay: 0.999, RestartBase: 2_000_000,
 		}}
 	}
+	progress := &sat.Progress{}
+	realSolve := solveFn
+	solveFn = func(ctx context.Context, enc *smtbe.Encoded, search sat.Options) (*smtbe.Result, error) {
+		for search.Name == "classic" && !losersSearching(progress, 3) {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return realSolve(ctx, enc, search)
+	}
+	t.Cleanup(func() { solveFn = realSolve })
 	res, err := CheckContext(context.Background(), info, Options{
 		Configs: []Config{
 			{Name: "classic"},
@@ -200,8 +220,9 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 			crippled("rand-c", 303),
 		},
 		Base: smtbe.Options{
-			IR:   ir.Options{T: 6, Params: map[string]int64{"N": 3}},
-			Mode: smtbe.Witness,
+			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},
+			Solver: solver.Options{Progress: progress},
+			Mode:   smtbe.Witness,
 		},
 	})
 	if err != nil {
@@ -225,6 +246,18 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 	if stopped == 0 {
 		t.Error("no loser observed cancellation — first-wins cancel is not working")
 	}
+}
+
+// losersSearching reports whether n configs other than "classic" have
+// published search decisions into p.
+func losersSearching(p *sat.Progress, n int) bool {
+	searching := 0
+	for _, ce := range p.Report().Configs {
+		if ce.Name != "classic" && ce.Decisions > 0 {
+			searching++
+		}
+	}
+	return searching == n
 }
 
 func TestDefaultConfigsShape(t *testing.T) {
