@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -60,7 +61,7 @@ func runFig6() error {
 	for _, T := range []int{2, 3, 4, 5, 6, 7, 8} {
 		// Synthesize the workload at this horizon (the paper uses FPerf's
 		// synthesized traffic as the Dafny assumptions).
-		sres, err := fperf.Synthesize(prog.Info, fperf.Options{
+		sres, err := fperf.SynthesizeContext(context.Background(), prog.Info, fperf.Options{
 			IR: ir.Options{T: T, Params: params},
 		})
 		if err != nil {
@@ -97,7 +98,7 @@ func runCS1() error {
 	}
 	fmt.Printf("%3s  %10s  %8s  %9s  %s\n", "T", "status", "time", "conflicts", "q1 served")
 	for _, T := range []int{4, 6, 8, 10} {
-		res, err := prog.FindWitness(core.Analysis{T: T, Params: map[string]int64{"N": 3}})
+		res, err := prog.Check(context.Background(), core.Analysis{T: T, Params: map[string]int64{"N": 3}}, smtbe.Witness)
 		if err != nil {
 			return err
 		}
@@ -124,7 +125,7 @@ func runCS1b() error {
 	// in a 4-step horizon even a fair scheduler serves queue 1 only once.
 	fmt.Printf("%3s  %10s  %8s\n", "T", "status", "time")
 	for _, T := range []int{6, 8, 10} {
-		res, err := prog.FindWitness(core.Analysis{T: T, Params: map[string]int64{"N": 3}})
+		res, err := prog.Check(context.Background(), core.Analysis{T: T, Params: map[string]int64{"N": 3}}, smtbe.Witness)
 		if err != nil {
 			return err
 		}
@@ -192,7 +193,7 @@ func runS1() error {
 		return err
 	}
 	start = time.Now()
-	res, err := prog.FindWitness(core.Analysis{T: 5, Params: map[string]int64{"N": 2}, Model: "count"})
+	res, err := prog.Check(context.Background(), core.Analysis{T: 5, Params: map[string]int64{"N": 2}, Model: "count"}, smtbe.Witness)
 	if err != nil {
 		return err
 	}
@@ -218,9 +219,9 @@ func runA1() error {
 		if err != nil {
 			return err
 		}
-		res, err := prog.FindWitness(core.Analysis{
+		res, err := prog.Check(context.Background(), core.Analysis{
 			T: 6, Params: map[string]int64{"N": 2}, Model: model,
-		})
+		}, smtbe.Witness)
 		if err != nil {
 			return err
 		}

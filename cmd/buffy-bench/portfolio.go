@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/qm"
 )
@@ -25,16 +27,17 @@ func runPortfolioExp() error {
 	examples := []struct {
 		name   string
 		src    string
-		mode   string // "verify" | "witness"
+		mode   smtbe.Mode
 		t      int
 		params map[string]int64
 	}{
-		{"cs1-fq-starvation", qm.FQBuggyQuerySrc, "witness", 8, map[string]int64{"N": 3}},
-		{"sp-starvation", qm.SPQuerySrc, "witness", 6, map[string]int64{"N": 3}},
-		{"rr-no-starvation", qm.RRQuerySrc, "witness", 6, map[string]int64{"N": 2}},
-		{"shaper-envelope", qm.ShaperSrc, "verify", 5, map[string]int64{"RATE": 2, "BURST": 3}},
+		{"cs1-fq-starvation", qm.FQBuggyQuerySrc, smtbe.Witness, 8, map[string]int64{"N": 3}},
+		{"sp-starvation", qm.SPQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 3}},
+		{"rr-no-starvation", qm.RRQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 2}},
+		{"shaper-envelope", qm.ShaperSrc, smtbe.Verify, 5, map[string]int64{"RATE": 2, "BURST": 3}},
 	}
 
+	ctx := context.Background()
 	wins := 0
 	fmt.Printf("%-20s  %-8s  %5s  %10s  %10s  %8s  %-14s\n",
 		"example", "mode", "width", "single", "portfolio", "speedup", "winner")
@@ -44,53 +47,30 @@ func runPortfolioExp() error {
 			return err
 		}
 		a := core.Analysis{T: ex.t, Params: ex.params}
-
-		var singleStatus string
 		start := time.Now()
-		if ex.mode == "verify" {
-			res, err := prog.Verify(a)
-			if err != nil {
-				return err
-			}
-			singleStatus = res.Status.String()
-		} else {
-			res, err := prog.FindWitness(a)
-			if err != nil {
-				return err
-			}
-			singleStatus = res.Status.String()
+		res, err := prog.Check(ctx, a, ex.mode)
+		if err != nil {
+			return err
 		}
 		single := time.Since(start)
 
 		for _, size := range portfolioSizes {
 			pa := a
 			pa.Portfolio = size
-			var portStatus, winner string
-			var portWall time.Duration
-			if ex.mode == "verify" {
-				pr, err := prog.VerifyPortfolio(pa)
-				if err != nil {
-					return err
-				}
-				portStatus, winner, portWall = pr.Status.String(), pr.Winner, pr.WallClock
-			} else {
-				pr, err := prog.FindWitnessPortfolio(pa)
-				if err != nil {
-					return err
-				}
-				portStatus, winner, portWall = pr.Status.String(), pr.Winner, pr.WallClock
+			pr, err := prog.Check(ctx, pa, ex.mode)
+			if err != nil {
+				return err
 			}
-
-			if portStatus != singleStatus {
-				return fmt.Errorf("%s (width %d): portfolio answered %s but single config answered %s",
-					ex.name, size, portStatus, singleStatus)
+			if pr.Status != res.Status {
+				return fmt.Errorf("%s (width %d): portfolio answered %v but single config answered %v",
+					ex.name, size, pr.Status, res.Status)
 			}
-			speedup := float64(single) / float64(portWall)
+			speedup := float64(single) / float64(pr.WallClock)
 			if speedup > 1 {
 				wins++
 			}
 			fmt.Printf("%-20s  %-8s  %5d  %9.3fs  %9.3fs  %7.2fx  %-14s\n",
-				ex.name, ex.mode, size, single.Seconds(), portWall.Seconds(), speedup, winner)
+				ex.name, ex.mode, size, single.Seconds(), pr.WallClock.Seconds(), speedup, pr.Winner)
 		}
 	}
 

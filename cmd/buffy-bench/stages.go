@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/qm"
 	"buffy/internal/telemetry"
@@ -22,15 +23,15 @@ func runStages() error {
 	cases := []struct {
 		name   string
 		src    string
-		kind   string
+		mode   smtbe.Mode
 		t      int
 		params map[string]int64
 		model  string
 	}{
-		{"fq-witness", qm.FQBuggyQuerySrc, "witness", 6, map[string]int64{"N": 3}, ""},
-		{"rr-witness", qm.RRQuerySrc, "witness", 6, map[string]int64{"N": 2}, ""},
-		{"rr-count", qm.RRQuerySrc, "witness", 6, map[string]int64{"N": 2}, "count"},
-		{"sp-verify", qm.SPQuerySrc, "verify", 5, map[string]int64{"N": 2}, ""},
+		{"fq-witness", qm.FQBuggyQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 3}, ""},
+		{"rr-witness", qm.RRQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 2}, ""},
+		{"rr-count", qm.RRQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 2}, "count"},
+		{"sp-verify", qm.SPQuerySrc, smtbe.Verify, 5, map[string]int64{"N": 2}, ""},
 	}
 	// Stages in pipeline order; everything else a trace records (portfolio
 	// configs, ...) is folded into "other".
@@ -54,13 +55,7 @@ func runStages() error {
 		}
 		a := core.Analysis{T: c.t, Params: c.params, Model: c.model}
 		start := time.Now()
-		switch c.kind {
-		case "verify":
-			_, err = prog.VerifyContext(ctx, a)
-		default:
-			_, err = prog.FindWitnessContext(ctx, a)
-		}
-		if err != nil {
+		if _, err := prog.Check(ctx, a, c.mode); err != nil {
 			return err
 		}
 		total := time.Since(start)

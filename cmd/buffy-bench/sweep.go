@@ -57,7 +57,7 @@ func runSweepExp() error {
 			return fmt.Errorf("%s cold: %w", c.name, err)
 		}
 		// Warm run: one session answers every horizon by re-solve.
-		warm, err := prog.SweepContext(ctx, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
+		warm, err := prog.Sweep(ctx, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
 		if err != nil {
 			return fmt.Errorf("%s warm: %w", c.name, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/bench"
 	"buffy/internal/core"
 	"buffy/internal/qm"
@@ -47,34 +48,30 @@ type trajectoryProbe struct {
 // first-conclusive-answer-wins and therefore nondeterministic by
 // design; those surfaces are covered by wall-clock-only probes.
 func trajectoryProbes() []trajectoryProbe {
-	solve := func(src string, params map[string]int64, t int, witness bool) func(context.Context) (map[string]int64, error) {
+	solve := func(src string, params map[string]int64, t int, mode smtbe.Mode) func(context.Context) (map[string]int64, error) {
 		return func(ctx context.Context) (map[string]int64, error) {
 			prog, err := core.Parse(src)
 			if err != nil {
 				return nil, err
 			}
-			query := prog.VerifyContext
-			if witness {
-				query = prog.FindWitnessContext
-			}
 			tr := telemetry.NewTrace("trajectory")
-			if _, err := query(telemetry.WithTrace(ctx, tr), core.Analysis{T: t, Params: params}); err != nil {
+			if _, err := prog.Check(telemetry.WithTrace(ctx, tr), core.Analysis{T: t, Params: params}, mode); err != nil {
 				return nil, err
 			}
 			return tr.Work(), nil
 		}
 	}
 	return []trajectoryProbe{
-		{name: "cs1-fq-witness-t8", run: solve(qm.FQBuggyQuerySrc, map[string]int64{"N": 3}, 8, true)},
-		{name: "fq-fixed-verify-t6", run: solve(qm.FQFixedQuerySrc, map[string]int64{"N": 3}, 6, false)},
-		{name: "shaper-verify-t12", run: solve(qm.ShaperSrc, map[string]int64{"RATE": 2, "BURST": 3}, 12, false)},
-		{name: "sptandem-verify-t8", run: solve(qm.SPTandemSrc, map[string]int64{"RH": 1, "BH": 2, "RV": 1, "BV": 2, "C": 3}, 8, false)},
+		{name: "cs1-fq-witness-t8", run: solve(qm.FQBuggyQuerySrc, map[string]int64{"N": 3}, 8, smtbe.Witness)},
+		{name: "fq-fixed-verify-t6", run: solve(qm.FQFixedQuerySrc, map[string]int64{"N": 3}, 6, smtbe.Verify)},
+		{name: "shaper-verify-t12", run: solve(qm.ShaperSrc, map[string]int64{"RATE": 2, "BURST": 3}, 12, smtbe.Verify)},
+		{name: "sptandem-verify-t8", run: solve(qm.SPTandemSrc, map[string]int64{"RH": 1, "BH": 2, "RV": 1, "BV": 2, "C": 3}, 8, smtbe.Verify)},
 		{name: "tbrl-netcalc-bound", timeOnly: true, run: func(ctx context.Context) (map[string]int64, error) {
 			prog, err := core.Parse(qm.TBRLSrc)
 			if err != nil {
 				return nil, err
 			}
-			_, err = prog.BoundContext(ctx, core.Analysis{
+			_, err = prog.Bound(ctx, core.Analysis{
 				T: 6, Params: map[string]int64{"RATE": 1, "BURST": 3, "C": 2}})
 			return nil, err
 		}},
@@ -86,8 +83,8 @@ func trajectoryProbes() []trajectoryProbe {
 			if err != nil {
 				return nil, err
 			}
-			_, err = prog.FindWitnessPortfolioContext(ctx, core.Analysis{
-				T: 8, Params: map[string]int64{"N": 3}, Portfolio: 4})
+			_, err = prog.Check(ctx, core.Analysis{
+				T: 8, Params: map[string]int64{"N": 3}, Portfolio: 4}, smtbe.Witness)
 			return nil, err
 		}},
 	}

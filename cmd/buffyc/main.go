@@ -141,51 +141,23 @@ func main() {
 		Progress: progress,
 	}
 
+	winner := "" // the portfolio config that answered, for -explain
 	switch *mode {
-	case "verify":
-		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, false, *stats, *planOut, progress)
-			printTrace(tr, *traceJSON)
-			return
+	case "verify", "witness":
+		qmode := smtbe.Verify
+		if *mode == "witness" {
+			qmode = smtbe.Witness
 		}
-		res, err := prog.VerifyContext(ctx, a)
+		pr, err := prog.Check(ctx, a, qmode)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s: %v (%.3fs, %d clauses, %d vars, %d conflicts)\n",
-			prog.Name(), res.Status, res.Duration.Seconds(), res.NumClauses, res.NumVars, res.SatStats.Conflicts)
-		printStats(*stats, res)
-		if res.Trace != nil {
-			fmt.Print(res.Trace)
-			savePlan(*planOut, res.Trace)
-		}
-	case "witness":
-		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, true, *stats, *planOut, progress)
-			printTrace(tr, *traceJSON)
-			return
-		}
-		res, err := prog.FindWitnessContext(ctx, a)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %v (%.3fs)\n", prog.Name(), res.Status, res.Duration.Seconds())
-		printStats(*stats, res)
-		if res.Trace != nil {
-			fmt.Print(res.Trace)
-			savePlan(*planOut, res.Trace)
-			if len(res.Trace.Vars) > 0 {
-				fmt.Println("final monitors/globals:")
-				last := res.Trace.Vars[len(res.Trace.Vars)-1]
-				for name, v := range last {
-					fmt.Printf("  %s = %d\n", name, v)
-				}
-			}
-		}
+		printCheck(prog.Name(), pr, *stats, *planOut)
+		winner = pr.Winner
 	case "sweep":
 		runSweep(ctx, prog, a, *maxT, *sweepWitness, *stats, *planOut)
 	case "synth":
-		res, err := prog.SynthesizeWorkloadContext(ctx, a)
+		res, err := prog.Synthesize(ctx, a)
 		if err != nil {
 			fatal(err)
 		}
@@ -201,7 +173,7 @@ func main() {
 		}
 	case "bound":
 		a.CrossCheck = *crossCheck
-		res, err := prog.BoundContext(ctx, a)
+		res, err := prog.Bound(ctx, a)
 		if err != nil {
 			fatal(err)
 		}
@@ -260,7 +232,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	printExplain(progress, "")
+	printExplain(progress, winner)
 	printTrace(tr, *traceJSON)
 }
 
@@ -333,7 +305,7 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 	if witness {
 		mode = smtbe.Witness
 	}
-	sr, err := prog.SweepContext(ctx, a, core.SweepOptions{
+	sr, err := prog.Sweep(ctx, a, core.SweepOptions{
 		MaxT: maxT, Mode: mode,
 		OnVerdict: func(v session.Verdict) {
 			how := "warm"
@@ -362,22 +334,15 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 	}
 }
 
-// runPortfolio races -portfolio diversified solver configurations on a
-// verify or witness query, reporting the winning configuration and each
-// config's search effort before rendering the winner's trace as usual.
-func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witness, stats bool, planOut string, progress *sat.Progress) {
-	var pr *portfolio.Result
-	var err error
-	if witness {
-		pr, err = prog.FindWitnessPortfolioContext(ctx, a)
-	} else {
-		pr, err = prog.VerifyPortfolioContext(ctx, a)
+// printCheck renders a verify or witness answer: the verdict with the
+// encoding size, the race table when a -portfolio race ran (the winner
+// starred), then the trace and the final monitor and global values.
+func printCheck(name string, pr *portfolio.Result, stats bool, planOut string) {
+	fmt.Printf("%s: %v (%.3fs, %d clauses, %d vars, %d conflicts)\n",
+		name, pr.Status, pr.WallClock.Seconds(), pr.NumClauses, pr.NumVars, pr.SatStats.Conflicts)
+	if len(pr.Runs) > 0 {
+		fmt.Printf("portfolio of %d, winner %s:\n", len(pr.Runs), pr.Winner)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: %v (portfolio of %d, winner %s, %.3fs wall)\n",
-		prog.Name(), pr.Status, len(pr.Runs), pr.Winner, pr.WallClock.Seconds())
 	for _, run := range pr.Runs {
 		marker := " "
 		if run.Name == pr.Winner {
@@ -393,11 +358,17 @@ func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witn
 		}
 		fmt.Println()
 	}
-	printExplain(progress, pr.Winner)
 	printStats(stats, pr.Result)
-	if pr.Trace != nil {
-		fmt.Print(pr.Trace)
-		savePlan(planOut, pr.Trace)
+	if pr.Trace == nil {
+		return
+	}
+	fmt.Print(pr.Trace)
+	savePlan(planOut, pr.Trace)
+	if len(pr.Trace.Vars) > 0 {
+		fmt.Println("final monitors/globals:")
+		for k, v := range pr.Trace.Vars[len(pr.Trace.Vars)-1] {
+			fmt.Printf("  %s = %d\n", k, v)
+		}
 	}
 }
 

@@ -8,15 +8,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/qm"
 )
 
 func main() {
 	const T, N = 6, 3
+	ctx := context.Background()
 	analysis := core.Analysis{T: T, Params: map[string]int64{"N": N}}
 
 	// --- 1. The buggy scheduler: can queue 1, with packets waiting in
@@ -25,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := buggy.FindWitness(analysis)
+	res, err := buggy.Check(ctx, analysis, smtbe.Witness)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func main() {
 	// --- 3. Generalize: what traffic pattern causes this? This is the
 	// RFC's "transmits at just the right rate" flow, discovered
 	// automatically.
-	synth, err := buggy.SynthesizeWorkload(core.Analysis{T: 5, Params: map[string]int64{"N": 2}})
+	synth, err := buggy.Synthesize(ctx, core.Analysis{T: 5, Params: map[string]int64{"N": 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fres, err := fixed.FindWitness(analysis)
+	fres, err := fixed.Check(ctx, analysis, smtbe.Witness)
 	if err != nil {
 		log.Fatal(err)
 	}

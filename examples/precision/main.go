@@ -8,9 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/buffer"
 	"buffy/internal/core"
 	"buffy/internal/ir"
@@ -27,9 +29,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := prog.FindWitness(core.Analysis{
+		res, err := prog.Check(context.Background(), core.Analysis{
 			T: 6, Params: map[string]int64{"N": 2}, Model: model,
-		})
+		}, smtbe.Witness)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,9 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/workload"
@@ -49,7 +51,8 @@ func main() {
 
 	// --- Verification: with up to 2 arrivals per step the backlog bound
 	// breaks; the solver hands us the offending traffic pattern.
-	res, err := prog.Verify(core.Analysis{T: 4, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
+	ctx := context.Background()
+	res, err := prog.Check(ctx, core.Analysis{T: 4, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}}, smtbe.Verify)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func main() {
 
 	// --- Restrict traffic and verify again: at one arrival per step both
 	// asserts hold on every execution.
-	res, err = prog.Verify(core.Analysis{T: 6, Bounds: typecheck.Bounds{ArrivalsPerStep: 1}})
+	res, err = prog.Check(ctx, core.Analysis{T: 6, Bounds: typecheck.Bounds{ArrivalsPerStep: 1}}, smtbe.Verify)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 
 	// --- The envelope holds on every execution (all arrival patterns, all
 	// packet sizes in 1..3 bytes).
-	res, err := prog.Verify(a)
+	res, err := prog.Check(context.Background(), a, smtbe.Verify)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/qm"
 	"buffy/internal/telemetry"
@@ -39,9 +40,9 @@ func main() {
 	// 2. The slow query: find the starvation witness at horizon T=6 with
 	// N=3 flows. Encoding and search cost about the same at this size
 	// (~35k clauses, ~1,200 conflicts).
-	res, err := prog.FindWitnessContext(ctx, core.Analysis{
+	res, err := prog.Check(ctx, core.Analysis{
 		T: 6, Params: map[string]int64{"N": 3},
-	})
+	}, smtbe.Witness)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -103,15 +103,10 @@ type Result struct {
 	Compiled *ir.Compiled
 }
 
-// Synthesize searches for a workload under which every execution satisfies
-// the program's query (all reached asserts hold, at least one is reached).
-func Synthesize(info *typecheck.Info, opts Options) (*Result, error) {
-	return SynthesizeContext(context.Background(), info, opts)
-}
-
-// SynthesizeContext is Synthesize with cooperative cancellation: each
-// solver query aborts soon after ctx is cancelled and the whole synthesis
-// returns ctx.Err().
+// SynthesizeContext searches for a workload under which every execution
+// satisfies the program's query (all reached asserts hold, at least one is
+// reached). Each solver query aborts soon after ctx is cancelled and the
+// whole synthesis returns ctx.Err().
 func SynthesizeContext(ctx context.Context, info *typecheck.Info, opts Options) (*Result, error) {
 	start := time.Now()
 	ctx, ssp := telemetry.StartSpan(ctx, "synthesize")

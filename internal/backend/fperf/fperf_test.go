@@ -1,6 +1,7 @@
 package fperf
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/ir"
@@ -14,7 +15,7 @@ func synth(t *testing.T, src string, opts Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Synthesize(info, opts)
+	res, err := SynthesizeContext(context.Background(), info, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSynthesizeFQStarvationWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Synthesize(info, Options{IR: ir.Options{
+	res, err := SynthesizeContext(context.Background(), info, Options{IR: ir.Options{
 		T: 5, Params: map[string]int64{"N": 2},
 	}})
 	if err != nil {

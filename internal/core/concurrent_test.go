@@ -31,7 +31,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0, 1: // shared program, witness direction
-				res, err := shared.FindWitness(fqAnalysis)
+				res, err := shared.Check(context.Background(), fqAnalysis, smtbe.Witness)
 				if err != nil {
 					errs <- err
 					return
@@ -45,7 +45,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := prog.Verify(Analysis{T: 3})
+				res, err := prog.Check(context.Background(), Analysis{T: 3}, smtbe.Verify)
 				if err != nil {
 					errs <- err
 					return
@@ -54,7 +54,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 					t.Errorf("worker %d: verify status %v", i, res.Status)
 				}
 			case 3: // shared program, verify direction (FQ starves: cex exists)
-				res, err := shared.VerifyContext(context.Background(), fqAnalysis)
+				res, err := shared.Check(context.Background(), fqAnalysis, smtbe.Verify)
 				if err != nil {
 					errs <- err
 					return
@@ -82,7 +82,7 @@ func TestContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := prog.FindWitnessContext(ctx, Analysis{T: 10, Params: map[string]int64{"N": 3}}); err == nil {
+	if _, err := prog.Check(ctx, Analysis{T: 10, Params: map[string]int64{"N": 3}}, smtbe.Witness); err == nil {
 		t.Error("expected a cancellation error")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -90,7 +90,7 @@ func TestContextCancel(t *testing.T) {
 	}
 
 	// Synthesize honours cancellation too.
-	if _, err := prog.SynthesizeWorkloadContext(ctx, Analysis{T: 5, Params: map[string]int64{"N": 2}}); err == nil {
+	if _, err := prog.Synthesize(ctx, Analysis{T: 5, Params: map[string]int64{"N": 2}}); err == nil {
 		t.Error("expected a cancellation error from synthesis")
 	}
 }

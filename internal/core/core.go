@@ -5,9 +5,9 @@
 // and picks an analysis; the framework picks the representation.
 //
 //	prog, _ := core.Parse(src)
-//	res, _  := prog.FindWitness(core.Analysis{T: 6, Params: ...})
-//	pr, _   := prog.VerifyPortfolio(core.Analysis{T: 6, Portfolio: 4}) // race solver configs
-//	wl, _   := prog.SynthesizeWorkload(...)   // FPerf-style back-end
+//	res, _  := prog.Check(ctx, core.Analysis{T: 6, Params: ...}, smtbe.Witness)
+//	pr, _   := prog.Check(ctx, core.Analysis{T: 6, Portfolio: 4}, smtbe.Verify) // race solver configs
+//	wl, _   := prog.Synthesize(ctx, ...)      // FPerf-style back-end
 //	dfy, _  := prog.GenerateDafny(...)        // Dafny back-end (source)
 //	ver, _  := prog.VerifyDafny(...)          // Dafny-style mini-verifier
 //	ok, _   := prog.ProveForAllHorizons(...)  // transition-system back-end
@@ -103,9 +103,8 @@ type Analysis struct {
 	// classic configuration. Portfolio runs override it per config.
 	Search sat.Options
 	// Portfolio races this many diversified solver configurations per
-	// verify/witness query, taking the first conclusive answer (see
-	// VerifyPortfolio / FindWitnessPortfolio). 0 or 1 means a single
-	// solver; plain Verify/FindWitness ignore the field.
+	// Check, taking the first conclusive answer. 0 or 1 means a single
+	// solver.
 	Portfolio int
 	// Progress, when non-nil, receives live CDCL search counters from
 	// every solver call made on behalf of this analysis (all portfolio
@@ -114,7 +113,7 @@ type Analysis struct {
 	Progress *sat.Progress
 	// K is the induction depth for ProveForAllHorizons (default 1).
 	K int
-	// CrossCheck makes BoundContext differentially validate its analytical
+	// CrossCheck makes Bound differentially validate its analytical
 	// bounds against the SMT backend at horizon T (ErrDisagreement on
 	// violation).
 	CrossCheck bool
@@ -140,90 +139,43 @@ func (a Analysis) solverOptions() solver.Options {
 	}
 }
 
-// Verify checks that every assert holds on all executions within the
-// horizon (the bounded-model-checking direction). A counterexample trace
-// is returned when one exists.
-func (p *Program) Verify(a Analysis) (*smtbe.Result, error) {
-	return p.VerifyContext(context.Background(), a)
-}
-
-// VerifyContext is Verify with cooperative cancellation: cancelling ctx
+// Check answers a verify or witness query. Verify checks that every
+// assert holds on all executions within the horizon (the bounded-model-
+// checking direction) and returns a counterexample trace when one exists;
+// Witness searches for an execution satisfying the query (the FPerf "can
+// this happen" direction) and returns its traffic trace. The static tier
+// answers first when it can; otherwise one solver runs, or, with
+// a.Portfolio > 1, that many diversified configurations race and the
+// first conclusive answer wins. Winner and Runs are set only when a race
+// ran; a single solve's WallClock is its own Duration. Cancelling ctx
 // (or passing its deadline) aborts the in-flight solve promptly.
-func (p *Program) VerifyContext(ctx context.Context, a Analysis) (*smtbe.Result, error) {
-	iro, err := a.irOptions()
-	if err != nil {
-		return nil, err
-	}
-	if res := p.staticTier(ctx, a, smtbe.Verify); res != nil {
-		return res, nil
-	}
-	return smtbe.CheckContext(ctx, p.Info, smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: smtbe.Verify})
-}
-
-// FindWitness searches for an execution satisfying the program's query
-// (the FPerf "can this happen" direction), returning its traffic trace.
-func (p *Program) FindWitness(a Analysis) (*smtbe.Result, error) {
-	return p.FindWitnessContext(context.Background(), a)
-}
-
-// FindWitnessContext is FindWitness with cooperative cancellation.
-func (p *Program) FindWitnessContext(ctx context.Context, a Analysis) (*smtbe.Result, error) {
-	iro, err := a.irOptions()
-	if err != nil {
-		return nil, err
-	}
-	if res := p.staticTier(ctx, a, smtbe.Witness); res != nil {
-		return res, nil
-	}
-	return smtbe.CheckContext(ctx, p.Info, smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: smtbe.Witness})
-}
-
-// VerifyPortfolio is Verify through the portfolio layer: a.Portfolio
-// diversified solver configurations race on the query and the first
-// conclusive answer wins, with the losers cancelled cooperatively. The
-// result carries the winning config's name and every config's effort.
-func (p *Program) VerifyPortfolio(a Analysis) (*portfolio.Result, error) {
-	return p.VerifyPortfolioContext(context.Background(), a)
-}
-
-// VerifyPortfolioContext is VerifyPortfolio with cooperative cancellation.
-func (p *Program) VerifyPortfolioContext(ctx context.Context, a Analysis) (*portfolio.Result, error) {
-	return p.portfolioCheck(ctx, a, smtbe.Verify)
-}
-
-// FindWitnessPortfolio is FindWitness through the portfolio layer.
-func (p *Program) FindWitnessPortfolio(a Analysis) (*portfolio.Result, error) {
-	return p.FindWitnessPortfolioContext(context.Background(), a)
-}
-
-// FindWitnessPortfolioContext is FindWitnessPortfolio with cooperative
-// cancellation.
-func (p *Program) FindWitnessPortfolioContext(ctx context.Context, a Analysis) (*portfolio.Result, error) {
-	return p.portfolioCheck(ctx, a, smtbe.Witness)
-}
-
-func (p *Program) portfolioCheck(ctx context.Context, a Analysis, mode smtbe.Mode) (*portfolio.Result, error) {
+func (p *Program) Check(ctx context.Context, a Analysis, mode smtbe.Mode) (*portfolio.Result, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
 	if res := p.staticTier(ctx, a, mode); res != nil {
-		return &portfolio.Result{Result: res, Winner: "static"}, nil
+		return &portfolio.Result{Result: res, WallClock: res.Duration}, nil
 	}
-	return portfolio.CheckContext(ctx, p.Info, portfolio.Options{
-		N:    a.Portfolio,
-		Base: smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: mode},
-	})
+	opts := smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: mode}
+	if a.Portfolio > 1 {
+		return portfolio.CheckContext(ctx, p.Info, portfolio.Options{N: a.Portfolio, Base: opts})
+	}
+	r, err := smtbe.CheckContext(ctx, p.Info, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &portfolio.Result{Result: r, WallClock: r.Duration}, nil
 }
 
-// BoundContext runs the network-calculus back-end: analytical worst-case
+// Bound runs the network-calculus back-end: analytical worst-case
 // delay and backlog bounds for the program's victim flow, answered in
 // microseconds (min-plus algebra, no solver search, no horizon). With
 // a.CrossCheck set it additionally proves at horizon a.T that the bounds
 // dominate every execution the SMT backend can reach — a SAT witness
 // beyond the bound is the hard error netcalc.ErrDisagreement. Cancelling
 // ctx aborts that cross-check solve, the only part that can block.
-func (p *Program) BoundContext(ctx context.Context, a Analysis) (*netcalc.Result, error) {
+func (p *Program) Bound(ctx context.Context, a Analysis) (*netcalc.Result, error) {
 	if err := p.vetGate(ctx, a); err != nil {
 		return nil, err
 	}
@@ -247,15 +199,9 @@ func (p *Program) BoundContext(ctx context.Context, a Analysis) (*netcalc.Result
 	return r, nil
 }
 
-// SynthesizeWorkload runs the FPerf-style back-end: find input-traffic
+// Synthesize runs the FPerf-style back-end: find input-traffic
 // conditions under which the query is guaranteed.
-func (p *Program) SynthesizeWorkload(a Analysis) (*fperf.Result, error) {
-	return p.SynthesizeWorkloadContext(context.Background(), a)
-}
-
-// SynthesizeWorkloadContext is SynthesizeWorkload with cooperative
-// cancellation.
-func (p *Program) SynthesizeWorkloadContext(ctx context.Context, a Analysis) (*fperf.Result, error) {
+func (p *Program) Synthesize(ctx context.Context, a Analysis) (*fperf.Result, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,25 +56,53 @@ func TestParseFileMultiple(t *testing.T) {
 	}
 }
 
+// checkEveryWay runs one query through Check with a single solver and
+// with a two-config race. It asserts the status and tier, that race
+// fields appear exactly when a race ran, and that any trace replays on
+// the interpreter.
+func checkEveryWay(t *testing.T, prog *Program, a Analysis, mode smtbe.Mode, want smtbe.Status, static bool) {
+	t.Helper()
+	for _, n := range []int{0, 2} {
+		a.Portfolio = n
+		pr, err := prog.Check(context.Background(), a, mode)
+		if err != nil {
+			t.Fatalf("%v portfolio %d: %v", mode, n, err)
+		}
+		if pr.Status != want || (pr.Tier == "static") != static {
+			t.Errorf("%v portfolio %d: status %v tier %q, want %v (static %v)", mode, n, pr.Status, pr.Tier, want, static)
+		}
+		raced := n > 1 && !static
+		wantRuns := 0
+		if raced {
+			wantRuns = n
+		}
+		if len(pr.Runs) != wantRuns || (pr.Winner != "") != raced {
+			t.Errorf("%v portfolio %d: %d runs, winner %q; want %d runs", mode, n, len(pr.Runs), pr.Winner, wantRuns)
+		}
+		if !raced && pr.WallClock != pr.Duration {
+			t.Errorf("%v portfolio %d: wall clock %v, want the solve's own %v", mode, n, pr.WallClock, pr.Duration)
+		}
+		if (want == smtbe.CounterexampleFound || want == smtbe.WitnessFound) != (pr.Trace != nil) {
+			t.Errorf("%v portfolio %d: trace present %v for status %v", mode, n, pr.Trace != nil, want)
+		}
+		if pr.Trace == nil {
+			continue
+		}
+		if _, diffs, err := prog.Replay(a, pr.Trace); err != nil || len(diffs) > 0 {
+			t.Errorf("%v portfolio %d replay: err %v, differences %v", mode, n, err, diffs)
+		}
+	}
+}
+
 func TestVerifyAndWitness(t *testing.T) {
 	prog, err := Parse(limiter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Verify(Analysis{T: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != smtbe.Holds {
-		t.Errorf("verify: %v", res.Status)
-	}
-	w, err := prog.FindWitness(Analysis{T: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Status != smtbe.WitnessFound {
-		t.Errorf("witness: %v", w.Status)
-	}
+	// The per-step invariant is interval-provable; the witness needs a
+	// solver.
+	checkEveryWay(t, prog, Analysis{T: 3}, smtbe.Verify, smtbe.Holds, true)
+	checkEveryWay(t, prog, Analysis{T: 3}, smtbe.Witness, smtbe.WitnessFound, false)
 }
 
 // TestBoolInitializerEveryBackend: a constant bool initializer folds the
@@ -89,24 +118,8 @@ func TestBoolInitializerEveryBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Analysis{T: 3}
-	for _, run := range []struct {
-		check func(Analysis) (*smtbe.Result, error)
-		want  smtbe.Status
-	}{
-		{prog.Verify, smtbe.CounterexampleFound},
-		{prog.FindWitness, smtbe.WitnessFound},
-	} {
-		res, err := run.check(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != run.want || res.Trace == nil {
-			t.Fatalf("status = %v (trace %v), want %v with a trace", res.Status, res.Trace != nil, run.want)
-		}
-		if _, diffs, err := prog.Replay(a, res.Trace); err != nil || len(diffs) > 0 {
-			t.Errorf("%v replay: err %v, differences %v", run.want, err, diffs)
-		}
-	}
+	checkEveryWay(t, prog, a, smtbe.Verify, smtbe.CounterexampleFound, false)
+	checkEveryWay(t, prog, a, smtbe.Witness, smtbe.WitnessFound, false)
 	out, err := prog.GenerateDafny(a)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +131,7 @@ func TestBoolInitializerEveryBackend(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	prog, _ := Parse(limiter)
-	if _, err := prog.Verify(Analysis{T: 1, Model: "quantum"}); err == nil {
+	if _, err := prog.Check(context.Background(), Analysis{T: 1, Model: "quantum"}, smtbe.Verify); err == nil {
 		t.Error("expected unknown-model error")
 	}
 }
@@ -163,7 +176,7 @@ func TestSynthesizeThroughFacade(t *testing.T) {
 		move-p(a, b, 1);
 		if (t == T - 1) { assert(backlog-p(b) == T); }
 	}`)
-	res, err := prog.SynthesizeWorkload(Analysis{T: 2})
+	res, err := prog.Synthesize(context.Background(), Analysis{T: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +214,7 @@ func TestInferInvariantsThroughFacade(t *testing.T) {
 func TestSimulateAndReplayRoundTrip(t *testing.T) {
 	prog, _ := Parse(qm.FQBuggyQuerySrc)
 	a := Analysis{T: 6, Params: map[string]int64{"N": 3}}
-	res, err := prog.FindWitness(a)
+	res, err := prog.Check(context.Background(), a, smtbe.Witness)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,8 @@ func (p *Program) NewSession(a Analysis, maxT int) (*session.Session, error) {
 // Sweep runs the minimal-horizon search on a fresh warm session: solve
 // horizons 1..MaxT in order until one produces a trace, re-solving one
 // warm encoding under per-horizon assumptions instead of N cold solves.
-func (p *Program) Sweep(a Analysis, opts SweepOptions) (*session.SweepResult, error) {
-	return p.SweepContext(context.Background(), a, opts)
-}
-
-// SweepContext is Sweep with cooperative cancellation.
-func (p *Program) SweepContext(ctx context.Context, a Analysis, opts SweepOptions) (*session.SweepResult, error) {
+// Cancelling ctx aborts the in-flight horizon.
+func (p *Program) Sweep(ctx context.Context, a Analysis, opts SweepOptions) (*session.SweepResult, error) {
 	sess, err := p.NewSession(a, opts.MaxT)
 	if err != nil && err != session.ErrConstHorizon {
 		return nil, err
@@ -51,7 +47,7 @@ func (p *Program) SweepContext(ctx context.Context, a Analysis, opts SweepOption
 	return p.SweepWithSession(ctx, sess, a, opts)
 }
 
-// SweepWithSession is SweepContext over a caller-managed (possibly
+// SweepWithSession is Sweep over a caller-managed (possibly
 // shared, possibly nil) session — the service's pooled entry point. A nil
 // session sweeps cold; a session evicted mid-sweep degrades the remaining
 // horizons to cold solves.

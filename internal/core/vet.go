@@ -1,17 +1,18 @@
 package core
 
 // The static analysis tier (DESIGN.md "Analysis tiers"): an always-on
-// pre-solve gate in every *Context entry point. Before a query is
-// compiled and bit-blasted, the sema abstract interpreter gets a few
-// microseconds to decide it outright — contradictory workloads and
-// trivially-true queries short-circuit here, and the solver is never
-// constructed. (Assert-free programs are NOT short-circuited: the SMT
-// backend's "nothing to check" input error is the established contract
-// for those, and the gate preserves it.) The tier is sound by
-// construction: over-approximate abstract interpretation can only
-// answer in the directions where over-approximation proves the claim
-// (Verify -> Holds, Witness -> NoWitness); anything needing a concrete
-// execution falls through to the SMT tier.
+// pre-solve gate in every query entry point (Check, Synthesize, Bound,
+// Sweep). Before a query is compiled and bit-blasted, the sema abstract
+// interpreter gets a few microseconds to decide it outright —
+// contradictory workloads and trivially-true queries short-circuit here,
+// and the solver is never constructed. (Assert-free programs are NOT
+// short-circuited: the SMT backend's "nothing to check" input error is
+// the established contract for those, and the gate preserves it.) The
+// tier is sound by construction: over-approximate abstract
+// interpretation can only answer in the directions where
+// over-approximation proves the claim (Verify -> Holds, Witness ->
+// NoWitness); anything needing a concrete execution falls through to
+// the SMT tier.
 
 import (
 	"context"

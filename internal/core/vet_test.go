@@ -34,7 +34,7 @@ func TestStaticTierAnswersWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.FindWitnessContext(context.Background(), Analysis{T: 4})
+	res, err := p.Check(context.Background(), Analysis{T: 4}, smtbe.Witness)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStaticTierDeclinesNoAsserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// smtbe's established "nothing to check" error must survive the gate.
-	if _, err := p.VerifyContext(context.Background(), Analysis{T: 4}); err == nil ||
+	if _, err := p.Check(context.Background(), Analysis{T: 4}, smtbe.Verify); err == nil ||
 		!strings.Contains(err.Error(), "no assert") {
 		t.Errorf("verify error = %v, want smtbe's no-assert error", err)
 	}
@@ -68,7 +68,7 @@ func TestStaticTierDeclinesCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := p.FindWitnessContext(ctx, Analysis{T: 4})
+	res, err := p.Check(ctx, Analysis{T: 4}, smtbe.Witness)
 	if err == nil && res != nil && res.Tier == "static" {
 		t.Error("static tier answered on a cancelled context; the solver path must report cancellation")
 	}
@@ -81,7 +81,7 @@ func TestStaticTierDeclinesUnboundParams(t *testing.T) {
 	}
 	// N unbound: the ir path must report the missing binding, not a
 	// static answer computed with top-valued parameters.
-	if _, err := p.FindWitnessContext(context.Background(), Analysis{T: 4}); err == nil {
+	if _, err := p.Check(context.Background(), Analysis{T: 4}, smtbe.Witness); err == nil {
 		t.Error("want a missing-parameter error, got a result")
 	}
 }
@@ -93,11 +93,11 @@ func TestVetGateRejectsContradiction(t *testing.T) {
 	}
 	for name, run := range map[string]func() error{
 		"synthesize": func() error {
-			_, err := p.SynthesizeWorkloadContext(context.Background(), Analysis{T: 4})
+			_, err := p.Synthesize(context.Background(), Analysis{T: 4})
 			return err
 		},
 		"bound": func() error {
-			_, err := p.BoundContext(context.Background(), Analysis{T: 4})
+			_, err := p.Bound(context.Background(), Analysis{T: 4})
 			return err
 		},
 	} {
@@ -118,7 +118,7 @@ func TestVerifyContradictionAnsweredStatically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.VerifyContext(context.Background(), Analysis{T: 4})
+	res, err := p.Check(context.Background(), Analysis{T: 4}, smtbe.Verify)
 	if err != nil {
 		t.Fatal(err)
 	}

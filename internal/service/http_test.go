@@ -428,3 +428,50 @@ func TestHTTPPortfolioMetrics(t *testing.T) {
 		t.Errorf("snapshot portfolio telemetry: %+v", snap)
 	}
 }
+
+// TestHTTPStaticAnswerIsNoRace: a portfolio request the static tier
+// decides never reaches a solver, so no race ran — the result carries no
+// race fields and the portfolio metrics stay at zero.
+func TestHTTPStaticAnswerIsNoRace(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 2})
+	req := map[string]any{
+		"source": `limiter(buffer in0, buffer out0) {
+  monitor int departed;
+  local int n;
+  n = backlog-p(in0);
+  if (n > 1) { n = 1; }
+  move-p(in0, out0, n);
+  departed = departed + n;
+  assert(departed <= t + 1);
+}`,
+		"t": 4, "portfolio": 4,
+	}
+	resp, body := postJSON(t, srv.URL+"/v1/verify", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST: %d: %s", resp.StatusCode, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone || v.Result == nil || v.Result.Status != "holds" || v.Result.Tier != "static" {
+		t.Fatalf("want a static holds answer: %s", body)
+	}
+	if v.Result.PortfolioSize != 0 || v.Result.PortfolioWinner != "" {
+		t.Errorf("static answer reported as a race: %s", body)
+	}
+
+	mresp, err := http.Get(srv.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.PortfolioCount != 0 || len(snap.PortfolioWins) != 0 {
+		t.Errorf("static answer counted as a portfolio race: count %d, wins %v",
+			snap.PortfolioCount, snap.PortfolioWins)
+	}
+}

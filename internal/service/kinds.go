@@ -9,7 +9,6 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/faultinject"
-	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/telemetry"
 )
@@ -34,10 +33,8 @@ type kindSpec struct {
 // counters all read it, and nothing else in the package branches on a
 // Kind.
 var kinds = map[Kind]kindSpec{
-	KindVerify: {retries: true,
-		run: runCheck(KindVerify, (*core.Program).VerifyContext, (*core.Program).VerifyPortfolioContext)},
-	KindWitness: {retries: true,
-		run: runCheck(KindWitness, (*core.Program).FindWitnessContext, (*core.Program).FindWitnessPortfolioContext)},
+	KindVerify:     {retries: true, run: runCheck(KindVerify, smtbe.Verify)},
+	KindWitness:    {retries: true, run: runCheck(KindWitness, smtbe.Witness)},
 	KindSynthesize: {retries: true, run: runSynthesize},
 	KindBound:      {retries: true, run: runBound},
 	// Sweeps sit outside the retry ladder: their verdicts already streamed
@@ -82,30 +79,20 @@ func runAttempt(ctx context.Context, spec kindSpec, job *Job, req *Request) (res
 	return spec.run(ctx, job, req, prog, a)
 }
 
-// runCheck builds the run func of a verify/witness kind: a single solver,
-// or a race of req.Portfolio diversified configurations.
-func runCheck(kind Kind,
-	single func(*core.Program, context.Context, core.Analysis) (*smtbe.Result, error),
-	race func(*core.Program, context.Context, core.Analysis) (*portfolio.Result, error),
-) runFunc {
-	return func(ctx context.Context, _ *Job, req *Request, prog *core.Program, a core.Analysis) (*Result, error) {
-		if req.Portfolio > 1 {
-			pr, err := race(prog, ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			return resultFromPortfolio(kind, req.Portfolio, pr), nil
-		}
-		r, err := single(prog, ctx, a)
+// runCheck builds the run func of a verify/witness kind; core.Check
+// decides between a single solver and a race of req.Portfolio configs.
+func runCheck(kind Kind, mode smtbe.Mode) runFunc {
+	return func(ctx context.Context, _ *Job, _ *Request, prog *core.Program, a core.Analysis) (*Result, error) {
+		pr, err := prog.Check(ctx, a, mode)
 		if err != nil {
 			return nil, err
 		}
-		return resultFromCheck(kind, r), nil
+		return resultFromCheck(kind, pr), nil
 	}
 }
 
 func runSynthesize(ctx context.Context, _ *Job, _ *Request, prog *core.Program, a core.Analysis) (*Result, error) {
-	r, err := prog.SynthesizeWorkloadContext(ctx, a)
+	r, err := prog.Synthesize(ctx, a)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +100,7 @@ func runSynthesize(ctx context.Context, _ *Job, _ *Request, prog *core.Program, 
 }
 
 func runBound(ctx context.Context, _ *Job, _ *Request, prog *core.Program, a core.Analysis) (*Result, error) {
-	r, err := prog.BoundContext(ctx, a)
+	r, err := prog.Bound(ctx, a)
 	if err != nil {
 		return nil, err
 	}

@@ -342,8 +342,9 @@ type Result struct {
 	NumClauses int       `json:"num_clauses,omitempty"`
 	NumVars    int       `json:"num_vars,omitempty"`
 	DurationMS int64     `json:"duration_ms"`
-	// Portfolio outcome (requests with portfolio > 1): how many configs
-	// raced and which one produced the first conclusive answer.
+	// Portfolio outcome (requests with portfolio > 1 that reached the
+	// solver tier): how many configs raced and which one produced the
+	// first conclusive answer.
 	PortfolioSize   int    `json:"portfolio,omitempty"`
 	PortfolioWinner string `json:"portfolio_winner,omitempty"`
 	// CacheHit marks a response served from the result cache; CacheTier
@@ -413,33 +414,28 @@ func (res *Result) conclusive() bool {
 	return false
 }
 
-func resultFromCheck(kind Kind, r *smtbe.Result) *Result {
-	return &Result{
-		Kind:       kind,
-		Status:     r.Status.String(),
-		Trace:      r.Trace,
-		SatStats:   r.SatStats,
-		NumClauses: r.NumClauses,
-		NumVars:    r.NumVars,
-		DurationMS: r.Duration.Milliseconds(),
-		StopReason: r.Stop.String(),
-		Tier:       r.Tier,
+// resultFromCheck flattens a verify/witness outcome into the wire result.
+// When a race ran it is stamped with the race's shape, and DurationMS is
+// the race's wall clock (what the client actually waited), not the
+// winning config's solo solve time. A race with no result at all reports
+// Unknown.
+func resultFromCheck(kind Kind, pr *portfolio.Result) *Result {
+	res := &Result{Kind: kind, Status: smtbe.Unknown.String()}
+	if r := pr.Result; r != nil {
+		res.Status = r.Status.String()
+		res.Trace = r.Trace
+		res.SatStats = r.SatStats
+		res.NumClauses = r.NumClauses
+		res.NumVars = r.NumVars
+		res.DurationMS = r.Duration.Milliseconds()
+		res.StopReason = r.Stop.String()
+		res.Tier = r.Tier
 	}
-}
-
-// resultFromPortfolio flattens a portfolio outcome into the wire result:
-// the winner's analysis result stamped with the race's shape. DurationMS
-// is the portfolio's wall clock (what the client actually waited), not
-// the winning config's solo solve time.
-func resultFromPortfolio(kind Kind, size int, pr *portfolio.Result) *Result {
-	if pr.Result == nil {
-		return &Result{Kind: kind, Status: smtbe.Unknown.String(),
-			PortfolioSize: size, DurationMS: pr.WallClock.Milliseconds()}
+	if len(pr.Runs) > 0 {
+		res.PortfolioSize = len(pr.Runs)
+		res.PortfolioWinner = pr.Winner
+		res.DurationMS = pr.WallClock.Milliseconds()
 	}
-	res := resultFromCheck(kind, pr.Result)
-	res.PortfolioSize = size
-	res.PortfolioWinner = pr.Winner
-	res.DurationMS = pr.WallClock.Milliseconds()
 	return res
 }
 
@@ -471,7 +467,7 @@ func resultFromBound(r *netcalc.Result) *Result {
 // horizon's (the one that ended the sweep): its own search, not the warm
 // session's lifetime. The per-horizon story rides in Verdicts.
 func resultFromSweep(sr *session.SweepResult, hit bool) *Result {
-	res := resultFromCheck(KindSweep, sr.Final)
+	res := resultFromCheck(KindSweep, &portfolio.Result{Result: sr.Final})
 	res.DurationMS = sr.Duration.Milliseconds()
 	res.FoundAt = sr.FoundAt
 	res.Warm = sr.Warm
