@@ -56,12 +56,13 @@ func runFig6() error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	params := map[string]int64{"N": 3}
 	fmt.Printf("%3s  %12s  %10s  %10s\n", "T", "verify time", "clauses", "verified")
 	for _, T := range []int{2, 3, 4, 5, 6, 7, 8} {
 		// Synthesize the workload at this horizon (the paper uses FPerf's
 		// synthesized traffic as the Dafny assumptions).
-		sres, err := fperf.SynthesizeContext(context.Background(), prog.Info, fperf.Options{
+		sres, err := fperf.SynthesizeContext(ctx, prog.Info, fperf.Options{
 			IR: ir.Options{T: T, Params: params},
 		})
 		if err != nil {
@@ -71,10 +72,10 @@ func runFig6() error {
 			return fmt.Errorf("T=%d: no workload synthesized", T)
 		}
 		wl := sres.Workload
-		vres, err := dafny.Verify(prog.Info, dafny.VerifyOptions{
+		vres, err := dafny.Verify(ctx, prog.Info, dafny.VerifyOptions{
 			IR: ir.Options{T: T, Params: params},
-			ExtraAssume: func(c *ir.Compiled, sv *solver.Solver) {
-				sv.Assert(wl.Term(c))
+			ExtraAssume: func(c *ir.Compiled) []*term.Term {
+				return []*term.Term{wl.Term(c)}
 			},
 		})
 		if err != nil {
@@ -161,7 +162,10 @@ func runCS2() error {
 		if err != nil {
 			return err
 		}
-		res := sys.Sys.CheckQuery(sv, sys.Loss(sv.Builder()))
+		res, err := sys.Sys.CheckQuery(context.Background(), sv, sys.Loss(sv.Builder()))
+		if err != nil {
+			return err
+		}
 		fmt.Printf("C=%d B=%d IW=%d K=%-2d T=%-2d      %8v  %7.3fs\n",
 			c.C, c.B, c.IW, c.K, c.T, res.Sat, res.Duration.Seconds())
 		if res.Sat != c.loss {
@@ -178,12 +182,14 @@ func runCS2() error {
 // identical FQ starvation query (N=2, T=5, count model). Both must find
 // the witness, and their solve times should be comparable.
 func runS1() error {
+	ctx := context.Background()
 	start := time.Now()
 	sv := solver.New(solver.Options{})
 	enc := fperfenc.EncodeFQ(sv, 2, 5)
-	sv.Assert(enc.Assume)
-	sv.Assert(enc.Query)
-	if st := sv.Check(); st != solver.Sat {
+	if err := sv.AssertAll(ctx, []*term.Term{enc.Assume, enc.Query}); err != nil {
+		return err
+	}
+	if st := sv.Check(ctx); st != solver.Sat {
 		return fmt.Errorf("direct encoding: %v, want sat", st)
 	}
 	direct := time.Since(start)
@@ -193,7 +199,7 @@ func runS1() error {
 		return err
 	}
 	start = time.Now()
-	res, err := prog.Check(context.Background(), core.Analysis{T: 5, Params: map[string]int64{"N": 2}, Model: "count"}, smtbe.Witness)
+	res, err := prog.Check(ctx, core.Analysis{T: 5, Params: map[string]int64{"N": 2}, Model: "count"}, smtbe.Witness)
 	if err != nil {
 		return err
 	}
@@ -267,14 +273,15 @@ func runA2() error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	params := map[string]int64{"C": 2, "B": 2}
-	bound := func(m *ir.Machine, ctx *buffer.Ctx) *term.Term {
-		b := ctx.B
+	bound := func(m *ir.Machine, rc *buffer.Ctx) *term.Term {
+		b := rc.B
 		return b.Le(m.Var("tokens"), b.IntConst(4))
 	}
 
 	start := time.Now()
-	ind, err := ts.ProveInvariant(prog.Info, ts.Options{IR: ir.Options{Params: params}}, bound)
+	ind, err := ts.ProveInvariant(ctx, prog.Info, ts.Options{IR: ir.Options{Params: params}}, bound)
 	if err != nil {
 		return err
 	}
@@ -286,7 +293,7 @@ func runA2() error {
 	fmt.Printf("%-28s  %8s  %8s\n", "monolithic BMC", "holds", "time")
 	for _, T := range []int{4, 8, 16, 24} {
 		st := time.Now()
-		ok, err := ts.CheckBounded(prog.Info, ts.Options{IR: ir.Options{T: T, Params: params}}, bound)
+		ok, err := ts.CheckBounded(ctx, prog.Info, ts.Options{IR: ir.Options{T: T, Params: params}}, bound)
 		if err != nil {
 			return err
 		}
@@ -306,14 +313,13 @@ func runA3() error {
 	if err != nil {
 		return err
 	}
-	sv := solver.New(solver.Options{})
 	iro := ir.Options{Params: map[string]int64{"C": 2, "B": 2}}
-	probe, err := ir.NewMachine(prog.Info, sv.Builder(), iro)
+	probe, err := ir.NewMachine(prog.Info, term.NewBuilder(), iro)
 	if err != nil {
 		return err
 	}
 	cands := synth.Grammar(prog.Info, probe, synth.GrammarOptions{Consts: []int64{0, 1, 4, 8}})
-	res, err := synth.Houdini(prog.Info, ts.Options{IR: iro}, cands)
+	res, err := synth.Houdini(context.Background(), prog.Info, ts.Options{IR: iro}, cands)
 	if err != nil {
 		return err
 	}
@@ -350,7 +356,10 @@ func runA4() error {
 			if err != nil {
 				return err
 			}
-			res := sys.Sys.CheckQuery(sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
+			res, err := sys.Sys.CheckQuery(context.Background(), sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
+			if err != nil {
+				return err
+			}
 			if res.Sat {
 				lo = mid
 			} else {

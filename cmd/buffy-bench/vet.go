@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -81,7 +82,7 @@ func runVetExp() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		smtRes, err := smtbe.Check(p.Info, smtbe.Options{
+		smtRes, err := smtbe.CheckContext(context.Background(), p.Info, smtbe.Options{
 			IR:   ir.Options{T: c.t, Params: c.params},
 			Mode: c.mode,
 		})

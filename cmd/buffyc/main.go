@@ -197,7 +197,7 @@ func main() {
 		}
 		fmt.Print(out)
 	case "dafny-verify":
-		res, err := prog.VerifyDafny(a)
+		res, err := prog.VerifyDafny(ctx, a)
 		if err != nil {
 			fatal(err)
 		}
@@ -219,7 +219,7 @@ func main() {
 		}
 		fmt.Print(out)
 	case "invariants":
-		res, err := prog.InferInvariants(a)
+		res, err := prog.InferInvariants(ctx, a)
 		if err != nil {
 			fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// --- Loss at a shallow bottleneck: the path server may hold back
 	// service (tokens accumulate), then release a burst; the returning ack
 	// burst makes the window-driven sender overflow the 2-packet queue.
@@ -27,7 +29,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := sys.Sys.CheckQuery(sv, sys.Loss(sv.Builder()))
+	res, err := sys.Sys.CheckQuery(ctx, sv, sys.Loss(sv.Builder()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("shallow bottleneck (C=1 B=1 K=2, T=8): loss reachable = %v (%v)\n",
 		res.Sat, res.Duration.Round(1000000))
 	if res.Sat {
@@ -45,7 +50,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2 := sys2.Sys.CheckQuery(sv2, sys2.Loss(sv2.Builder()))
+	res2, err := sys2.Sys.CheckQuery(ctx, sv2, sys2.Loss(sv2.Builder()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("deep bottleneck   (C=1 B=1 K=20, T=8): loss reachable = %v (%v)\n",
 		res2.Sat, res2.Duration.Round(1000000))
 
@@ -61,7 +69,10 @@ func main() {
 		log.Fatal(err)
 	}
 	b3 := sv3.Builder()
-	res3 := sys3.Sys.CheckQuery(sv3, b3.Lt(b3.IntConst(C*T+B), sys3.Delivered()))
+	res3, err := sys3.Sys.CheckQuery(ctx, sv3, b3.Lt(b3.IntConst(C*T+B), sys3.Delivered()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("throughput bound  (delivered > C*T+B = %d): satisfiable = %v — the token bucket holds\n",
 		C*T+B, res3.Sat)
 }

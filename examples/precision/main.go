@@ -75,7 +75,7 @@ func main() {
 		bb := ctx.B
 		return bb.Le(m.Var("tokens"), bb.IntConst(4))
 	}
-	res, err := prog.ProveForAllHorizons(core.Analysis{
+	res, err := prog.ProveForAllHorizons(context.Background(), core.Analysis{
 		Params: map[string]int64{"C": 2, "B": 2}, Model: "count",
 	}, bound)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dafny
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestVerifyHolds(t *testing.T) {
 		served = served + 1;
 		assert(served == t + 1);
 	}`)
-	res, err := Verify(info, VerifyOptions{IR: ir.Options{T: 4}})
+	res, err := Verify(context.Background(), info, VerifyOptions{IR: ir.Options{T: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestVerifyFindsFailure(t *testing.T) {
 		assert(backlog-p(a) == 0);
 		move-p(a, b, backlog-p(a));
 	}`)
-	res, err := Verify(info, VerifyOptions{IR: ir.Options{T: 2}})
+	res, err := Verify(context.Background(), info, VerifyOptions{IR: ir.Options{T: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestVerifyFQScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, T := range []int{3, 4} {
-		res, err := Verify(info, VerifyOptions{IR: ir.Options{
+		res, err := Verify(context.Background(), info, VerifyOptions{IR: ir.Options{
 			T: T, Params: map[string]int64{"N": 3},
 		}})
 		if err != nil {

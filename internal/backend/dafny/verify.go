@@ -1,21 +1,25 @@
 package dafny
 
 import (
+	"context"
+	"slices"
 	"time"
 
 	"buffy/internal/ir"
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/smt/solver"
+	"buffy/internal/smt/term"
 )
 
 // VerifyOptions configures the mini annotation checker.
 type VerifyOptions struct {
 	IR     ir.Options
 	Solver solver.Options
-	// ExtraAssume adds caller-supplied constraints — typically a
-	// synthesized workload, matching §6.1's "use assume statements to
-	// restrict [havoc inputs] to FPerf's synthesized traffic pattern".
-	ExtraAssume func(c *ir.Compiled, sv *solver.Solver)
+	// ExtraAssume returns caller-supplied constraints over the compiled
+	// program, asserted alongside its assumes — typically a synthesized
+	// workload, matching §6.1's "use assume statements to restrict [havoc
+	// inputs] to FPerf's synthesized traffic pattern".
+	ExtraAssume func(c *ir.Compiled) []*term.Term
 }
 
 // VCResult is the outcome of one verification condition (one assert
@@ -43,18 +47,20 @@ type VerifyResult struct {
 // transformations §6.1 applies before handing the model to Dafny) and
 // discharges every assert instance as a separate verification condition
 // using this repository's solver as the underlying decision procedure.
-func Verify(info *typecheck.Info, opts VerifyOptions) (*VerifyResult, error) {
+// Cancelling ctx aborts the run with ctx's error.
+func Verify(ctx context.Context, info *typecheck.Info, opts VerifyOptions) (*VerifyResult, error) {
 	start := time.Now()
 	sv := solver.New(opts.Solver)
-	c, err := ir.Compile(info, sv.Builder(), opts.IR)
+	c, err := ir.CompileContext(ctx, info, sv.Builder(), opts.IR)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range c.Assumes {
-		sv.Assert(a)
-	}
+	assumes := c.Assumes
 	if opts.ExtraAssume != nil {
-		opts.ExtraAssume(c, sv)
+		assumes = slices.Concat(assumes, opts.ExtraAssume(c))
+	}
+	if err := sv.AssertAll(ctx, assumes); err != nil {
+		return nil, err
 	}
 	b := sv.Builder()
 	res := &VerifyResult{Verified: true}
@@ -63,22 +69,15 @@ func Verify(info *typecheck.Info, opts VerifyOptions) (*VerifyResult, error) {
 			continue // unreachable instance: vacuously discharged
 		}
 		vcStart := time.Now()
-		vc := VCResult{Step: a.Step, Pos: a.Pos}
-		switch sv.CheckAssuming(b.And(a.Guard, b.Not(a.Cond))) {
-		case solver.Unsat:
-			vc.Holds = true
-		case solver.Sat:
-			vc.Holds = false
-			res.Verified = false
-		default:
-			vc.Unknown = true
-			res.Verified = false
+		r := sv.Check(ctx, b.And(a.Guard, b.Not(a.Cond)))
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		vc.Duration = time.Since(vcStart)
-		res.VCs = append(res.VCs, vc)
+		res.VCs = append(res.VCs, VCResult{Step: a.Step, Pos: a.Pos,
+			Holds: r == solver.Unsat, Unknown: r == solver.Unknown, Duration: time.Since(vcStart)})
+		res.Verified = res.Verified && r == solver.Unsat
 	}
 	res.Duration = time.Since(start)
-	res.NumClauses = sv.NumClauses()
-	res.NumVars = sv.NumVars()
+	res.NumClauses, res.NumVars = sv.NumClauses(), sv.NumVars()
 	return res, nil
 }

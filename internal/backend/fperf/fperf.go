@@ -138,7 +138,7 @@ func SynthesizeContext(ctx context.Context, info *typecheck.Info, opts Options) 
 	check := func(t *term.Term, want solver.Result) bool {
 		res.Checks++
 		cctx, csp := telemetry.StartSpan(ctx, "fperf.check")
-		out := sv.CheckAssumingContext(cctx, t)
+		out := sv.Check(cctx, t)
 		csp.SetAttrs(
 			telemetry.Int("n", int64(res.Checks)),
 			telemetry.String("result", out.String()))

@@ -98,7 +98,7 @@ func TestSynthesizeFQStarvationWorkload(t *testing.T) {
 	// Validate the result end to end: workload && assumes must imply the
 	// query (re-checked on a fresh solver to rule out state leakage).
 	sv := solver.New(solver.Options{})
-	c, err := ir.Compile(info, sv.Builder(), ir.Options{T: 5, Params: map[string]int64{"N": 2}})
+	c, err := ir.CompileContext(context.Background(), info, sv.Builder(), ir.Options{T: 5, Params: map[string]int64{"N": 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSynthesizeFQStarvationWorkload(t *testing.T) {
 	b := sv.Builder()
 	sv.Assert(res.Workload.Term(c))
 	sv.Assert(b.Not(b.And(c.AssertHolds(), c.AssertReached())))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("synthesized workload does not guarantee the query: %v\nworkload: %v", got, res.Workload)
 	}
 	t.Logf("synthesized workload: %v (%d checks in %v)", res.Workload, res.Checks, res.Duration)

@@ -172,14 +172,9 @@ type Options struct {
 	Mode   Mode
 }
 
-// Check compiles and analyses the program.
-func Check(info *typecheck.Info, opts Options) (*Result, error) {
-	return CheckContext(context.Background(), info, opts)
-}
-
-// CheckContext is Check with cooperative cancellation: when ctx is
-// cancelled or its deadline passes, the in-flight CDCL search aborts and
-// the result comes back with Status Unknown alongside ctx.Err().
+// CheckContext compiles and analyses the program. When ctx is cancelled
+// or its deadline passes, the in-flight CDCL search aborts and the result
+// comes back with Status Unknown alongside ctx.Err().
 func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Result, error) {
 	start := time.Now()
 	e, err := EncodeContext(ctx, info, opts)
@@ -363,12 +358,12 @@ func machineCtx(c *ir.Compiled, s *solver.Solver) *buffer.Ctx {
 // appeared at. When no horizon up to maxT yields a trace, the last result
 // and maxT are returned. This is the standard BMC usage loop — the paper's
 // bounded tools leave picking T to the user; this automates the search.
-func FindMinHorizon(info *typecheck.Info, opts Options, maxT int) (*Result, int, error) {
+func FindMinHorizon(ctx context.Context, info *typecheck.Info, opts Options, maxT int) (*Result, int, error) {
 	var last *Result
 	for T := 1; T <= maxT; T++ {
 		o := opts
 		o.IR.T = T
-		res, err := Check(info, o)
+		res, err := CheckContext(ctx, info, o)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,6 +1,7 @@
 package smtbe
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/ir"
@@ -20,7 +21,7 @@ func load(t *testing.T, src string) *typecheck.Info {
 
 func run(t *testing.T, src string, opts Options) *Result {
 	t.Helper()
-	res, err := Check(load(t, src), opts)
+	res, err := CheckContext(context.Background(), load(t, src), opts)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestConservationProperty(t *testing.T) {
 	}`
 	info := load(t, src)
 	s := solver.New(solver.Options{})
-	c, err := ir.Compile(info, s.Builder(), ir.Options{T: 3, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
+	c, err := ir.CompileContext(context.Background(), info, s.Builder(), ir.Options{T: 3, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestConservationProperty(t *testing.T) {
 	cctx := machineCtx(c, s)
 	sum := b.Add(last.Buffers["a"].BacklogP(cctx), last.Buffers["b"].BacklogP(cctx))
 	s.Assert(b.Neq(total, sum))
-	if got := s.Check(); got != solver.Unsat {
+	if got := s.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("conservation violated: %v", got)
 	}
 }
@@ -255,7 +256,7 @@ func TestFindMinHorizon(t *testing.T) {
 		move-p(a, b, 1);
 		if (t == T - 1) { assert(backlog-p(b) == 4); }
 	}`)
-	res, T, err := FindMinHorizon(info, Options{Mode: Witness}, 8)
+	res, T, err := FindMinHorizon(context.Background(), info, Options{Mode: Witness}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestFindMinHorizon(t *testing.T) {
 		move-p(a, b, 1);
 		if (t == T - 1) { assert(backlog-p(b) == 100); }
 	}`)
-	res2, T2, err := FindMinHorizon(info2, Options{Mode: Witness}, 3)
+	res2, T2, err := FindMinHorizon(context.Background(), info2, Options{Mode: Witness}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

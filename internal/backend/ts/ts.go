@@ -18,6 +18,7 @@ package ts
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"buffy/internal/buffer"
@@ -72,7 +73,8 @@ func usesTime(info *typecheck.Info) bool {
 
 // ProveInvariant attempts a k-induction proof that prop (together with the
 // auxiliary invariants) holds in every reachable state at every horizon.
-func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, error) {
+// Cancelling ctx aborts the proof with ctx's error.
+func ProveInvariant(ctx context.Context, info *typecheck.Info, opts Options, prop Prop) (*Result, error) {
 	start := time.Now()
 	if usesTime(info) {
 		return nil, fmt.Errorf("ts: program %s reads the step counter t; its transition relation is not step-independent", info.Prog.Name)
@@ -81,10 +83,10 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 		opts.K = 1
 	}
 	all := append([]Prop{prop}, opts.Aux...)
-	conj := func(m *ir.Machine, ctx *buffer.Ctx, b *term.Builder) *term.Term {
+	conj := func(m *ir.Machine, rc *buffer.Ctx, b *term.Builder) *term.Term {
 		parts := make([]*term.Term, len(all))
 		for i, p := range all {
-			parts[i] = p(m, ctx)
+			parts[i] = p(m, rc)
 		}
 		return b.And(parts...)
 	}
@@ -100,20 +102,20 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		ctx := readCtx(b)
+		rc := readCtx(b)
 		var bad []*term.Term
-		bad = append(bad, b.Not(conj(m, ctx, b))) // initial state
+		bad = append(bad, b.Not(conj(m, rc, b))) // initial state
 		for i := 0; i < opts.K; i++ {
-			if err := m.Unroll(context.Background(), i+1); err != nil {
+			if err := m.Unroll(ctx, i+1); err != nil {
 				return nil, err
 			}
-			bad = append(bad, b.Not(conj(m, ctx, b)))
+			bad = append(bad, b.Not(conj(m, rc, b)))
 		}
-		for _, a := range m.Assumes() {
-			sv.Assert(a)
+		r, err := check(ctx, sv, m.Assumes(), b.Or(bad...))
+		if err != nil {
+			return nil, err
 		}
-		sv.Assert(b.Or(bad...))
-		switch sv.Check() {
+		switch r {
 		case solver.Unsat:
 			res.BaseOK = true
 		case solver.Unknown:
@@ -131,30 +133,23 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		ctx := readCtx(b)
+		rc := readCtx(b)
 		Symbolize(m, b, "ind")
 		var pre []*term.Term
-		pre = append(pre, conj(m, ctx, b))
+		pre = append(pre, conj(m, rc, b))
 		for i := 0; i < opts.K; i++ {
-			if err := m.Unroll(context.Background(), i+1); err != nil {
+			if err := m.Unroll(ctx, i+1); err != nil {
 				return nil, err
 			}
 			if i < opts.K-1 {
-				pre = append(pre, conj(m, ctx, b))
+				pre = append(pre, conj(m, rc, b))
 			}
 		}
-		post := conj(m, ctx, b)
-		for _, a := range m.Assumes() {
-			sv.Assert(a)
+		r, err := check(ctx, sv, slices.Concat(m.Assumes(), pre), b.Not(conj(m, rc, b)))
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range pre {
-			sv.Assert(p)
-		}
-		sv.Assert(b.Not(post))
-		switch sv.Check() {
-		case solver.Unsat:
-			res.StepOK = true
-		}
+		res.StepOK = r == solver.Unsat
 	}
 
 	res.Proved = res.BaseOK && res.StepOK
@@ -163,32 +158,40 @@ func ProveInvariant(info *typecheck.Info, opts Options, prop Prop) (*Result, err
 }
 
 // CheckBounded is plain BMC over the transition system: does the property
-// hold in every state reachable within T steps?
-func CheckBounded(info *typecheck.Info, opts Options, prop Prop) (bool, error) {
+// hold in every state reachable within T steps? Cancelling ctx aborts the
+// check with ctx's error.
+func CheckBounded(ctx context.Context, info *typecheck.Info, opts Options, prop Prop) (bool, error) {
 	sv := solver.New(opts.Solver)
 	b := sv.Builder()
 	m, err := ir.NewMachine(info, b, opts.IR)
 	if err != nil {
 		return false, err
 	}
-	ctx := readCtx(b)
+	rc := readCtx(b)
 	var bad []*term.Term
-	bad = append(bad, b.Not(prop(m, ctx)))
+	bad = append(bad, b.Not(prop(m, rc)))
 	T := opts.IR.T
 	if T <= 0 {
 		T = 1
 	}
 	for i := 0; i < T; i++ {
-		if err := m.Unroll(context.Background(), i+1); err != nil {
+		if err := m.Unroll(ctx, i+1); err != nil {
 			return false, err
 		}
-		bad = append(bad, b.Not(prop(m, ctx)))
+		bad = append(bad, b.Not(prop(m, rc)))
 	}
-	for _, a := range m.Assumes() {
-		sv.Assert(a)
+	r, err := check(ctx, sv, m.Assumes(), b.Or(bad...))
+	return r == solver.Unsat, err
+}
+
+// check asserts assumes and goal in one bitblast batch and checks them,
+// failing with ctx's error once ctx is done.
+func check(ctx context.Context, sv *solver.Solver, assumes []*term.Term, goal *term.Term) (solver.Result, error) {
+	if err := sv.AssertAll(ctx, append(slices.Clip(assumes), goal)); err != nil {
+		return solver.Unknown, err
 	}
-	sv.Assert(b.Or(bad...))
-	return sv.Check() == solver.Unsat, nil
+	r := sv.Check(ctx)
+	return r, ctx.Err()
 }
 
 // Symbolize replaces a machine's state (variables, lists, buffers) with

@@ -1,6 +1,7 @@
 package ts
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/buffer"
@@ -38,7 +39,7 @@ func tokensNonNeg(m *ir.Machine, ctx *buffer.Ctx) *term.Term {
 func TestPathServerTokensInvariant(t *testing.T) {
 	info := load(t, qm.PathServerSrc)
 	opts := Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}}}
-	res, err := ProveInvariant(info, opts, tokensBound(4))
+	res, err := ProveInvariant(context.Background(), info, opts, tokensBound(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestPathServerTokensInvariant(t *testing.T) {
 func TestPathServerTooTightBoundFails(t *testing.T) {
 	info := load(t, qm.PathServerSrc)
 	opts := Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}}}
-	res, err := ProveInvariant(info, opts, tokensBound(1))
+	res, err := ProveInvariant(context.Background(), info, opts, tokensBound(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPathServerTooTightBoundFails(t *testing.T) {
 		t.Fatal("tokens <= 1 is false (tokens reaches C+B=4)")
 	}
 	// It is not just non-inductive: BMC refutes it within 2 steps.
-	ok, err := CheckBounded(info, Options{IR: ir.Options{T: 2, Params: map[string]int64{"C": 2, "B": 2}}}, tokensBound(1))
+	ok, err := CheckBounded(context.Background(), info, Options{IR: ir.Options{T: 2, Params: map[string]int64{"C": 2, "B": 2}}}, tokensBound(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAuxiliaryInvariants(t *testing.T) {
 		IR:  ir.Options{Params: map[string]int64{"C": 2, "B": 2}},
 		Aux: []Prop{tokensBound(4)},
 	}
-	res, err := ProveInvariant(info, opts, tokensNonNeg)
+	res, err := ProveInvariant(context.Background(), info, opts, tokensNonNeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRejectsTimeDependentProgram(t *testing.T) {
 		if (t == 0) { g = 5; }
 		move-p(a, b, 1);
 	}`)
-	_, err := ProveInvariant(info, Options{}, tokensNonNeg)
+	_, err := ProveInvariant(context.Background(), info, Options{}, tokensNonNeg)
 	if err == nil {
 		t.Fatal("expected rejection of t-dependent program")
 	}
@@ -107,7 +108,7 @@ func TestBacklogCapInvariant(t *testing.T) {
 		b := ctx.B
 		return b.Le(m.Buffers()["a"].BacklogP(ctx), b.IntConst(4))
 	}
-	res, err := ProveInvariant(info, Options{IR: ir.Options{Bounds: typecheck.Bounds{BufferCap: 4}}}, prop)
+	res, err := ProveInvariant(context.Background(), info, Options{IR: ir.Options{Bounds: typecheck.Bounds{BufferCap: 4}}}, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSingleServerOccupancy(t *testing.T) {
 		// so the provable invariant is just the capacity bound.
 		return b.Le(m.Buffers()["a"].BacklogP(ctx), b.IntConst(8))
 	}
-	res, err := ProveInvariant(info, Options{}, prop)
+	res, err := ProveInvariant(context.Background(), info, Options{}, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSingleServerOccupancy(t *testing.T) {
 
 func TestCheckBoundedHolds(t *testing.T) {
 	info := load(t, qm.PathServerSrc)
-	ok, err := CheckBounded(info, Options{IR: ir.Options{T: 5, Params: map[string]int64{"C": 1, "B": 3}}}, tokensBound(4))
+	ok, err := CheckBounded(context.Background(), info, Options{IR: ir.Options{T: 5, Params: map[string]int64{"C": 1, "B": 3}}}, tokensBound(4))
 	if err != nil {
 		t.Fatal(err)
 	}

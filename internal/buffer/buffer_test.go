@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/smt/solver"
@@ -96,7 +97,7 @@ func TestMovePreservesPackets(t *testing.T) {
 		// totals through the solver rather than constant folding.
 		total := b.Add(src.BacklogP(c), dst.BacklogP(c))
 		s.Assert(b.Neq(total, b.IntConst(3)))
-		if got := s.Check(); got != solver.Unsat {
+		if got := s.Check(context.Background()); got != solver.Unsat {
 			t.Errorf("%s: packet conservation violated (src+dst != 3 is %v)", m.Name(), got)
 		}
 	}
@@ -116,7 +117,7 @@ func TestMoveMoreThanBacklog(t *testing.T) {
 		s.Assert(b.Or(
 			b.Neq(src.BacklogP(c), b.IntConst(0)),
 			b.Neq(dst.BacklogP(c), b.IntConst(1))))
-		if got := s.Check(); got != solver.Unsat {
+		if got := s.Check(context.Background()); got != solver.Unsat {
 			t.Errorf("%s: move clamp failed (%v)", m.Name(), got)
 		}
 	}
@@ -136,7 +137,7 @@ func TestMoveGuardFalse(t *testing.T) {
 		s.Assert(b.Or(
 			b.Neq(src.BacklogP(c), b.IntConst(1)),
 			b.Neq(dst.BacklogP(c), b.IntConst(0))))
-		if got := s.Check(); got != solver.Unsat {
+		if got := s.Check(context.Background()); got != solver.Unsat {
 			t.Errorf("%s: guarded move leaked (%v)", m.Name(), got)
 		}
 	}
@@ -222,7 +223,7 @@ func TestFilteredMove(t *testing.T) {
 			b.Neq(dstFiltered, b.IntConst(2)),
 			b.Neq(srcFiltered, b.IntConst(0)),
 			b.Neq(src.BacklogP(c), b.IntConst(2))))
-		if got := s.Check(); got != solver.Unsat {
+		if got := s.Check(context.Background()); got != solver.Unsat {
 			t.Errorf("%s: filtered move wrong (%v)", m.Name(), got)
 		}
 	}
@@ -347,7 +348,7 @@ func TestFlushInto(t *testing.T) {
 		s.Assert(b.Or(
 			b.Neq(src.BacklogP(c), b.IntConst(0)),
 			b.Neq(dst.BacklogP(c), b.IntConst(3))))
-		if got := s.Check(); got != solver.Unsat {
+		if got := s.Check(context.Background()); got != solver.Unsat {
 			t.Errorf("%s: flush wrong (%v)", m.Name(), got)
 		}
 	}
@@ -370,7 +371,7 @@ func TestSymbolicArrivalMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Assert(b.Eq(dst.BacklogP(c), b.IntConst(1)))
-	if got := s.Check(); got != solver.Sat {
+	if got := s.Check(context.Background()); got != solver.Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if v := s.IntValue(flow); v != 2 {

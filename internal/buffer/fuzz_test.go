@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -232,7 +233,7 @@ func TestCountModelConservation(t *testing.T) {
 		}
 		total := b.Add(a.BacklogP(c), d.BacklogP(c), a.Dropped(), d.Dropped())
 		sv.Assert(b.Neq(total, arrivals))
-		if got := sv.Check(); got != solver.Unsat {
+		if got := sv.Check(context.Background()); got != solver.Unsat {
 			t.Fatalf("iter %d: conservation violated (%v)", iter, got)
 		}
 	}

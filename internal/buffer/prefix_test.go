@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,10 +63,10 @@ func TestMovePrefixMatchesMove(t *testing.T) {
 					differs[i] = d.t
 				}
 				// Some state moves a packet, so the UNSAT below is not vacuous.
-				if sv.CheckAssuming(b.Lt(rs.BacklogP(c), src.BacklogP(c))) != solver.Sat {
+				if sv.Check(context.Background(), b.Lt(rs.BacklogP(c), src.BacklogP(c))) != solver.Sat {
 					t.Fatal("no symbolic state moves a packet")
 				}
-				if sv.CheckAssuming(b.Or(differs...)) != solver.Unsat {
+				if sv.Check(context.Background(), b.Or(differs...)) != solver.Unsat {
 					for _, d := range diff {
 						if sv.BoolValue(d.t) {
 							t.Errorf("%s differs", d.name)

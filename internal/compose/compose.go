@@ -233,22 +233,26 @@ type CheckResult struct {
 // CheckQuery decides whether some execution of the composed system
 // satisfies the query term together with all assumptions and program
 // asserts treated as assumptions (witness semantics). The solver must be
-// the one whose builder the system was created with.
-func (s *System) CheckQuery(sv *solver.Solver, query *term.Term) *CheckResult {
+// the one whose builder the system was created with. Cancelling ctx
+// aborts the check with ctx's error.
+func (s *System) CheckQuery(ctx context.Context, sv *solver.Solver, query *term.Term) (*CheckResult, error) {
 	start := time.Now()
-	for _, a := range s.Assumes() {
-		sv.Assert(a)
-	}
+	terms := s.Assumes()
 	for _, a := range s.Asserts() {
-		sv.Assert(s.b.Implies(a.Guard, a.Cond))
+		terms = append(terms, s.b.Implies(a.Guard, a.Cond))
 	}
-	sv.Assert(query)
-	r := sv.Check()
+	if err := sv.AssertAll(ctx, append(terms, query)); err != nil {
+		return nil, err
+	}
+	r := sv.Check(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return &CheckResult{
 		Sat:      r == solver.Sat,
 		Unknown:  r == solver.Unknown,
 		Solver:   sv,
 		Duration: time.Since(start),
-		SatStats: sv.Stats(),
-	}
+		SatStats: sv.Effort(),
+	}, nil
 }

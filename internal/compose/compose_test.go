@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/ir"
@@ -54,7 +55,7 @@ func TestDelayChain(t *testing.T) {
 	// d1 during step 0, flushes into d2 at end of step 0, leaves d2 during
 	// step 1, so dout holds 1 packet from step 1 on.
 	sv.Assert(b.Neq(out.BacklogP(sys.Ctx()), b.IntConst(1)))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("delay chain semantics wrong: %v", got)
 	}
 }
@@ -97,7 +98,10 @@ func TestCCACLossWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Sys.CheckQuery(sv, sys.Loss(b))
+	res, err := sys.Sys.CheckQuery(context.Background(), sv, sys.Loss(b))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Sat {
 		t.Fatalf("expected a loss witness (ack burst); got unsat/unknown")
 	}
@@ -116,7 +120,10 @@ func TestCCACNoLossWithDeepBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Sys.CheckQuery(sv, sys.Loss(b))
+	res, err := sys.Sys.CheckQuery(context.Background(), sv, sys.Loss(b))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Sat {
 		t.Fatalf("deep buffer should admit no loss in 6 steps")
 	}
@@ -133,7 +140,10 @@ func TestCCACThroughputBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := b.IntConst(int64(C*T + B2))
-	res := sys.Sys.CheckQuery(sv, b.Lt(bound, sys.Delivered()))
+	res, err := sys.Sys.CheckQuery(context.Background(), sv, b.Lt(bound, sys.Delivered()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Sat {
 		t.Fatalf("token bucket violated: delivered > C*T+B is satisfiable (delivered=%d)",
 			sv.IntValue(sys.Delivered()))
@@ -150,7 +160,10 @@ func TestCCACDeliveredNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Sys.CheckQuery(sv, b.Lt(sys.Delivered(), b.IntConst(0)))
+	res, err := sys.Sys.CheckQuery(context.Background(), sv, b.Lt(sys.Delivered(), b.IntConst(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Sat {
 		t.Fatal("delivered went negative")
 	}
@@ -175,7 +188,7 @@ func TestStandaloneProgramInSystem(t *testing.T) {
 	for _, a := range sys.Assumes() {
 		sv.Assert(a)
 	}
-	if got := sv.Check(); got != solver.Sat {
+	if got := sv.Check(context.Background()); got != solver.Sat {
 		t.Fatalf("standalone system should be satisfiable, got %v", got)
 	}
 	_ = term.Bool
@@ -219,7 +232,7 @@ func TestSameProgramTwiceViaInstances(t *testing.T) {
 	}
 	out := sys.Machine("stage2").Buffers()["dout"]
 	sv.Assert(b.Neq(out.BacklogP(sys.Ctx()), b.IntConst(1)))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("instance chain semantics wrong: %v", got)
 	}
 }
@@ -239,7 +252,10 @@ func TestCCACLongerDelayLowersThroughput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := sys.Sys.CheckQuery(sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
+			res, err := sys.Sys.CheckQuery(context.Background(), sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Sat {
 				lo = mid
 			} else {

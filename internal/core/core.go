@@ -7,15 +7,18 @@
 //	prog, _ := core.Parse(src)
 //	res, _  := prog.Check(ctx, core.Analysis{T: 6, Params: ...}, smtbe.Witness)
 //	pr, _   := prog.Check(ctx, core.Analysis{T: 6, Portfolio: 4}, smtbe.Verify) // race solver configs
-//	wl, _   := prog.Synthesize(ctx, ...)      // FPerf-style back-end
-//	dfy, _  := prog.GenerateDafny(...)        // Dafny back-end (source)
-//	ver, _  := prog.VerifyDafny(...)          // Dafny-style mini-verifier
-//	ok, _   := prog.ProveForAllHorizons(...)  // transition-system back-end
+//	wl, _   := prog.Synthesize(ctx, ...)          // FPerf-style back-end
+//	dfy, _  := prog.GenerateDafny(...)            // Dafny back-end (source)
+//	ver, _  := prog.VerifyDafny(ctx, ...)         // Dafny-style mini-verifier
+//	ok, _   := prog.ProveForAllHorizons(ctx, ...) // transition-system back-end
+//	inv, _  := prog.InferInvariants(ctx, ...)     // grammar + Houdini (§5)
+//
+// Every analysis that takes a ctx traces its compile, bitblast and search
+// spans into ctx's trace, and ctx's deadline is its only wall-clock bound.
 package core
 
 import (
 	"context"
-	"time"
 
 	"buffy/internal/backend/dafny"
 	"buffy/internal/backend/fperf"
@@ -31,6 +34,7 @@ import (
 	"buffy/internal/smt/sat"
 	"buffy/internal/smt/smtlib"
 	"buffy/internal/smt/solver"
+	"buffy/internal/smt/term"
 	"buffy/internal/synth"
 )
 
@@ -91,13 +95,13 @@ type Analysis struct {
 	typecheck.Bounds
 	// Width is the solver's integer bit width (default 12).
 	Width int
-	// MaxConflicts / MaxPropagations / MaxLearntBytes / Timeout bound each
-	// solver call; exhausting one yields an Unknown result whose Stop
-	// field names the budget, instead of an open-ended search.
+	// MaxConflicts / MaxPropagations / MaxLearntBytes bound each solver
+	// call; exhausting one yields an Unknown result whose Stop field names
+	// the budget, instead of an open-ended search. Wall time is bounded by
+	// the deadline of the ctx an analysis runs under.
 	MaxConflicts    int64
 	MaxPropagations int64
 	MaxLearntBytes  int64
-	Timeout         time.Duration
 	// Search configures the CDCL search heuristics (restart schedule,
 	// VSIDS decay, polarity, random branching). The zero value is the
 	// classic configuration. Portfolio runs override it per config.
@@ -135,7 +139,7 @@ func (a Analysis) solverOptions() solver.Options {
 	return solver.Options{
 		Width: a.Width, MaxConflicts: a.MaxConflicts,
 		MaxPropagations: a.MaxPropagations, MaxLearntBytes: a.MaxLearntBytes,
-		Timeout: a.Timeout, Search: a.Search, Progress: a.Progress,
+		Search: a.Search, Progress: a.Progress,
 	}
 }
 
@@ -220,40 +224,39 @@ func (p *Program) GenerateDafny(a Analysis) (string, error) {
 
 // VerifyDafny runs the Dafny-style mini annotation checker: each assert is
 // discharged as its own verification condition (the Figure 6 workload).
-func (p *Program) VerifyDafny(a Analysis) (*dafny.VerifyResult, error) {
+func (p *Program) VerifyDafny(ctx context.Context, a Analysis) (*dafny.VerifyResult, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
-	return dafny.Verify(p.Info, dafny.VerifyOptions{IR: iro, Solver: a.solverOptions()})
+	return dafny.Verify(ctx, p.Info, dafny.VerifyOptions{IR: iro, Solver: a.solverOptions()})
 }
 
 // ProveForAllHorizons attempts a k-induction proof that prop holds at
 // every time horizon (the transition-system back-end), optionally helped
 // by auxiliary invariants.
-func (p *Program) ProveForAllHorizons(a Analysis, prop ts.Prop, aux ...ts.Prop) (*ts.Result, error) {
+func (p *Program) ProveForAllHorizons(ctx context.Context, a Analysis, prop ts.Prop, aux ...ts.Prop) (*ts.Result, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
 	iro.T = 0 // horizon-free
-	return ts.ProveInvariant(p.Info, ts.Options{IR: iro, Solver: a.solverOptions(), K: a.K, Aux: aux}, prop)
+	return ts.ProveInvariant(ctx, p.Info, ts.Options{IR: iro, Solver: a.solverOptions(), K: a.K, Aux: aux}, prop)
 }
 
 // InferInvariants runs the grammar + Houdini loop (§5) and returns the
 // surviving inductive invariants.
-func (p *Program) InferInvariants(a Analysis) (*synth.HoudiniResult, error) {
+func (p *Program) InferInvariants(ctx context.Context, a Analysis) (*synth.HoudiniResult, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
-	sv := solver.New(a.solverOptions())
-	probe, err := ir.NewMachine(p.Info, sv.Builder(), iro)
+	probe, err := ir.NewMachine(p.Info, term.NewBuilder(), iro)
 	if err != nil {
 		return nil, err
 	}
 	cands := synth.Grammar(p.Info, probe, synth.GrammarOptions{BufferCap: p.Info.ResolveBounds(a.Bounds, a.T, a.Params).BufferCap})
-	return synth.Houdini(p.Info, ts.Options{IR: iro, Solver: a.solverOptions()}, cands)
+	return synth.Houdini(ctx, p.Info, ts.Options{IR: iro, Solver: a.solverOptions()}, cands)
 }
 
 // SMTLib renders the program's bounded encoding in the standard SMT-LIB v2
@@ -263,8 +266,7 @@ func (p *Program) SMTLib(a Analysis) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sv := solver.New(a.solverOptions())
-	c, err := ir.Compile(p.Info, sv.Builder(), iro)
+	c, err := ir.CompileContext(context.TODO(), p.Info, term.NewBuilder(), iro)
 	if err != nil {
 		return "", err
 	}

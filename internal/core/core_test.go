@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"buffy/internal/ir"
 	"buffy/internal/qm"
 	"buffy/internal/smt/term"
+	"buffy/internal/telemetry"
 )
 
 const limiter = `
@@ -162,7 +164,7 @@ func TestGenerateDafnyThroughFacade(t *testing.T) {
 
 func TestVerifyDafnyThroughFacade(t *testing.T) {
 	prog, _ := Parse(limiter)
-	res, err := prog.VerifyDafny(Analysis{T: 3})
+	res, err := prog.VerifyDafny(context.Background(), Analysis{T: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestProveForAllHorizonsThroughFacade(t *testing.T) {
 		b := ctx.B
 		return b.Le(m.Var("tokens"), b.IntConst(4))
 	}
-	res, err := prog.ProveForAllHorizons(Analysis{Params: map[string]int64{"C": 2, "B": 2}, Model: "count"}, bound)
+	res, err := prog.ProveForAllHorizons(context.Background(), Analysis{Params: map[string]int64{"C": 2, "B": 2}, Model: "count"}, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +204,106 @@ func TestProveForAllHorizonsThroughFacade(t *testing.T) {
 
 func TestInferInvariantsThroughFacade(t *testing.T) {
 	prog, _ := Parse(qm.PathServerSrc)
-	res, err := prog.InferInvariants(Analysis{Params: map[string]int64{"C": 2, "B": 2}})
+	res, err := prog.InferInvariants(context.Background(), Analysis{Params: map[string]int64{"C": 2, "B": 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Survivors) == 0 {
 		t.Error("expected surviving invariants")
 	}
+}
+
+// TestBackendsTraceTheirWork: the Dafny-style verifier, k-induction and
+// Houdini record compile, bitblast and search spans in the caller's
+// trace, and a cancelled ctx stops each of them before any search. Each
+// assertion batch opens a bitblast span of its own, and each check opens
+// one search span, plus a bitblast span when it blasts a fresh
+// assumption (every verifier and Houdini check does; k-induction checks
+// assume nothing). The verifier's bitblast spans sum to its clauses.
+func TestBackendsTraceTheirWork(t *testing.T) {
+	lim, err := Parse(limiter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := Parse(qm.PathServerSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := Analysis{Params: map[string]int64{"C": 2, "B": 2}}
+	bound := func(m *ir.Machine, rc *buffer.Ctx) *term.Term {
+		return rc.B.Le(m.Var("tokens"), rc.B.IntConst(4))
+	}
+	// Each run returns the clauses its one solver holds, or -1 when it
+	// spreads its work over several solvers.
+	runs := []struct {
+		name    string
+		batches int
+		assumes bool
+		run     func(context.Context) (int, error)
+	}{
+		{"VerifyDafny", 1, true, func(ctx context.Context) (int, error) {
+			res, err := lim.VerifyDafny(ctx, Analysis{T: 3})
+			if err != nil {
+				return 0, err
+			}
+			return res.NumClauses, nil
+		}},
+		{"ProveForAllHorizons", 2, false, func(ctx context.Context) (int, error) {
+			_, err := ps.ProveForAllHorizons(ctx, pa, bound)
+			return -1, err
+		}},
+		{"InferInvariants", 1, true, func(ctx context.Context) (int, error) {
+			_, err := ps.InferInvariants(ctx, pa)
+			return -1, err
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			tr := telemetry.NewTrace(r.name)
+			clauses, err := r.run(telemetry.WithTrace(context.Background(), tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := spanCounts(tr)
+			if n["compile"] == 0 || n["search"] == 0 {
+				t.Fatalf("spans %v: want compile and search", n)
+			}
+			want := r.batches
+			if r.assumes {
+				want += n["search"]
+			}
+			if n["bitblast"] != want {
+				t.Errorf("%d bitblast spans for %d batches and %d checks, want %d", n["bitblast"], r.batches, n["search"], want)
+			}
+			if got := tr.Work()["bitblast.clauses"]; clauses >= 0 && got != int64(clauses) {
+				t.Errorf("bitblast spans sum to %d clauses, result has %d", got, clauses)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			tr = telemetry.NewTrace(r.name)
+			if _, err := r.run(telemetry.WithTrace(ctx, tr)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run: %v, want context.Canceled", err)
+			}
+			if n := spanCounts(tr)["search"]; n != 0 {
+				t.Errorf("cancelled run opened %d search spans", n)
+			}
+		})
+	}
+}
+
+// spanCounts counts the trace's spans by name, nested ones included.
+func spanCounts(tr *telemetry.Trace) map[string]int {
+	n := map[string]int{}
+	var walk func([]*telemetry.SpanView)
+	walk = func(views []*telemetry.SpanView) {
+		for _, v := range views {
+			n[v.Name]++
+			walk(v.Spans)
+		}
+	}
+	walk(tr.Snapshot().Spans)
+	return n
 }
 
 func TestSimulateAndReplayRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/compose"
@@ -24,7 +25,10 @@ func TestCCACWitnessReplaysConcretely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Sys.CheckQuery(sv, sys.Loss(sv.Builder()))
+	res, err := sys.Sys.CheckQuery(context.Background(), sv, sys.Loss(sv.Builder()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Sat {
 		t.Fatal("expected a loss witness")
 	}

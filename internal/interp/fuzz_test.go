@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -185,7 +186,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 			t.Fatalf("iter %d: generated program does not check: %v\n%s", iter, err, src)
 		}
 		sv := solver.New(solver.Options{})
-		comp, err := ir.Compile(info, sv.Builder(), ir.Options{T: T, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, NumClasses: 2}})
+		comp, err := ir.CompileContext(context.Background(), info, sv.Builder(), ir.Options{T: T, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, NumClasses: 2}})
 		if err != nil {
 			t.Fatalf("iter %d: compile: %v\n%s", iter, err, src)
 		}
@@ -215,7 +216,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 				}
 			}
 		}
-		if got := sv.Check(); got != solver.Sat {
+		if got := sv.Check(context.Background()); got != solver.Sat {
 			t.Fatalf("iter %d: pinned program infeasible: %v\n%s", iter, got, src)
 		}
 		// Replay the pinned traffic step by step through the interpreter.

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestReplayAgreesWithSolver(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			info := load(t, c.src)
-			res, err := smtbe.Check(info, smtbe.Options{
+			res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 				IR:   ir.Options{T: c.T, Params: c.params},
 				Mode: c.mode,
 			})
@@ -214,7 +215,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 					T: T, Params: sc.params, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, NumClasses: 3},
 				}
 				s := solver.New(solver.Options{})
-				comp, err := ir.Compile(info, s.Builder(), irOpts)
+				comp, err := ir.CompileContext(context.Background(), info, s.Builder(), irOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,7 +271,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 					if err := im.Step(step); err != nil {
 						// Assume violated: the solver must agree the plan is
 						// infeasible.
-						if got := s.Check(); got != solver.Unsat {
+						if got := s.Check(context.Background()); got != solver.Unsat {
 							t.Fatalf("iter %d: interp rejects plan (%v) but solver says %v", iter, err, got)
 						}
 						abort = true
@@ -279,7 +280,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 				if abort {
 					continue
 				}
-				if got := s.Check(); got != solver.Sat {
+				if got := s.Check(context.Background()); got != solver.Sat {
 					t.Fatalf("iter %d: pinned arrivals should be sat, got %v", iter, got)
 				}
 				// Compare end-of-run observations.

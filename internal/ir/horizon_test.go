@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/smt/solver"
@@ -81,7 +82,7 @@ func TestSymbolicTConstPositionRejected(t *testing.T) {
 		assert(total >= 0);
 	}`
 	sv := solver.New(solver.Options{})
-	_, cerr := Compile(load(t, src), sv.Builder(), Options{T: 3, SymbolicT: true})
+	_, cerr := CompileContext(context.Background(), load(t, src), sv.Builder(), Options{T: 3, SymbolicT: true})
 	if cerr == nil {
 		t.Fatal("Compile with SymbolicT should reject T in a loop bound")
 	}

@@ -9,7 +9,7 @@
 //
 // Two entry points cover the back-ends' needs:
 //
-//   - Compile unrolls a program over a bounded horizon T starting from the
+//   - CompileContext unrolls a program over a bounded horizon T starting from the
 //     empty initial state, producing assumption and assertion terms over
 //     symbolic input traffic — the bounded-model-checking encoding.
 //   - NewMachine exposes single-step execution over caller-controlled
@@ -32,7 +32,7 @@ import (
 type Options struct {
 	// Model is the buffer model; nil means the list model.
 	Model buffer.Model
-	// T is the time horizon (number of steps) for Compile.
+	// T is the time horizon (number of steps) for CompileContext.
 	T int
 	// Params binds the program's compile-time parameters.
 	Params map[string]int64
@@ -201,16 +201,11 @@ func (c *Compiled) TruncatedTo(k int) *Compiled {
 	return &out
 }
 
-// Compile unrolls prog over opts.T steps from the empty initial state with
-// symbolic input traffic.
-func Compile(info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, error) {
-	return CompileContext(context.Background(), info, b, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: the unrolling
-// stops at the next statement once ctx is cancelled, so a long symbolic
-// compilation (the dominant cost at large horizons) aborts promptly
-// instead of running to completion for an abandoned analysis.
+// CompileContext unrolls prog over opts.T steps from the empty initial
+// state with symbolic input traffic. The unrolling stops at the next
+// statement once ctx is cancelled, so a long symbolic compilation (the
+// dominant cost at large horizons) aborts promptly instead of running to
+// completion for an abandoned analysis.
 func CompileContext(ctx context.Context, info *typecheck.Info, b *term.Builder, opts Options) (*Compiled, error) {
 	m, err := NewMachine(info, b, opts)
 	if err != nil {

@@ -30,7 +30,7 @@ func load(t *testing.T, src string) *typecheck.Info {
 func compile(t *testing.T, src string, opts Options) (*Compiled, *solver.Solver) {
 	t.Helper()
 	sv := solver.New(solver.Options{})
-	c, err := Compile(load(t, src), sv.Builder(), opts)
+	c, err := CompileContext(context.Background(), load(t, src), sv.Builder(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,14 @@ func prove(t *testing.T, c *Compiled, sv *solver.Solver, prop *term.Term, what s
 		sv.Assert(a)
 	}
 	sv.Assert(c.B.Not(prop))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("%s violated (%v)", what, got)
 	}
 }
 
 func TestMissingParam(t *testing.T) {
 	sv := solver.New(solver.Options{})
-	_, err := Compile(load(t, `p(buffer[N] a, buffer b) { move-p(a[0], b, 1); }`),
+	_, err := CompileContext(context.Background(), load(t, `p(buffer[N] a, buffer b) { move-p(a[0], b, 1); }`),
 		sv.Builder(), Options{T: 1})
 	if err == nil || !strings.Contains(err.Error(), `parameter "N"`) {
 		t.Fatalf("err = %v", err)
@@ -60,7 +60,7 @@ func TestMissingParam(t *testing.T) {
 
 func TestConstantBufferIndexOutOfRange(t *testing.T) {
 	sv := solver.New(solver.Options{})
-	_, err := Compile(load(t, `p(buffer[N] a, buffer b) { move-p(a[5], b, 1); }`),
+	_, err := CompileContext(context.Background(), load(t, `p(buffer[N] a, buffer b) { move-p(a[5], b, 1); }`),
 		sv.Builder(), Options{T: 1, Params: map[string]int64{"N": 2}})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v", err)
@@ -111,7 +111,7 @@ func TestGlobalInitializer(t *testing.T) {
 
 func TestLoopUnrollBoundExceeded(t *testing.T) {
 	sv := solver.New(solver.Options{})
-	_, err := Compile(load(t, `p(buffer a, buffer b) { local int x; for (i in 0..M) { x = x + 1; } move-p(a,b,1); }`),
+	_, err := CompileContext(context.Background(), load(t, `p(buffer a, buffer b) { local int x; for (i in 0..M) { x = x + 1; } move-p(a,b,1); }`),
 		sv.Builder(), Options{T: 1, Params: map[string]int64{"M": 5000}})
 	if err == nil || !strings.Contains(err.Error(), "unrolls") {
 		t.Fatalf("err = %v", err)
@@ -129,7 +129,7 @@ func TestLoopNestBoundExceeded(t *testing.T) {
 	}`
 	sv := solver.New(solver.Options{})
 	start := time.Now()
-	_, err := Compile(load(t, src), sv.Builder(), Options{T: 1})
+	_, err := CompileContext(context.Background(), load(t, src), sv.Builder(), Options{T: 1})
 	var ie *Error
 	if !errors.As(err, &ie) || ie.Pos.Line != 3 || !strings.Contains(ie.Msg, "loop nest") {
 		t.Fatalf("err = %v, want a positioned loop-nest error on line 3", err)
@@ -161,7 +161,7 @@ func TestSelfDoublingSumCompiles(t *testing.T) {
 func TestLoopTripsOverflow(t *testing.T) {
 	src := `p(buffer a, buffer b) { local int x; for (i in L..H) { x = x + 1; } move-p(a, b, 1); }`
 	sv := solver.New(solver.Options{})
-	_, err := Compile(load(t, src), sv.Builder(), Options{T: 1, Params: map[string]int64{"L": -1 << 62, "H": 1 << 62}})
+	_, err := CompileContext(context.Background(), load(t, src), sv.Builder(), Options{T: 1, Params: map[string]int64{"L": -1 << 62, "H": 1 << 62}})
 	if err == nil || !strings.Contains(err.Error(), "unrolls") {
 		t.Fatalf("err = %v", err)
 	}
@@ -213,7 +213,7 @@ func TestNestedLoopsWithDependentBounds(t *testing.T) {
 
 func TestCountModelRejectsFilterUse(t *testing.T) {
 	sv := solver.New(solver.Options{})
-	_, err := Compile(load(t, `p(buffer a, buffer b) {
+	_, err := CompileContext(context.Background(), load(t, `p(buffer a, buffer b) {
 		local int n;
 		n = backlog-p(a |> flow == 1);
 		move-p(a, b, n);
@@ -236,7 +236,7 @@ func TestChainedFilterNeedsListModel(t *testing.T) {
 	prove(t, c, sv, c.AssertHolds(), "chained filters on list model")
 	// Multiclass: rejected.
 	sv2 := solver.New(solver.Options{})
-	_, err := Compile(load(t, src), sv2.Builder(), Options{T: 1, Model: buffer.MultiClassModel{}})
+	_, err := CompileContext(context.Background(), load(t, src), sv2.Builder(), Options{T: 1, Model: buffer.MultiClassModel{}})
 	if err == nil {
 		t.Fatal("multiclass should reject chained filters")
 	}
@@ -268,7 +268,7 @@ func TestArrivalSlotSymmetryBreaking(t *testing.T) {
 	// slot2 valid && !slot1 valid must be infeasible.
 	sv.Assert(c.Arrivals[2].Valid)
 	sv.Assert(b.Not(c.Arrivals[1].Valid))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("symmetry breaking missing: %v", got)
 	}
 }
@@ -287,7 +287,7 @@ func TestOutputAccumulatesAcrossSteps(t *testing.T) {
 	}
 	out := c.Steps[2].Buffers["b"].BacklogP(ctx)
 	sv.Assert(b.Neq(out, b.IntConst(3)))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("output accumulation wrong: %v", got)
 	}
 }
@@ -404,7 +404,7 @@ func TestAliasedSymbolicMoveIsNoop(t *testing.T) {
 	}
 	ob := c.Steps[0].Buffers["ob"].BacklogP(ctx)
 	sv.Assert(b.Neq(ob, b.IntConst(1)))
-	if got := sv.Check(); got != solver.Unsat {
+	if got := sv.Check(context.Background()); got != solver.Unsat {
 		t.Fatalf("self-move lost or duplicated a packet: %v", got)
 	}
 }

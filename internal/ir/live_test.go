@@ -65,7 +65,7 @@ func bmc(info *typecheck.Info, opts ir.Options, mode smtbe.Mode) func(t *testing
 	return func(t *testing.T) encoding {
 		ctx := context.Background()
 		sv := solver.New(solver.Options{})
-		c, err := ir.Compile(info, sv.Builder(), opts)
+		c, err := ir.CompileContext(context.Background(), info, sv.Builder(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func system(build func(b *term.Builder) (*compose.System, *term.Term, error)) fu
 			t.Fatal(err)
 		}
 		e := encoding{clauses: sv.Clauses(), vars: sv.NumVars(), terms: b.NumTerms()}
-		r := sv.Check()
+		r := sv.Check(context.Background())
 		e.answer = []any{r}
 		if r == solver.Sat {
 			e.answer = []any{r, sys.ExtractTrace(sv)}
@@ -223,11 +223,11 @@ func TestLiveStateKeepsInduction(t *testing.T) {
 			return ctx.B.Le(m.Var("tokens"), ctx.B.IntConst(bound))
 		}
 		run := func() []any {
-			ind, err := ts.ProveInvariant(info, opts, prop)
+			ind, err := ts.ProveInvariant(context.Background(), info, opts, prop)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bmc, err := ts.CheckBounded(info, opts, prop)
+			bmc, err := ts.CheckBounded(context.Background(), info, opts, prop)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -261,7 +261,7 @@ func (m *Machine) Ctx() *buffer.Ctx { return m.ctx }
 
 // TVar returns the symbolic horizon variable when the machine was built
 // with Options.SymbolicT, nil otherwise. Callers constrain it per query
-// (e.g. CheckAssuming TVar == k) rather than asserting it permanently, so
+// (e.g. Check assuming TVar == k) rather than asserting it permanently, so
 // one encoding answers every horizon.
 func (m *Machine) TVar() *term.Term { return m.tvar }
 

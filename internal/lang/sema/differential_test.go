@@ -7,6 +7,7 @@ package sema_test
 // disagreement is an analyzer soundness bug, not a test flake.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,14 +42,14 @@ func TestStaticVerdictsAgreeWithSMT(t *testing.T) {
 				// The static verdict is vacuous (no asserts) and the
 				// pre-solve gate never answers it; agreement here means
 				// smtbe also classifies the program as assert-free.
-				_, err := smtbe.Check(info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Verify})
+				_, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Verify})
 				if err == nil || !strings.Contains(err.Error(), "no assert") {
 					t.Errorf("static tier says no-asserts, SMT says %v", err)
 				}
 				return
 			}
 			if tc.verify == "holds" {
-				res, err := smtbe.Check(info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Verify})
+				res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Verify})
 				if err != nil {
 					t.Fatalf("smt verify: %v", err)
 				}
@@ -57,7 +58,7 @@ func TestStaticVerdictsAgreeWithSMT(t *testing.T) {
 				}
 			}
 			if tc.witness == "no-witness" {
-				res, err := smtbe.Check(info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Witness})
+				res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{IR: irOptionsFor(tc), Mode: smtbe.Witness})
 				if err != nil {
 					t.Fatalf("smt witness: %v", err)
 				}
@@ -95,7 +96,7 @@ func requireCounterexample(t *testing.T, file string, horizon int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{IR: ir.Options{T: horizon}, Mode: smtbe.Verify})
+	res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{IR: ir.Options{T: horizon}, Mode: smtbe.Verify})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fperfenc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestVerdictAgreement(t *testing.T) {
 			enc := c.encode(sv1, c.n, c.T)
 			sv1.Assert(enc.Assume)
 			sv1.Assert(enc.Query)
-			direct := sv1.Check() == solver.Sat
+			direct := sv1.Check(context.Background()) == solver.Sat
 
 			// Buffy pipeline verdict (count model, same shape).
 			info, err := qm.Load(c.src)
@@ -55,7 +56,7 @@ func TestVerdictAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			sv2 := solver.New(solver.Options{})
-			comp, err := ir.Compile(info, sv2.Builder(), ir.Options{
+			comp, err := ir.CompileContext(context.Background(), info, sv2.Builder(), ir.Options{
 				T: c.T, Params: map[string]int64{"N": int64(c.n)},
 				Model: buffer.CountModel{},
 			})
@@ -67,7 +68,7 @@ func TestVerdictAgreement(t *testing.T) {
 			}
 			b2 := sv2.Builder()
 			sv2.Assert(b2.And(comp.AssertHolds(), comp.AssertReached()))
-			pipeline := sv2.Check() == solver.Sat
+			pipeline := sv2.Check(context.Background()) == solver.Sat
 
 			if direct != pipeline {
 				t.Fatalf("verdicts disagree: direct=%v pipeline=%v", direct, pipeline)
@@ -119,7 +120,7 @@ func TestStepwiseAgreement(t *testing.T) {
 						}
 					}
 				}
-				if got := sv1.Check(); got != solver.Sat {
+				if got := sv1.Check(context.Background()); got != solver.Sat {
 					t.Fatalf("iter %d: direct encoding infeasible: %v", iter, got)
 				}
 
@@ -128,7 +129,7 @@ func TestStepwiseAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				sv2 := solver.New(solver.Options{})
-				comp, err := ir.Compile(info, sv2.Builder(), ir.Options{
+				comp, err := ir.CompileContext(context.Background(), info, sv2.Builder(), ir.Options{
 					T: T, Params: map[string]int64{"N": N},
 					Model: buffer.CountModel{},
 				})
@@ -147,7 +148,7 @@ func TestStepwiseAgreement(t *testing.T) {
 						sv2.Assert(b2.Not(a.Valid))
 					}
 				}
-				if got := sv2.Check(); got != solver.Sat {
+				if got := sv2.Check(context.Background()); got != solver.Sat {
 					t.Fatalf("iter %d: pipeline infeasible: %v", iter, got)
 				}
 

@@ -1,6 +1,7 @@
 package qm_test
 
 import (
+	"context"
 	"testing"
 
 	"buffy/internal/backend/smtbe"
@@ -57,7 +58,7 @@ func TestShaperEnvelopeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{
+	res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 		IR: ir.Options{
 			T: 4, Params: map[string]int64{"RATE": 2, "BURST": 3},
 			Bounds: typecheck.Bounds{MaxBytes: 3, ArrivalsPerStep: 2},
@@ -88,7 +89,7 @@ func TestNetcalcModelsInvariantsHold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := smtbe.Check(info, smtbe.Options{
+			res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 				IR:   ir.Options{T: 4, Params: tc.params, Bounds: typecheck.Bounds{ArrivalsPerStep: 2, BufferCap: 16}},
 				Mode: smtbe.Verify,
 			})
@@ -124,7 +125,7 @@ shaperw(buffer sin, buffer sout){
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{
+	res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 		IR: ir.Options{
 			T: 3, Params: map[string]int64{"RATE": 2, "BURST": 4},
 			Bounds: typecheck.Bounds{MaxBytes: 2, ArrivalsPerStep: 2},
@@ -153,7 +154,7 @@ func TestDRRWorkConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{
+	res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 		IR:   ir.Options{T: 4, Params: map[string]int64{"N": 2, "Q": 2}},
 		Mode: smtbe.Verify,
 	})
@@ -203,7 +204,7 @@ drrq(buffer[N] ibs, buffer ob){
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := smtbe.Check(info, smtbe.Options{
+	res, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 		IR:   ir.Options{T: 6, Params: map[string]int64{"N": 2, "Q": 1}, Bounds: typecheck.Bounds{ArrivalsPerStep: 2}},
 		Mode: smtbe.Witness,
 	})

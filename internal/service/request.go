@@ -19,7 +19,6 @@ import (
 	"hash"
 	"math"
 	"sort"
-	"time"
 
 	"buffy/internal/backend/fperf"
 	"buffy/internal/backend/netcalc"
@@ -206,7 +205,6 @@ func (r *Request) analysis() core.Analysis {
 		MaxConflicts:    r.MaxConflicts,
 		MaxPropagations: r.MaxPropagations,
 		MaxLearntBytes:  r.MaxLearntBytes,
-		Timeout:         time.Duration(r.TimeoutMS) * time.Millisecond,
 		Search:          r.searchOptions(),
 		Portfolio:       r.Portfolio,
 		CrossCheck:      r.CrossCheck,

@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -407,6 +409,56 @@ func TestSweepValidation(t *testing.T) {
 		if _, err := e.Submit(req); err == nil {
 			t.Errorf("Submit(%+v) should fail validation", req)
 		}
+	}
+}
+
+// TestSessionIgnoresBuilderTimeout: the pool shares a session among
+// every request with its key, and timeout_ms is not part of that key, so
+// the deadline of the request that built a session must not travel with
+// it. A sweep builds the session, then runs out of its 1 ms; the next,
+// with no timeout of its own, reuses that session and must solve every
+// horizon.
+func TestSessionIgnoresBuilderTimeout(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer shutdown(t, e)
+	shaper := func(timeoutMS int64) *Request {
+		return &Request{
+			Kind:      KindSweep,
+			Source:    qm.ShaperSrc,
+			Params:    map[string]int64{"RATE": 2, "BURST": 3},
+			MaxT:      12,
+			SweepMode: "verify",
+			TimeoutMS: timeoutMS,
+		}
+	}
+	// A deadline that lands while a horizon unrolls closes the session; one
+	// that lands in a search leaves it pooled. Retry until one is pooled,
+	// forgetting each failure's latency so admission takes the next 1 ms
+	// request.
+	for i := 0; e.Metrics().SessionsLive == 0; i++ {
+		if i == 20 {
+			t.Fatal("no timed-out sweep left its session in the pool")
+		}
+		e.admit.mu.Lock()
+		delete(e.admit.est, KindSweep)
+		e.admit.mu.Unlock()
+		builder, err := e.Submit(shaper(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-builder.Done()
+		if _, err := builder.Result(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("1 ms sweep: %v, want the deadline", err)
+		}
+	}
+	reuser, err := e.Submit(shaper(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitDone(t, reuser, 2*time.Minute)
+	if res.Status != "holds" || len(res.Verdicts) != 12 || !res.SessionHit {
+		t.Fatalf("second sweep: status %s with %d verdicts, session_hit %v; want holds with 12 on the pooled session",
+			res.Status, len(res.Verdicts), res.SessionHit)
 	}
 }
 

@@ -67,7 +67,9 @@ type Options struct {
 	// Solver configures the underlying incremental solver, including the
 	// per-query search budgets. These are fixed for the session's
 	// lifetime — a request with different solver knobs must not share
-	// this session (the service keys its pool on all of them).
+	// this session. Every solver option is in the service's SessionKey;
+	// a query's wall-clock bound is its ctx's deadline, which the
+	// session never keeps.
 	Solver solver.Options
 }
 

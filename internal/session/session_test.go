@@ -67,7 +67,7 @@ func TestWarmMatchesColdCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("warm T=%d: %v", T, err)
 				}
-				cold, err := smtbe.Check(info, smtbe.Options{
+				cold, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 					IR: ir.Options{T: T, Params: tc.params}, Mode: tc.mode,
 				})
 				if err != nil {
@@ -116,7 +116,7 @@ func TestModesInterleaved(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		cold, err := smtbe.Check(info, smtbe.Options{
+		cold, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 			IR: ir.Options{T: q.T, Params: params}, Mode: q.mode,
 		})
 		if err != nil {
@@ -167,7 +167,7 @@ func TestSweepWarm(t *testing.T) {
 		}
 	}
 	// The minimal horizon must agree with the cold deepening loop.
-	_, coldT, err := smtbe.FindMinHorizon(info, smtbe.Options{
+	_, coldT, err := smtbe.FindMinHorizon(context.Background(), info, smtbe.Options{
 		IR: ir.Options{Params: params}, Mode: smtbe.Witness,
 	}, 5)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestSweepPerStepQueries(t *testing.T) {
 	if len(sr.Final.Trace.Packets) < 3 {
 		t.Errorf("counterexample needs >= 3 arrivals, got %d", len(sr.Final.Trace.Packets))
 	}
-	cold, coldT, err := smtbe.FindMinHorizon(load(t, src), smtbe.Options{Mode: smtbe.Verify}, 8)
+	cold, coldT, err := smtbe.FindMinHorizon(context.Background(), load(t, src), smtbe.Options{Mode: smtbe.Verify}, 8)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -421,7 +421,7 @@ func TestSolverKnobsDontPanic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("T=%d: %v", T, err)
 		}
-		cold, err := smtbe.Check(info, smtbe.Options{
+		cold, err := smtbe.CheckContext(context.Background(), info, smtbe.Options{
 			IR:     ir.Options{T: T, Params: params},
 			Solver: solver.Options{Width: 10},
 			Mode:   smtbe.Verify,

@@ -38,7 +38,7 @@ func TestCheckContextCancel(t *testing.T) {
 	hardInstance(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan Result, 1)
-	go func() { done <- s.CheckContext(ctx) }()
+	go func() { done <- s.Check(ctx) }()
 	time.Sleep(50 * time.Millisecond)
 	cancelAt := time.Now()
 	cancel()
@@ -54,7 +54,7 @@ func TestCheckContextCancel(t *testing.T) {
 			t.Errorf("check took %v to honour cancellation", elapsed)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("CheckContext ignored cancellation")
+		t.Fatal("Check ignored cancellation")
 	}
 }
 
@@ -64,26 +64,29 @@ func TestCheckContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	got := s.CheckContext(ctx)
+	got := s.Check(ctx)
 	if got != Unknown && got != Unsat {
 		t.Fatalf("got %v, want unknown or unsat", got)
+	}
+	if got == Unknown && ctx.Err() == nil {
+		t.Error("check stopped on the deadline, but ctx reports no error yet")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("deadline ignored: check ran %v", elapsed)
 	}
 }
 
-// TestCheckAssumingContextBackground pins that the plain entry points
-// still work through the context path (nil Done channel).
+// TestCheckAssumingContextBackground pins that Check decides assumptions
+// under a context that never ends (nil Done channel, no deadline).
 func TestCheckAssumingContextBackground(t *testing.T) {
 	s := New(Options{Width: 12})
 	b := s.Builder()
 	x := b.Var("x", term.Int)
 	s.Assert(b.Ge(x, b.IntConst(5)))
-	if got := s.CheckAssumingContext(context.Background(), b.Le(x, b.IntConst(10))); got != Sat {
+	if got := s.Check(context.Background(), b.Le(x, b.IntConst(10))); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
-	if got := s.CheckAssumingContext(context.Background(), b.Le(x, b.IntConst(4))); got != Unsat {
+	if got := s.Check(context.Background(), b.Le(x, b.IntConst(4))); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
 	}
 }
@@ -164,7 +167,7 @@ func TestCheckAssumingSpans(t *testing.T) {
 		{[]*term.Term{b.Lt(y, b.IntConst(3)), b.Lt(b.IntConst(2), x)}, Unsat, 3},
 	}
 	for i, c := range checks {
-		if got := s.CheckAssumingContext(ctx, c.assumptions...); got != c.want {
+		if got := s.Check(ctx, c.assumptions...); got != c.want {
 			t.Fatalf("check %d: %v, want %v", i, got, c.want)
 		}
 		if n := bitblastSpans(); n != c.spans {

@@ -5,15 +5,15 @@
 //
 // The solver is incremental in the "assert more, check again" direction:
 // each Check reuses all clauses (including learnt clauses) from previous
-// checks. Hypothetical queries are supported through CheckAssuming, which
-// solves under assumption literals without committing them — the workhorse
-// of the Houdini and k-induction engines.
+// checks. Check also takes assumption terms, which it solves under without
+// committing them — the workhorse of the Houdini engine, the Dafny-style
+// verifier and warm sessions. A check's only wall-clock bound is its
+// context's deadline.
 package solver
 
 import (
 	"context"
 	"slices"
-	"time"
 
 	"buffy/internal/smt/bitblast"
 	"buffy/internal/smt/cnf"
@@ -55,8 +55,6 @@ type Options struct {
 	// MaxLearntBytes bounds the estimated learnt-clause memory per Check;
 	// zero means unlimited.
 	MaxLearntBytes int64
-	// Timeout bounds each Check's wall time; zero means unlimited.
-	Timeout time.Duration
 	// Search configures the CDCL heuristics (restart schedule, VSIDS
 	// decay, polarity, random branching, learnt-DB limits). The zero
 	// value is the classic configuration; the portfolio layer races
@@ -185,42 +183,21 @@ func (s *Solver) countBlasted(span *telemetry.Span) {
 // Assertions returns the asserted terms in order.
 func (s *Solver) Assertions() []*term.Term { return s.asserted }
 
-// Check decides satisfiability of the asserted set.
-func (s *Solver) Check() Result {
-	return s.CheckAssuming()
+// Check decides satisfiability of the asserted set together with the
+// given boolean terms, without adding them permanently, and snapshots the
+// model on Sat. The SAT search aborts (returning Unknown) soon after ctx
+// is cancelled or its deadline passes.
+func (s *Solver) Check(ctx context.Context, assumptions ...*term.Term) Result {
+	return s.checkAssuming(ctx, true, assumptions...)
 }
 
-// CheckAssuming decides satisfiability of the asserted set together with
-// the given boolean terms, without adding them permanently.
-func (s *Solver) CheckAssuming(assumptions ...*term.Term) Result {
-	return s.CheckAssumingContext(context.Background(), assumptions...)
-}
-
-// CheckContext is Check with cooperative cancellation: the SAT search
-// aborts (returning Unknown) soon after ctx is cancelled, and the
-// context's deadline — if earlier than Options.Timeout — bounds the call.
-func (s *Solver) CheckContext(ctx context.Context) Result {
-	return s.CheckAssumingContext(ctx)
-}
-
-// CheckContextNoModel is CheckAssumingContext without the automatic
-// model snapshot after a Sat result: the caller invokes SnapshotModel
-// itself before reading values. Portfolio forks need this split because
-// they share one term builder — the search phases run concurrently, but
-// the snapshot (which walks the shared builder's variables) must be
-// serialized by the caller.
+// CheckContextNoModel is Check without the automatic model snapshot after
+// a Sat result: the caller invokes SnapshotModel itself before reading
+// values. Portfolio forks need this split because they share one term
+// builder — the search phases run concurrently, but the snapshot (which
+// walks the shared builder's variables) must be serialized by the caller.
 func (s *Solver) CheckContextNoModel(ctx context.Context, assumptions ...*term.Term) Result {
 	return s.checkAssuming(ctx, false, assumptions...)
-}
-
-// SnapshotModel publishes the model of the last Sat result for Value
-// reads. Check and CheckAssuming call it automatically; it is exported
-// for CheckContextNoModel callers, which defer it.
-func (s *Solver) SnapshotModel() { s.snapshotModel() }
-
-// CheckAssumingContext is CheckAssuming with cooperative cancellation.
-func (s *Solver) CheckAssumingContext(ctx context.Context, assumptions ...*term.Term) Result {
-	return s.checkAssuming(ctx, true, assumptions...)
 }
 
 func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions ...*term.Term) Result {
@@ -254,14 +231,14 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 		Cancel:          ctx.Done(),
 		Progress:        s.opts.Progress,
 	}
-	if s.opts.Timeout > 0 {
-		lim.Deadline = time.Now().Add(s.opts.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (lim.Deadline.IsZero() || d.Before(lim.Deadline)) {
-		lim.Deadline = d
-	}
+	lim.Deadline, _ = ctx.Deadline()
 	_, span := telemetry.StartSpan(ctx, "search")
 	res := s.sat.SolveLimited(lim, lits...)
+	if s.sat.StopReason() == sat.StopDeadline {
+		// The search read the clock past ctx's deadline, perhaps before
+		// ctx's own timer fired; wait for it so callers see ctx.Err().
+		<-ctx.Done()
+	}
 	after := s.sat.Stats()
 	d := after.Sub(s.searched)
 	s.effort, s.searched = d, after
@@ -276,7 +253,7 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 	switch res {
 	case sat.Sat:
 		if snapshot {
-			s.snapshotModel()
+			s.SnapshotModel()
 		}
 		return Sat
 	case sat.Unsat:
@@ -286,11 +263,14 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 	}
 }
 
-// snapshotModel reads every builder variable's value out of the SAT
-// assignment. Variables that never reached the SAT solver read as 0/false,
-// which is a legal completion since they are unconstrained; reading them
-// through the blaster would give each one SAT variables for good.
-func (s *Solver) snapshotModel() {
+// SnapshotModel publishes the model of the last Sat result for Value
+// reads. Check calls it automatically; it is exported for
+// CheckContextNoModel callers, which defer it. It reads every builder
+// variable's value out of the SAT assignment. Variables that never
+// reached the SAT solver read as 0/false, which is a legal completion
+// since they are unconstrained; reading them through the blaster would
+// give each one SAT variables for good.
+func (s *Solver) SnapshotModel() {
 	m := make(term.Assignment, 64)
 	for _, v := range s.b.Vars() {
 		switch {

@@ -17,7 +17,7 @@ func TestTrivialSat(t *testing.T) {
 	b := s.Builder()
 	x := b.Var("x", term.Int)
 	s.Assert(b.Eq(x, b.IntConst(42)))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if v := s.IntValue(x); v != 42 {
@@ -31,7 +31,7 @@ func TestTrivialUnsat(t *testing.T) {
 	x := b.Var("x", term.Int)
 	s.Assert(b.Eq(x, b.IntConst(1)))
 	s.Assert(b.Eq(x, b.IntConst(2)))
-	if got := s.Check(); got != Unsat {
+	if got := s.Check(context.Background()); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
 	}
 }
@@ -44,7 +44,7 @@ func TestArithmetic(t *testing.T) {
 	// x + y == 10, x - y == 4  =>  x=7, y=3
 	s.Assert(b.Eq(b.Add(x, y), b.IntConst(10)))
 	s.Assert(b.Eq(b.Sub(x, y), b.IntConst(4)))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if xv, yv := s.IntValue(x), s.IntValue(y); xv != 7 || yv != 3 {
@@ -64,7 +64,7 @@ func TestMultiplication(t *testing.T) {
 	s.Assert(b.Lt(b.IntConst(1), x))
 	s.Assert(b.Lt(x, y))
 	s.Assert(b.Lt(y, b.IntConst(36)))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	xv, yv := s.IntValue(x), s.IntValue(y)
@@ -79,7 +79,7 @@ func TestSignedComparison(t *testing.T) {
 	x := b.Var("x", term.Int)
 	s.Assert(b.Lt(x, b.IntConst(0)))
 	s.Assert(b.Lt(b.IntConst(-5), x))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if v := s.IntValue(x); v <= -5 || v >= 0 {
@@ -95,7 +95,7 @@ func TestWrapAround(t *testing.T) {
 	x := b.Var("x", term.Int)
 	s.Assert(b.Eq(x, b.Add(b.IntConst(2047), b.IntConst(1))))
 	// Builder folds 2047+1 to the unbounded 2048 constant; blasting wraps it.
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if v := s.IntValue(x); v != -2048 {
@@ -110,7 +110,7 @@ func TestIte(t *testing.T) {
 	x := b.Var("x", term.Int)
 	s.Assert(b.Eq(x, b.Ite(p, b.IntConst(10), b.IntConst(20))))
 	s.Assert(b.Eq(x, b.IntConst(20)))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	if s.BoolValue(p) {
@@ -125,14 +125,14 @@ func TestCheckAssuming(t *testing.T) {
 	s.Assert(b.Le(b.IntConst(0), x))
 	s.Assert(b.Le(x, b.IntConst(10)))
 
-	if got := s.CheckAssuming(b.Gt(x, b.IntConst(10))); got != Unsat {
+	if got := s.Check(context.Background(), b.Gt(x, b.IntConst(10))); got != Unsat {
 		t.Fatalf("x>10 under 0<=x<=10: got %v, want unsat", got)
 	}
 	// Assumptions must not stick.
-	if got := s.CheckAssuming(b.Eq(x, b.IntConst(10))); got != Sat {
+	if got := s.Check(context.Background(), b.Eq(x, b.IntConst(10))); got != Sat {
 		t.Fatalf("x==10: got %v, want sat", got)
 	}
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("no assumptions: got %v, want sat", got)
 	}
 }
@@ -144,13 +144,13 @@ func TestIncrementalNarrowing(t *testing.T) {
 	s.Assert(b.Le(b.IntConst(0), x))
 	s.Assert(b.Le(x, b.IntConst(3)))
 	for v := int64(3); v >= 0; v-- {
-		if got := s.Check(); got != Sat {
+		if got := s.Check(context.Background()); got != Sat {
 			t.Fatalf("narrowing at %d: got %v, want sat", v, got)
 		}
 		// Exclude the current model value of x.
 		s.Assert(b.Neq(x, b.IntConst(s.IntValue(x))))
 	}
-	if got := s.Check(); got != Unsat {
+	if got := s.Check(context.Background()); got != Unsat {
 		t.Fatalf("after excluding all 4 values: got %v, want unsat", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestModelSatisfiesAssertions(t *testing.T) {
 	s.Assert(b.Or(b.Eq(b.Add(x, y), b.IntConst(12)), p))
 	s.Assert(b.Not(p))
 	s.Assert(b.Lt(x, y))
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("got %v, want sat", got)
 	}
 	m := s.Model()
@@ -189,7 +189,7 @@ func TestModelSkipsUnencodedVars(t *testing.T) {
 	s.Assert(b.Lt(b.IntConst(2), x))
 	vars := s.NumVars()
 	for round := 0; round < 2; round++ {
-		if got := s.Check(); got != Sat {
+		if got := s.Check(context.Background()); got != Sat {
 			t.Fatalf("round %d: got %v, want sat", round, got)
 		}
 		if got := s.NumVars(); got != vars {
@@ -213,7 +213,7 @@ func TestModelSkipsUnencodedVars(t *testing.T) {
 func TestAssertFalse(t *testing.T) {
 	s := newSolver()
 	s.Assert(s.Builder().False())
-	if got := s.Check(); got != Unsat {
+	if got := s.Check(context.Background()); got != Unsat {
 		t.Fatalf("got %v, want unsat", got)
 	}
 }
@@ -265,7 +265,7 @@ func TestSolverAgreesWithEval(t *testing.T) {
 		}
 		r := b.Var("r", term.Int)
 		s.Assert(b.Eq(r, e))
-		if got := s.Check(); got != Sat {
+		if got := s.Check(context.Background()); got != Sat {
 			t.Fatalf("iter %d: got %v, want sat for %s", iter, got, e)
 		}
 		want := term.Eval(e, asg, width).Int
@@ -307,7 +307,7 @@ func TestSolverAgreesWithEvalBool(t *testing.T) {
 		}
 		p := b.Var("p", term.Bool)
 		s.Assert(b.Iff(p, f))
-		if got := s.Check(); got != Sat {
+		if got := s.Check(context.Background()); got != Sat {
 			t.Fatalf("iter %d: got %v, want sat", iter, got)
 		}
 		want := term.Eval(f, asg, width).Bool
@@ -324,7 +324,7 @@ func TestStatsAndSizes(t *testing.T) {
 	s.Assert(b.Eq(b.Mul(x, x), b.IntConst(49)))
 	s.Assert(b.Le(b.IntConst(-60), x))
 	s.Assert(b.Le(x, b.IntConst(60))) // exclude wrap-around roots
-	if s.Check() != Sat {
+	if s.Check(context.Background()) != Sat {
 		t.Fatal("x*x=49 should be sat")
 	}
 	if v := s.IntValue(x); v != 7 && v != -7 {
@@ -345,7 +345,7 @@ func BenchmarkMultiplicationFactoring(b *testing.B) {
 		s.Assert(bld.Lt(bld.IntConst(1), x))
 		s.Assert(bld.Lt(y, bld.IntConst(50)))
 		s.Assert(bld.Le(x, y))
-		if s.Check() != Sat {
+		if s.Check(context.Background()) != Sat {
 			b.Fatal("expected sat")
 		}
 	}
@@ -380,7 +380,7 @@ func TestForkSharesEncoding(t *testing.T) {
 		}
 	}
 	// The parent still solves independently after its forks.
-	if got := s.Check(); got != Sat {
+	if got := s.Check(context.Background()); got != Sat {
 		t.Fatalf("parent after forks: got %v, want sat", got)
 	}
 	if xv := s.IntValue(x); xv != 7 {
@@ -395,7 +395,7 @@ func TestForkOfUnsat(t *testing.T) {
 	x := b.Var("x", term.Int)
 	s.Assert(b.Eq(x, b.IntConst(1)))
 	s.Assert(b.Eq(x, b.IntConst(2)))
-	if got := s.Fork(sat.Options{}).Check(); got != Unsat {
+	if got := s.Fork(sat.Options{}).Check(context.Background()); got != Unsat {
 		t.Fatalf("fork of unsat parent: got %v, want unsat", got)
 	}
 }
@@ -422,7 +422,7 @@ func TestValueReadsCurrentModel(t *testing.T) {
 		assume *term.Term
 		x, y   int64
 	}{{p, 1, 2}, {b.Not(p), 5, 26}, {p, 1, 2}} {
-		if got := s.CheckAssuming(c.assume); got != Sat {
+		if got := s.Check(context.Background(), c.assume); got != Sat {
 			t.Fatalf("solve %d: got %v, want sat", i, got)
 		}
 		if xv, yv := s.IntValue(x), s.IntValue(y); xv != c.x || yv != c.y {
@@ -439,10 +439,10 @@ func TestForksKeepOwnEvalCache(t *testing.T) {
 	p, _, y := modelSwitch(s)
 	b := s.Builder()
 	f1, f2 := s.Fork(sat.Options{}), s.Fork(sat.Options{RandSeed: 3})
-	if got := f1.CheckAssuming(p); got != Sat {
+	if got := f1.Check(context.Background(), p); got != Sat {
 		t.Fatalf("fork 1: got %v, want sat", got)
 	}
-	if got := f2.CheckAssuming(b.Not(p)); got != Sat {
+	if got := f2.Check(context.Background(), b.Not(p)); got != Sat {
 		t.Fatalf("fork 2: got %v, want sat", got)
 	}
 	for round := 0; round < 2; round++ {

@@ -130,8 +130,9 @@ func Names(cs []Candidate) []string {
 // Houdini prunes candidates to their largest mutually-inductive subset:
 // first dropping candidates false in the initial state, then repeatedly
 // dropping any candidate not preserved by one transition under the
-// assumption of all remaining candidates, until a fixpoint.
-func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*HoudiniResult, error) {
+// assumption of all remaining candidates, until a fixpoint. Cancelling ctx
+// aborts the run with ctx's error.
+func Houdini(ctx context.Context, info *typecheck.Info, opts ts.Options, cands []Candidate) (*HoudiniResult, error) {
 	start := time.Now()
 	res := &HoudiniResult{}
 	if opts.IR.T == 0 {
@@ -147,10 +148,10 @@ func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*Houdini
 		if err != nil {
 			return nil, err
 		}
-		ctx := &buffer.Ctx{B: b, Assume: func(*term.Term) {}, Prefix: "houdini0"}
+		rc := &buffer.Ctx{B: b, Assume: func(*term.Term) {}, Prefix: "houdini0"}
 		var keep []Candidate
 		for _, c := range cands {
-			t := c.Prop(m, ctx)
+			t := c.Prop(m, rc)
 			if t == b.False() {
 				res.Dropped = append(res.Dropped, c)
 				continue
@@ -159,7 +160,11 @@ func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*Houdini
 				// Not constant in the initial state (should not happen for
 				// the empty state); check with the solver.
 				res.Checks++
-				if sv.CheckAssuming(b.Not(t)) != solver.Unsat {
+				r := sv.Check(ctx, b.Not(t))
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				if r != solver.Unsat {
 					res.Dropped = append(res.Dropped, c)
 					continue
 				}
@@ -176,21 +181,21 @@ func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*Houdini
 	if err != nil {
 		return nil, err
 	}
-	ctx := &buffer.Ctx{B: b, Assume: func(*term.Term) {}, Prefix: "houdini"}
+	rc := &buffer.Ctx{B: b, Assume: func(*term.Term) {}, Prefix: "houdini"}
 	ts.Symbolize(m, b, "hd")
 	pre := make([]*term.Term, len(cands))
 	for i, c := range cands {
-		pre[i] = c.Prop(m, ctx)
+		pre[i] = c.Prop(m, rc)
 	}
-	if err := m.Unroll(context.Background(), 1); err != nil {
+	if err := m.Unroll(ctx, 1); err != nil {
 		return nil, err
 	}
 	post := make([]*term.Term, len(cands))
 	for i, c := range cands {
-		post[i] = c.Prop(m, ctx)
+		post[i] = c.Prop(m, rc)
 	}
-	for _, a := range m.Assumes() {
-		sv.Assert(a)
+	if err := sv.AssertAll(ctx, m.Assumes()); err != nil {
+		return nil, err
 	}
 
 	active := make([]bool, len(cands))
@@ -213,7 +218,11 @@ func Houdini(info *typecheck.Info, opts ts.Options, cands []Candidate) (*Houdini
 				continue
 			}
 			res.Checks++
-			if sv.CheckAssuming(b.And(antT, b.Not(post[i]))) != solver.Unsat {
+			r := sv.Check(ctx, b.And(antT, b.Not(post[i])))
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if r != solver.Unsat {
 				active[i] = false
 				res.Dropped = append(res.Dropped, cands[i])
 				changed = true

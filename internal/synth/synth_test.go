@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestHoudiniPathServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := Grammar(info, probe, GrammarOptions{Consts: []int64{0, 1, 4, 8}, BufferCap: 8})
-	res, err := Houdini(info, opts, cands)
+	res, err := Houdini(context.Background(), info, opts, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestHoudiniPathServer(t *testing.T) {
 				aux = append(aux, o.Prop)
 			}
 		}
-		pres, err := ts.ProveInvariant(info, ts.Options{IR: opts.IR, Aux: aux}, c.Prop)
+		pres, err := ts.ProveInvariant(context.Background(), info, ts.Options{IR: opts.IR, Aux: aux}, c.Prop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestHoudiniTransitiveDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := Grammar(info, probe, GrammarOptions{Consts: []int64{0, 3, 8}})
-	res, err := Houdini(info, opts, cands)
+	res, err := Houdini(context.Background(), info, opts, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
