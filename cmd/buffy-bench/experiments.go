@@ -153,16 +153,17 @@ func runCS2() error {
 		{2, 2, 2, 3, 8, false},  // more service: safe at this horizon
 		{2, 2, 2, 40, 6, false}, // deep buffer: safe
 	}
+	ctx := context.Background()
 	fmt.Printf("%-26s  %8s  %8s\n", "C/B/IW/K/T", "loss?", "time")
 	for _, c := range cases {
 		sv := solver.New(solver.Options{})
-		sys, err := compose.BuildCCAC(sv.Builder(), compose.CCACParams{
+		sys, err := compose.BuildCCAC(ctx, sv.Builder(), compose.CCACParams{
 			C: c.C, B: c.B, IW: c.IW, K: c.K, T: c.T,
 		})
 		if err != nil {
 			return err
 		}
-		res, err := sys.Sys.CheckQuery(context.Background(), sv, sys.Loss(sv.Builder()))
+		res, err := sys.Sys.CheckQuery(ctx, sv, sys.Loss(sv.Builder()))
 		if err != nil {
 			return err
 		}
@@ -342,6 +343,7 @@ func runA3() error {
 // instance of the one-step delay program): a longer control loop slows
 // window growth, so less traffic can be delivered in the same horizon.
 func runA4() error {
+	ctx := context.Background()
 	fmt.Printf("%3s  %16s  %8s\n", "D", "max delivered", "time")
 	for _, d := range []int{1, 2, 4} {
 		start := time.Now()
@@ -350,13 +352,13 @@ func runA4() error {
 			mid := (lo + hi + 1) / 2
 			sv := solver.New(solver.Options{})
 			b := sv.Builder()
-			sys, err := compose.BuildCCAC(b, compose.CCACParams{
+			sys, err := compose.BuildCCAC(ctx, b, compose.CCACParams{
 				C: 2, B: 1, IW: 2, K: 12, T: 10, D: d,
 			})
 			if err != nil {
 				return err
 			}
-			res, err := sys.Sys.CheckQuery(context.Background(), sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
+			res, err := sys.Sys.CheckQuery(ctx, sv, b.Ge(sys.Delivered(), b.IntConst(mid)))
 			if err != nil {
 				return err
 			}

@@ -40,6 +40,7 @@ import (
 	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/smt/sat"
+	"buffy/internal/smt/solver"
 	"buffy/internal/telemetry"
 	"buffy/internal/workload"
 )
@@ -122,6 +123,7 @@ func main() {
 	var progress *sat.Progress
 	if *explain {
 		progress = &sat.Progress{}
+		ctx = solver.WithProgress(ctx, progress)
 	}
 
 	_, psp := telemetry.StartSpan(ctx, "parse")
@@ -138,7 +140,6 @@ func main() {
 		T: *T, Params: params, Model: *model, Width: *width, Bounds: bounds,
 		Portfolio:    *nPortfolio,
 		MaxConflicts: *maxConflicts, MaxPropagations: *maxProps, MaxLearntBytes: *maxLearnt,
-		Progress: progress,
 	}
 
 	winner := "" // the portfolio config that answered, for -explain

@@ -23,7 +23,7 @@ func main() {
 	// service (tokens accumulate), then release a burst; the returning ack
 	// burst makes the window-driven sender overflow the 2-packet queue.
 	sv := solver.New(solver.Options{})
-	sys, err := compose.BuildCCAC(sv.Builder(), compose.CCACParams{
+	sys, err := compose.BuildCCAC(ctx, sv.Builder(), compose.CCACParams{
 		C: 1, B: 1, IW: 2, K: 2, T: 8,
 	})
 	if err != nil {
@@ -44,7 +44,7 @@ func main() {
 
 	// --- A deep buffer absorbs the same dynamics.
 	sv2 := solver.New(solver.Options{})
-	sys2, err := compose.BuildCCAC(sv2.Builder(), compose.CCACParams{
+	sys2, err := compose.BuildCCAC(ctx, sv2.Builder(), compose.CCACParams{
 		C: 1, B: 1, IW: 2, K: 20, T: 8,
 	})
 	if err != nil {
@@ -62,7 +62,7 @@ func main() {
 	// server do.
 	sv3 := solver.New(solver.Options{})
 	const C, B, T = 2, 1, 6
-	sys3, err := compose.BuildCCAC(sv3.Builder(), compose.CCACParams{
+	sys3, err := compose.BuildCCAC(ctx, sv3.Builder(), compose.CCACParams{
 		C: C, B: B, IW: 4, K: 20, T: T,
 	})
 	if err != nil {

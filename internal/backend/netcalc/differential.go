@@ -168,7 +168,7 @@ func CrossCheck(ctx context.Context, info *typecheck.Info, r *Result, opts Cross
 		return report, err
 	}
 
-	outcome := sv.CheckContextNoModel(cctx)
+	outcome := sv.Check(cctx)
 	report.Duration = time.Since(start)
 	switch outcome {
 	case solver.Unsat:
@@ -185,7 +185,6 @@ func CrossCheck(ctx context.Context, info *typecheck.Info, r *Result, opts Cross
 		return report, nil
 	}
 	// SAT: decode the witness for the error message.
-	sv.SnapshotModel()
 	report.Status = "disagreement"
 	sp.SetAttrs(telemetry.String("status", report.Status))
 	worstBacklog, worstStep := int64(-1), -1

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"fmt"
 
 	"buffy/internal/buffer"
@@ -40,7 +41,8 @@ type CCACSystem struct {
 //	aimd.net --> path.pin; path.pab --> delay.din; delay.dout --> aimd.acks
 //
 // The CCA's app buffer is the only external input (application data).
-func BuildCCAC(b *term.Builder, p CCACParams) (*CCACSystem, error) {
+// The system is unrolled under ctx (see System.Run).
+func BuildCCAC(ctx context.Context, b *term.Builder, p CCACParams) (*CCACSystem, error) {
 	if p.Model == nil {
 		p.Model = buffer.CountModel{}
 	}
@@ -110,7 +112,7 @@ func BuildCCAC(b *term.Builder, p CCACParams) (*CCACSystem, error) {
 	if err := sys.Connect(stageNames[len(stageNames)-1], "dout", "aimd", "acks"); err != nil {
 		return nil, err
 	}
-	if err := sys.Run(p.T); err != nil {
+	if err := sys.Run(ctx, p.T); err != nil {
 		return nil, err
 	}
 	return &CCACSystem{Sys: sys, AIMD: aimd, Path: path, Delay: delays}, nil

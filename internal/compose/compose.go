@@ -134,8 +134,10 @@ func contains(xs []string, x string) bool {
 
 // Run executes T composed steps: external inputs receive symbolic
 // arrivals, every program runs its step, then connected outputs flush into
-// their inputs (visible next step). Run a system once.
-func (s *System) Run(T int) error {
+// their inputs (visible next step). Each program's step is traced as a
+// compile span under ctx, and a step stops once ctx is done, returning
+// ctx's error. Run a system once.
+func (s *System) Run(ctx context.Context, T int) error {
 	if s.steps == 0 {
 		s.shareLiveState()
 	}
@@ -150,7 +152,7 @@ func (s *System) Run(T int) error {
 				}
 			}
 			m.InjectArrivalsInto(t, external)
-			if err := m.Unroll(context.Background(), t+1); err != nil {
+			if err := m.Unroll(ctx, t+1); err != nil {
 				return fmt.Errorf("compose: %s step %d: %w", name, t, err)
 			}
 		}

@@ -2,12 +2,14 @@ package compose
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"buffy/internal/ir"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
 	"buffy/internal/smt/term"
+	"buffy/internal/telemetry"
 )
 
 // Two chained one-step delay stages: a packet entering stage 1 at step t
@@ -35,7 +37,7 @@ func TestDelayChain(t *testing.T) {
 	if err := sys.Connect("d1", "dout", "d2", "din"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(T); err != nil {
+	if err := sys.Run(context.Background(), T); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range sys.Assumes() {
@@ -94,7 +96,7 @@ func TestConnectValidation(t *testing.T) {
 func TestCCACLossWitness(t *testing.T) {
 	sv := solver.New(solver.Options{})
 	b := sv.Builder()
-	sys, err := BuildCCAC(b, CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 8})
+	sys, err := BuildCCAC(context.Background(), b, CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestCCACLossWitness(t *testing.T) {
 func TestCCACNoLossWithDeepBuffer(t *testing.T) {
 	sv := solver.New(solver.Options{})
 	b := sv.Builder()
-	sys, err := BuildCCAC(b, CCACParams{C: 2, B: 2, IW: 2, K: 40, T: 6})
+	sys, err := BuildCCAC(context.Background(), b, CCACParams{C: 2, B: 2, IW: 2, K: 40, T: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestCCACThroughputBound(t *testing.T) {
 	sv := solver.New(solver.Options{})
 	b := sv.Builder()
 	const C, B2, T = 2, 1, 6
-	sys, err := BuildCCAC(b, CCACParams{C: C, B: B2, IW: 4, K: 20, T: T})
+	sys, err := BuildCCAC(context.Background(), b, CCACParams{C: C, B: B2, IW: 4, K: 20, T: T})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestCCACThroughputBound(t *testing.T) {
 func TestCCACDeliveredNonNegative(t *testing.T) {
 	sv := solver.New(solver.Options{})
 	b := sv.Builder()
-	sys, err := BuildCCAC(b, CCACParams{C: 1, B: 1, IW: 1, K: 5, T: 4})
+	sys, err := BuildCCAC(context.Background(), b, CCACParams{C: 1, B: 1, IW: 1, K: 5, T: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestStandaloneProgramInSystem(t *testing.T) {
 	if _, err := sys.Add(info, ir.Options{T: 2, Params: map[string]int64{"N": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(2); err != nil {
+	if err := sys.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sys.Arrivals()); got != 4 { // 2 inputs x 2 steps x 1 slot
@@ -217,7 +219,7 @@ func TestSameProgramTwiceViaInstances(t *testing.T) {
 	if err := sys.Connect("stage1", "dout", "stage2", "din"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(T); err != nil {
+	if err := sys.Run(context.Background(), T); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range sys.Assumes() {
@@ -248,7 +250,7 @@ func TestCCACLongerDelayLowersThroughput(t *testing.T) {
 			mid := (lo + hi + 1) / 2
 			sv := solver.New(solver.Options{})
 			b := sv.Builder()
-			sys, err := BuildCCAC(b, CCACParams{C: 2, B: 1, IW: 2, K: 12, T: 10, D: d})
+			sys, err := BuildCCAC(context.Background(), b, CCACParams{C: 2, B: 1, IW: 2, K: 12, T: 10, D: d})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,5 +269,38 @@ func TestCCACLongerDelayLowersThroughput(t *testing.T) {
 	d1, d3 := maxDelivered(1), maxDelivered(4)
 	if d1 <= d3 {
 		t.Errorf("delivered with D=1 (%d) should exceed D=4 (%d)", d1, d3)
+	}
+}
+
+// A cancelled ctx stops BuildCCAC before its first step.
+func TestBuildCCACCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := BuildCCAC(ctx, term.NewBuilder(), CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("BuildCCAC under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// BuildCCAC unrolls into the caller's trace: one compile span per
+// program instance per step, each counting the terms it built.
+func TestBuildCCACTracesCompile(t *testing.T) {
+	tr := telemetry.NewTrace("ccac")
+	ctx := telemetry.WithTrace(context.Background(), tr)
+	if _, err := BuildCCAC(ctx, term.NewBuilder(), CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 3, D: 1}); err != nil {
+		t.Fatal(err)
+	}
+	compiles := 0
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name != "compile" {
+			continue
+		}
+		compiles++
+		if terms, _ := sp.Attrs["terms"].(int64); terms <= 0 {
+			t.Errorf("compile span %d counts %d terms, want > 0", sp.ID, terms)
+		}
+	}
+	if compiles != 9 { // aimd, path and one delay stage, 3 steps each
+		t.Errorf("%d compile spans, want 9", compiles)
 	}
 }

@@ -14,7 +14,9 @@
 //	inv, _  := prog.InferInvariants(ctx, ...)     // grammar + Houdini (§5)
 //
 // Every analysis that takes a ctx traces its compile, bitblast and search
-// spans into ctx's trace, and ctx's deadline is its only wall-clock bound.
+// spans into ctx's trace, publishes its live search effort into ctx's
+// solver.WithProgress feed, and ctx's deadline is its only wall-clock
+// bound.
 package core
 
 import (
@@ -57,23 +59,6 @@ func Parse(src string) (*Program, error) {
 	return &Program{Info: info, Source: src}, nil
 }
 
-// ParseFile parses a source file containing one or more programs.
-func ParseFile(src string) ([]*Program, error) {
-	progs, err := parser.ParseFile(src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Program, len(progs))
-	for i, p := range progs {
-		info, err := typecheck.Check(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = &Program{Info: info, Source: src}
-	}
-	return out, nil
-}
-
 // Name returns the program's name.
 func (p *Program) Name() string { return p.Info.Prog.Name }
 
@@ -110,11 +95,6 @@ type Analysis struct {
 	// Check, taking the first conclusive answer. 0 or 1 means a single
 	// solver.
 	Portfolio int
-	// Progress, when non-nil, receives live CDCL search counters from
-	// every solver call made on behalf of this analysis (all portfolio
-	// configs and fperf checks included), pollable while the analysis
-	// runs. See sat.Progress.
-	Progress *sat.Progress
 	// K is the induction depth for ProveForAllHorizons (default 1).
 	K int
 	// CrossCheck makes Bound differentially validate its analytical
@@ -139,7 +119,7 @@ func (a Analysis) solverOptions() solver.Options {
 	return solver.Options{
 		Width: a.Width, MaxConflicts: a.MaxConflicts,
 		MaxPropagations: a.MaxPropagations, MaxLearntBytes: a.MaxLearntBytes,
-		Search: a.Search, Progress: a.Progress,
+		Search: a.Search,
 	}
 }
 

@@ -48,16 +48,6 @@ func TestParseError(t *testing.T) {
 	}
 }
 
-func TestParseFileMultiple(t *testing.T) {
-	progs, err := ParseFile(qm.DelaySrc + "\n" + qm.SPSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(progs) != 2 || progs[0].Name() != "delay" || progs[1].Name() != "sp" {
-		t.Fatalf("got %d programs", len(progs))
-	}
-}
-
 // checkEveryWay runs one query through Check with a single solver and
 // with a two-config race. It asserts the status and tier, that race
 // fields appear exactly when a race ran, and that any trace replays on

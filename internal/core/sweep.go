@@ -22,17 +22,14 @@ type SweepOptions struct {
 // maxT, ready to answer assumption-based queries (any mode, any horizon
 // up to maxT) on one shared encoding. Returns session.ErrConstHorizon
 // when the program's use of T forces per-horizon compilation; callers
-// then sweep cold. The analysis' Progress is intentionally not baked in:
-// sessions outlive requests, so progress attaches per query.
+// then sweep cold.
 func (p *Program) NewSession(a Analysis, maxT int) (*session.Session, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
 	iro.T = maxT
-	so := a.solverOptions()
-	so.Progress = nil
-	return session.New(p.Info, session.Options{IR: iro, Solver: so})
+	return session.New(p.Info, session.Options{IR: iro, Solver: a.solverOptions()})
 }
 
 // Sweep runs the minimal-horizon search on a fresh warm session: solve
@@ -64,6 +61,5 @@ func (p *Program) SweepWithSession(ctx context.Context, sess *session.Session, a
 		Mode:      opts.Mode,
 		OnVerdict: opts.OnVerdict,
 		Backend:   smtbe.Options{IR: iro, Solver: a.solverOptions()},
-		Progress:  a.Progress,
 	})
 }

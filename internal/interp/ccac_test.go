@@ -21,7 +21,7 @@ func TestCCACWitnessReplaysConcretely(t *testing.T) {
 	)
 	// --- Symbolic run.
 	sv := solver.New(solver.Options{})
-	sys, err := compose.BuildCCAC(sv.Builder(), compose.CCACParams{C: C, B: B, IW: IW, K: K, T: T})
+	sys, err := compose.BuildCCAC(context.Background(), sv.Builder(), compose.CCACParams{C: C, B: B, IW: IW, K: K, T: T})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestLiveStateKeepsCNF(t *testing.T) {
 	}
 	cases = append(cases,
 		tc{"cs2-list", system(func(b *term.Builder) (*compose.System, *term.Term, error) {
-			c, err := compose.BuildCCAC(b, compose.CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 4, Model: buffer.ListModel{}})
+			c, err := compose.BuildCCAC(context.Background(), b, compose.CCACParams{C: 1, B: 1, IW: 2, K: 2, T: 4, Model: buffer.ListModel{}})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -192,7 +192,7 @@ func TestLiveStateKeepsCNF(t *testing.T) {
 			if err := sys.Connect("fwd", "b", "sink", "c"); err != nil {
 				return nil, nil, err
 			}
-			if err := sys.Run(3); err != nil {
+			if err := sys.Run(context.Background(), 3); err != nil {
 				return nil, nil, err
 			}
 			return sys, b.Le(b.IntConst(2), sink.Var("ones")), nil

@@ -212,7 +212,7 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 		return realSolve(ctx, enc, search)
 	}
 	t.Cleanup(func() { solveFn = realSolve })
-	res, err := CheckContext(context.Background(), info, Options{
+	res, err := CheckContext(solver.WithProgress(context.Background(), progress), info, Options{
 		Configs: []Config{
 			{Name: "classic"},
 			crippled("rand-a", 101),
@@ -220,9 +220,8 @@ func TestPortfolioRealRaceLosersStopEarly(t *testing.T) {
 			crippled("rand-c", 303),
 		},
 		Base: smtbe.Options{
-			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},
-			Solver: solver.Options{Progress: progress},
-			Mode:   smtbe.Witness,
+			IR:   ir.Options{T: 8, Params: map[string]int64{"N": 3}},
+			Mode: smtbe.Witness,
 		},
 	})
 	if err != nil {

@@ -44,12 +44,11 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 		}
 	}()
 
-	res, err := CheckContext(context.Background(), info, Options{
+	res, err := CheckContext(solver.WithProgress(context.Background(), p), info, Options{
 		N: 4,
 		Base: smtbe.Options{
-			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},
-			Solver: solver.Options{Progress: p},
-			Mode:   smtbe.Witness,
+			IR:   ir.Options{T: 8, Params: map[string]int64{"N": 3}},
+			Mode: smtbe.Witness,
 		},
 	})
 	close(stop)

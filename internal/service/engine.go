@@ -15,6 +15,7 @@ import (
 
 	"buffy/internal/faultinject"
 	"buffy/internal/smt/sat"
+	"buffy/internal/smt/solver"
 	"buffy/internal/store"
 	"buffy/internal/telemetry"
 )
@@ -564,6 +565,7 @@ func (e *Engine) runJob(job *Job) {
 	log.Info("job started", "queued_ms", time.Since(job.submitted).Milliseconds())
 
 	ctx = telemetry.WithTrace(ctx, job.trace)
+	ctx = solver.WithProgress(ctx, job.progress)
 	ctx, jobSpan := telemetry.StartSpan(ctx, "job")
 	start := time.Now()
 	o := e.attempt(ctx, job, log)

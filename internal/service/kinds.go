@@ -15,7 +15,7 @@ import (
 
 // runFunc answers one attempt of a kind on the parsed program. req is the
 // effective request (the retry ladder may have degraded it); a is its
-// analysis, already wired to the job's progress feed.
+// analysis. ctx carries the job's trace and progress feed.
 type runFunc func(ctx context.Context, job *Job, req *Request, prog *core.Program, a core.Analysis) (*Result, error)
 
 // kindSpec is everything the service knows about one analysis kind.
@@ -74,9 +74,7 @@ func runAttempt(ctx context.Context, spec kindSpec, job *Job, req *Request) (res
 	if err != nil {
 		return nil, err
 	}
-	a := req.analysis()
-	a.Progress = job.progress
-	return spec.run(ctx, job, req, prog, a)
+	return spec.run(ctx, job, req, prog, req.analysis())
 }
 
 // runCheck builds the run func of a verify/witness kind; core.Check

@@ -547,6 +547,7 @@ func TestWarmSweepReportsOwnEffort(t *testing.T) {
 	}
 
 	missClauses := res.NumClauses
+	missFeed := miss.Progress().Snapshot()
 	hit, err := e.Submit(sweepReq("witness", 6))
 	if err != nil {
 		t.Fatal(err)
@@ -563,6 +564,21 @@ func TestWarmSweepReportsOwnEffort(t *testing.T) {
 	}
 	if want := spanSum(hit.Trace(), "search", "conflicts"); res.SatStats.Conflicts != want {
 		t.Errorf("session-hit sweep sat_stats.conflicts = %d, its search spans sum to %d", res.SatStats.Conflicts, want)
+	}
+	// The pooled session's solver keeps no feed: the hit job's feed holds
+	// exactly its own searches, and the miss job's feed did not move.
+	feed := hit.Progress().Snapshot()
+	if want := spanSum(hit.Trace(), "search", "conflicts"); feed.Conflicts != want {
+		t.Errorf("session-hit sweep's progress feed counts %d conflicts, its search spans sum to %d", feed.Conflicts, want)
+	}
+	if want := spanSum(hit.Trace(), "search", "decisions"); feed.Decisions != want {
+		t.Errorf("session-hit sweep's progress feed counts %d decisions, its search spans sum to %d", feed.Decisions, want)
+	}
+	if want := spanCount(hit.Trace(), "search"); feed.Solves != int64(want) {
+		t.Errorf("session-hit sweep's progress feed counts %d solves for %d search spans", feed.Solves, want)
+	}
+	if got := miss.Progress().Snapshot(); got != missFeed {
+		t.Errorf("miss job's progress feed changed while the hit job ran: %+v -> %+v", missFeed, got)
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/ir"
 	"buffy/internal/lang/typecheck"
-	"buffy/internal/smt/sat"
 	"buffy/internal/smt/solver"
 )
 
@@ -79,9 +78,6 @@ type Query struct {
 	Mode smtbe.Mode
 	// T is the horizon, 1..capacity.
 	T int
-	// Progress, when non-nil, receives live search counters for this
-	// query only (the service attaches the requesting job's).
-	Progress *sat.Progress
 }
 
 // Session is a warm solver session. All methods are safe for concurrent
@@ -198,10 +194,6 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 	all := b.And(query...)
 	horizon := b.Eq(s.m.TVar(), b.IntConst(int64(q.T)))
 
-	if q.Progress != nil {
-		s.sv.SetProgress(q.Progress)
-		defer s.sv.SetProgress(s.opts.Solver.Progress)
-	}
 	s.queries.Add(1)
 	// The model covers the full unrolling; the truncated compilation
 	// restricts extraction to the first q.T steps, so the trace never

@@ -6,7 +6,6 @@ import (
 
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/lang/typecheck"
-	"buffy/internal/smt/sat"
 	"buffy/internal/telemetry"
 )
 
@@ -55,9 +54,6 @@ type SweepOptions struct {
 	// Backend configures cold fallback solves (its IR.T is overwritten
 	// per horizon). Also used for every horizon when sess is nil.
 	Backend smtbe.Options
-	// Progress, when non-nil, receives each warm horizon's live search
-	// counters.
-	Progress *sat.Progress
 }
 
 // Sweep runs the minimal-horizon search: solve horizons 1..MaxT in order
@@ -122,7 +118,7 @@ func Sweep(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepO
 // solveHorizon answers one horizon, warm when a session is available.
 func solveHorizon(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepOptions, T int) (*smtbe.Result, bool, error) {
 	if sess != nil {
-		res, err := sess.Solve(ctx, Query{Mode: opts.Mode, T: T, Progress: opts.Progress})
+		res, err := sess.Solve(ctx, Query{Mode: opts.Mode, T: T})
 		if err != nil {
 			return nil, true, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"buffy/internal/smt/sat"
 	"buffy/internal/smt/term"
 	"buffy/internal/telemetry"
 )
@@ -73,6 +74,51 @@ func TestCheckContextDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("deadline ignored: check ran %v", elapsed)
+	}
+}
+
+// TestProgressRidesOnContext: a check publishes into the feed on its own
+// ctx and nowhere else, so a solver re-checked under a plain ctx (a warm
+// session's next query) adds nothing to an earlier query's feed.
+func TestProgressRidesOnContext(t *testing.T) {
+	const pigeons, holes = 7, 6
+	s := New(Options{Width: 12})
+	b := s.Builder()
+	// PHP(7,6), each pigeon's "sits somewhere" clause guarded by an
+	// assumption, so the check is unsat with conflicts and the solver
+	// stays reusable.
+	var on []*term.Term
+	p := make([][]*term.Term, pigeons)
+	for i := range p {
+		a := b.Var(fmt.Sprintf("on%d", i), term.Bool)
+		on = append(on, a)
+		p[i] = make([]*term.Term, holes)
+		for h := range p[i] {
+			p[i][h] = b.Var(fmt.Sprintf("p%d_%d", i, h), term.Bool)
+		}
+		s.Assert(b.Implies(a, b.Or(p[i]...)))
+	}
+	for h := 0; h < holes; h++ {
+		for i := 0; i < pigeons; i++ {
+			for j := i + 1; j < pigeons; j++ {
+				s.Assert(b.Not(b.And(p[i][h], p[j][h])))
+			}
+		}
+	}
+
+	feed := &sat.Progress{}
+	if got := s.Check(WithProgress(context.Background(), feed), on...); got != Unsat {
+		t.Fatalf("got %v, want unsat", got)
+	}
+	snap := feed.Snapshot()
+	if snap.Solves != 1 || snap.Conflicts == 0 || snap.Conflicts != s.Effort().Conflicts {
+		t.Fatalf("feed after its check = %+v, want 1 solve and the check's %d conflicts", snap, s.Effort().Conflicts)
+	}
+	if got := s.Check(context.Background(), on...); got != Unsat {
+		t.Fatalf("re-check: got %v, want unsat", got)
+	}
+	if after := feed.Snapshot(); after != snap {
+		t.Errorf("a check under a plain ctx changed the feed: %+v -> %+v", snap, after)
 	}
 }
 

@@ -8,7 +8,8 @@
 // checks. Check also takes assumption terms, which it solves under without
 // committing them — the workhorse of the Houdini engine, the Dafny-style
 // verifier and warm sessions. A check's only wall-clock bound is its
-// context's deadline.
+// context's deadline, and its live search feed is the one WithProgress
+// put on its context.
 package solver
 
 import (
@@ -60,11 +61,19 @@ type Options struct {
 	// value is the classic configuration; the portfolio layer races
 	// diversified Search settings against each other.
 	Search sat.Options
-	// Progress, when non-nil, receives live search-effort counters from
-	// every Check. The service attaches one per job so in-flight solves
-	// can be polled; forks inherit it, so a portfolio race aggregates all
-	// configs' effort into the same Progress.
-	Progress *sat.Progress
+}
+
+// progressKey is the context key WithProgress stores the feed under.
+type progressKey struct{}
+
+// WithProgress returns a copy of ctx under which every check publishes
+// its live search effort into p, as a trace rides on ctx for spans. The
+// service attaches one per job so in-flight solves can be polled; a
+// portfolio race's forks and a sweep's horizons check under contexts
+// derived from the job's, so they publish into the same Progress, while
+// a warm session's solver keeps no feed between queries.
+func WithProgress(ctx context.Context, p *sat.Progress) context.Context {
+	return context.WithValue(ctx, progressKey{}, p)
 }
 
 // Solver is an incremental SMT solver over booleans and bounded integers.
@@ -129,12 +138,6 @@ func (s *Solver) Fork(search sat.Options) *Solver {
 // Width returns the integer bit width.
 func (s *Solver) Width() int { return s.opts.Width }
 
-// SetProgress replaces the live-progress sink used by subsequent checks.
-// A warm session answers queries for many jobs on one solver; each query
-// attaches the requesting job's Progress for its duration. Not safe to
-// call while a check is in flight.
-func (s *Solver) SetProgress(p *sat.Progress) { s.opts.Progress = p }
-
 // Assert adds a boolean term to the assertion set.
 func (s *Solver) Assert(t *term.Term) {
 	s.asserted = append(s.asserted, t)
@@ -186,7 +189,8 @@ func (s *Solver) Assertions() []*term.Term { return s.asserted }
 // Check decides satisfiability of the asserted set together with the
 // given boolean terms, without adding them permanently, and snapshots the
 // model on Sat. The SAT search aborts (returning Unknown) soon after ctx
-// is cancelled or its deadline passes.
+// is cancelled or its deadline passes, and publishes into ctx's
+// WithProgress feed, if any.
 func (s *Solver) Check(ctx context.Context, assumptions ...*term.Term) Result {
 	return s.checkAssuming(ctx, true, assumptions...)
 }
@@ -229,9 +233,9 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 		MaxPropagations: s.opts.MaxPropagations,
 		MaxLearntBytes:  s.opts.MaxLearntBytes,
 		Cancel:          ctx.Done(),
-		Progress:        s.opts.Progress,
 	}
 	lim.Deadline, _ = ctx.Deadline()
+	lim.Progress, _ = ctx.Value(progressKey{}).(*sat.Progress)
 	_, span := telemetry.StartSpan(ctx, "search")
 	res := s.sat.SolveLimited(lim, lits...)
 	if s.sat.StopReason() == sat.StopDeadline {
