@@ -13,7 +13,7 @@ import (
 )
 
 // runStages reports the per-stage cost breakdown (parse, static vet,
-// compile, bitblast, encode bookkeeping, CDCL search) across the example
+// compile, bitblast, CDCL search) across the example
 // corpus, using the telemetry tracer threaded through the pipeline. The
 // columns are the layer names the trace and /metrics use. This is the
 // observability counterpart of the scalability ablations: it shows where
@@ -35,7 +35,7 @@ func runStages() error {
 	}
 	// Stages in pipeline order; everything else a trace records (portfolio
 	// configs, ...) is folded into "other".
-	stages := []string{"parse", "vet", "compile", "bitblast", "encode", "search"}
+	stages := []string{"parse", "vet", "compile", "bitblast", "search"}
 
 	fmt.Printf("%-12s  %8s", "program", "total")
 	for _, s := range stages {
@@ -61,11 +61,6 @@ func runStages() error {
 		total := time.Since(start)
 
 		durs := tr.Durations()
-		// compile and bitblast are children of encode; report encode as
-		// the residue so the columns are disjoint and sum to the pipeline.
-		if enc, ok := durs["encode"]; ok {
-			durs["encode"] = enc - durs["compile"] - durs["bitblast"]
-		}
 		var other time.Duration
 		for name, d := range durs {
 			if !slices.Contains(stages, name) {
@@ -79,7 +74,6 @@ func runStages() error {
 		}
 		fmt.Printf("  %8.3fs\n", other.Seconds())
 	}
-	fmt.Println("(compile+bitblast are encode's children and reported separately; encode is the residue.")
-	fmt.Println(" search dominates as horizons grow — the breakdown /metrics exports as buffy_stage_duration_seconds)")
+	fmt.Println("(search dominates as horizons grow — the breakdown /metrics exports as buffy_stage_duration_seconds)")
 	return nil
 }

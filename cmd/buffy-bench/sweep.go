@@ -7,6 +7,7 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/qm"
+	"buffy/internal/session"
 )
 
 // sweepCase is one corpus entry of the experiment.
@@ -52,12 +53,12 @@ func runSweepExp() error {
 		a := core.Analysis{T: c.maxT, Params: c.params}
 
 		// Cold reference: nil session forces a per-horizon compile+solve.
-		cold, err := prog.SweepWithSession(ctx, nil, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
+		cold, err := prog.SweepWithSession(ctx, nil, a, session.SweepOptions{MaxT: c.maxT, Mode: c.mode})
 		if err != nil {
 			return fmt.Errorf("%s cold: %w", c.name, err)
 		}
 		// Warm run: one session answers every horizon by re-solve.
-		warm, err := prog.Sweep(ctx, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
+		warm, err := prog.Sweep(ctx, a, session.SweepOptions{MaxT: c.maxT, Mode: c.mode})
 		if err != nil {
 			return fmt.Errorf("%s warm: %w", c.name, err)
 		}

@@ -306,7 +306,7 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 	if witness {
 		mode = smtbe.Witness
 	}
-	sr, err := prog.Sweep(ctx, a, core.SweepOptions{
+	sr, err := prog.Sweep(ctx, a, session.SweepOptions{
 		MaxT: maxT, Mode: mode,
 		OnVerdict: func(v session.Verdict) {
 			how := "warm"

@@ -50,8 +50,8 @@ func main() {
 		prog.Name(), res.Status, res.Duration.Seconds(), res.SatStats.Conflicts)
 
 	// 3. The span tree. Indentation is parentage; attributes carry the
-	// stage-specific facts (clauses/vars for bitblast, conflicts and the
-	// result for search, one span per CDCL restart).
+	// stage-specific facts: terms for compile, clauses and vars for
+	// bitblast, the result and the CDCL effort counters for search.
 	fmt.Print(tr.Snapshot().Render())
 
 	// 4. The same trace, reduced to a stage breakdown: Durations() sums
@@ -59,10 +59,7 @@ func main() {
 	// into its buffy_stage_duration_seconds histograms.
 	durs := tr.Durations()
 	fmt.Println("\nstage breakdown:")
-	for _, stage := range []string{"parse", "compile", "bitblast", "search"} {
+	for _, stage := range []string{"parse", "vet", "compile", "bitblast", "search"} {
 		fmt.Printf("  %-10s %8.1fms\n", stage, float64(durs[stage].Microseconds())/1000)
 	}
-	encodeOther := durs["encode"] - durs["compile"] - durs["bitblast"]
-	fmt.Printf("  %-10s %8.1fms  (encode minus compile+bitblast)\n",
-		"encode-misc", float64(encodeOther.Microseconds())/1000)
 }

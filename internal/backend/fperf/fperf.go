@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"buffy/internal/backend/smtbe"
 	"buffy/internal/ir"
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/smt/solver"
@@ -122,14 +123,15 @@ func SynthesizeContext(ctx context.Context, info *typecheck.Info, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	if len(c.Asserts) == 0 {
-		return nil, fmt.Errorf("fperf: program %s has no assert() query", info.Prog.Name)
+	query, err := smtbe.QueryTerms(c, smtbe.Witness, len(c.Steps))
+	if err != nil {
+		return nil, err
 	}
 	if err := sv.AssertAll(ctx, c.Assumes); err != nil {
 		return nil, err
 	}
 	b := sv.Builder()
-	holds := b.And(c.AssertHolds(), c.AssertReached())
+	holds := b.And(query...)
 	res.Compiled = c
 
 	// check runs one solver query and reports whether it came back with the

@@ -30,7 +30,6 @@ import (
 	"buffy/internal/smt/sat"
 	"buffy/internal/smt/solver"
 	"buffy/internal/smt/term"
-	"buffy/internal/telemetry"
 )
 
 // EncodingFingerprint names the semantics of the bounded-horizon
@@ -201,12 +200,11 @@ type Encoded struct {
 }
 
 // EncodeContext compiles the program and asserts the query constraints,
-// stopping just before the solve.
+// stopping just before the solve. Its compile and bitblast spans nest
+// directly under ctx's span, as on every other query path.
 func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*Encoded, error) {
-	ectx, esp := telemetry.StartSpan(ctx, "encode")
-	defer esp.End()
 	s := solver.New(opts.Solver)
-	c, err := ir.CompileContext(ectx, info, s.Builder(), opts.IR)
+	c, err := ir.CompileContext(ctx, info, s.Builder(), opts.IR)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +212,7 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 	if err != nil {
 		return nil, err
 	}
-	if err := s.AssertAll(ectx, slices.Concat(c.Assumes, query)); err != nil {
+	if err := s.AssertAll(ctx, slices.Concat(c.Assumes, query)); err != nil {
 		return nil, err
 	}
 	return &Encoded{Mode: opts.Mode, C: c, S: s}, nil

@@ -134,9 +134,7 @@ func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Res
 			cctx, sp := telemetry.StartSpan(runCtx, "portfolio:"+cfg.Name)
 			res, err := runOne(cctx, enc, cfg)
 			if sp != nil && res != nil {
-				sp.SetAttrs(
-					telemetry.String("status", res.Status.String()),
-					telemetry.Int("conflicts", res.SatStats.Conflicts))
+				sp.SetAttrs(telemetry.String("status", res.Status.String()))
 			}
 			sp.End()
 			ch <- outcome{i, res, err, time.Since(t0), sp}

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,6 +97,58 @@ func TestExplainEndpointSolverJob(t *testing.T) {
 	b, _ := json.Marshal(res.Search)
 	if string(a) != string(b) {
 		t.Error("explain endpoint and result search report differ")
+	}
+
+	// The polled job carries the effort under the search span's counter
+	// names, in sat_stats and in the search report alike.
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Result struct {
+			SatStats     map[string]any `json:"sat_stats"`
+			SearchReport struct {
+				Totals  map[string]any   `json:"totals"`
+				Samples []map[string]any `json:"samples"`
+				Configs []map[string]any `json:"configs"`
+			} `json:"search_report"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := view.Result.SatStats["conflicts"].(float64); n <= 0 {
+		t.Errorf("result.sat_stats = %v, want conflicts > 0", view.Result.SatStats)
+	}
+	if _, ok := view.Result.SearchReport.Totals["learnt"]; !ok {
+		t.Errorf("result.search_report.totals = %v, want a learnt key", view.Result.SearchReport.Totals)
+	}
+	// Every effort key is a search span counter name (or one of the
+	// feed's own fields); a Go field name or a second spelling fails.
+	counters := map[string]bool{"conflicts": true, "decisions": true, "propagations": true,
+		"restarts": true, "learnt": true, "removed": true, "learnt_bytes": true}
+	keysIn := func(where string, obj map[string]any, extra ...string) {
+		for k := range obj {
+			if !counters[k] && !slices.Contains(extra, k) {
+				t.Errorf("%s has the key %q, not a search span counter", where, k)
+			}
+		}
+	}
+	keysIn("sat_stats", view.Result.SatStats)
+	keysIn("search_report.totals", view.Result.SearchReport.Totals, "solves", "running", "budget_fraction")
+	for _, smp := range view.Result.SearchReport.Samples {
+		keysIn("search_report.samples", smp, "at_ms", "budget_fraction", "depth", "config")
+	}
+	for _, cfg := range view.Result.SearchReport.Configs {
+		keysIn("search_report.configs", cfg, "name", "solves", "winner")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // resultSchemaVersion names the wire shape of Result as stored on disk.
 // Bump it when a Result field changes meaning (renames and additions that
 // old payloads decode correctly do not require a bump).
-const resultSchemaVersion = 1
+const resultSchemaVersion = 2
 
 // PipelineFingerprint hashes the version fingerprint of every
 // answer-relevant component — the SMT encoding, the decision procedure,

@@ -125,7 +125,7 @@ func runSweep(ctx context.Context, job *Job, req *Request, prog *core.Program, a
 		return nil, err
 	}
 	defer release()
-	sr, err := prog.SweepWithSession(ctx, sess, a, core.SweepOptions{
+	sr, err := prog.SweepWithSession(ctx, sess, a, session.SweepOptions{
 		MaxT: maxT, Mode: mode,
 		OnVerdict: func(v session.Verdict) { job.sendVerdict(verdictOf(v)) },
 	})

@@ -115,7 +115,7 @@ type metrics struct {
 	portfolio histogram
 
 	// Per-stage histograms derived from finished traces: stage name
-	// (parse, compile, encode, bitblast, search, ...) → latency histogram
+	// (parse, vet, compile, bitblast, search, ...) → latency histogram
 	// over the solve buckets.
 	stageMu sync.Mutex
 	stages  map[string]*histogram

@@ -141,10 +141,9 @@ func TestSweepWarm(t *testing.T) {
 		t.Fatalf("session.New: %v", err)
 	}
 	var streamed []session.Verdict
-	sr, err := session.Sweep(context.Background(), info, sess, session.SweepOptions{
+	sr, err := session.Sweep(context.Background(), info, sess, smtbe.Options{IR: ir.Options{Params: params}}, session.SweepOptions{
 		MaxT: 5, Mode: smtbe.Witness,
 		OnVerdict: func(v session.Verdict) { streamed = append(streamed, v) },
-		Backend:   smtbe.Options{IR: ir.Options{Params: params}},
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -190,7 +189,7 @@ func TestSweepPerStepQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session.New: %v", err)
 		}
-		sr, err := session.Sweep(context.Background(), info, sess, session.SweepOptions{
+		sr, err := session.Sweep(context.Background(), info, sess, smtbe.Options{}, session.SweepOptions{
 			MaxT: maxT, Mode: smtbe.Verify,
 		})
 		if err != nil {
@@ -243,7 +242,7 @@ func TestSweepEvictionDegradesCold(t *testing.T) {
 		t.Fatalf("session.New: %v", err)
 	}
 	warmSeen := 0
-	sr, err := session.Sweep(context.Background(), info, sess, session.SweepOptions{
+	sr, err := session.Sweep(context.Background(), info, sess, smtbe.Options{IR: ir.Options{Params: params}}, session.SweepOptions{
 		MaxT: 4, Mode: smtbe.Verify,
 		OnVerdict: func(v session.Verdict) {
 			if v.Warm {
@@ -253,7 +252,6 @@ func TestSweepEvictionDegradesCold(t *testing.T) {
 				sess.Close() // evict mid-sweep
 			}
 		},
-		Backend: smtbe.Options{IR: ir.Options{Params: params}},
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -265,9 +263,8 @@ func TestSweepEvictionDegradesCold(t *testing.T) {
 		t.Error("first horizon should have been answered warm")
 	}
 	// Compare every verdict against a fully cold sweep.
-	cold, err := session.Sweep(context.Background(), info, nil, session.SweepOptions{
+	cold, err := session.Sweep(context.Background(), info, nil, smtbe.Options{IR: ir.Options{Params: params}}, session.SweepOptions{
 		MaxT: 4, Mode: smtbe.Verify,
-		Backend: smtbe.Options{IR: ir.Options{Params: params}},
 	})
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)
@@ -301,9 +298,8 @@ func TestConstHorizonRejected(t *testing.T) {
 	if err != session.ErrConstHorizon {
 		t.Fatalf("New = %v, want ErrConstHorizon", err)
 	}
-	sr, err := session.Sweep(context.Background(), info, nil, session.SweepOptions{
+	sr, err := session.Sweep(context.Background(), info, nil, smtbe.Options{}, session.SweepOptions{
 		MaxT: 3, Mode: smtbe.Verify,
-		Backend: smtbe.Options{},
 	})
 	if err != nil {
 		t.Fatalf("cold sweep: %v", err)

@@ -51,9 +51,6 @@ type SweepOptions struct {
 	// OnVerdict, when non-nil, is called with each horizon's verdict as
 	// it lands (the streaming hook). Called from the sweeping goroutine.
 	OnVerdict func(Verdict)
-	// Backend configures cold fallback solves (its IR.T is overwritten
-	// per horizon). Also used for every horizon when sess is nil.
-	Backend smtbe.Options
 }
 
 // Sweep runs the minimal-horizon search: solve horizons 1..MaxT in order
@@ -61,10 +58,11 @@ type SweepOptions struct {
 // assumption-based re-solves on one warm encoding; when sess is nil, or
 // the session is evicted mid-sweep (ErrClosed) or cannot answer
 // (ErrHorizon), the remaining horizons degrade to cold per-horizon solves
-// — slower, never wrong. Each horizon gets a telemetry span
+// under cold (its Mode and IR.T are set per horizon) — slower, never
+// wrong. Each horizon gets a telemetry span
 // ("sweep.horizon", attrs t/status/warm) for the service's stage
 // histograms.
-func Sweep(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepOptions) (*SweepResult, error) {
+func Sweep(ctx context.Context, info *typecheck.Info, sess *Session, cold smtbe.Options, opts SweepOptions) (*SweepResult, error) {
 	start := time.Now()
 	sr := &SweepResult{Warm: true}
 	if opts.MaxT < 1 {
@@ -73,12 +71,12 @@ func Sweep(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepO
 	for T := 1; T <= opts.MaxT; T++ {
 		hctx, span := telemetry.StartSpan(ctx, "sweep.horizon")
 		span.SetAttrs(telemetry.Int("t", int64(T)))
-		res, warm, err := solveHorizon(hctx, info, sess, opts, T)
+		res, warm, err := solveHorizon(hctx, info, sess, cold, opts.Mode, T)
 		if err != nil && sess != nil && (err == ErrClosed || err == ErrHorizon) {
 			// Mid-sweep eviction (or a capacity mismatch): degrade to cold
 			// for this and every remaining horizon.
 			sess = nil
-			res, warm, err = solveHorizon(hctx, info, nil, opts, T)
+			res, warm, err = solveHorizon(hctx, info, nil, cold, opts.Mode, T)
 		}
 		if err != nil {
 			span.SetAttrs(telemetry.String("error", err.Error()))
@@ -116,18 +114,17 @@ func Sweep(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepO
 }
 
 // solveHorizon answers one horizon, warm when a session is available.
-func solveHorizon(ctx context.Context, info *typecheck.Info, sess *Session, opts SweepOptions, T int) (*smtbe.Result, bool, error) {
+func solveHorizon(ctx context.Context, info *typecheck.Info, sess *Session, cold smtbe.Options, mode smtbe.Mode, T int) (*smtbe.Result, bool, error) {
 	if sess != nil {
-		res, err := sess.Solve(ctx, Query{Mode: opts.Mode, T: T})
+		res, err := sess.Solve(ctx, Query{Mode: mode, T: T})
 		if err != nil {
 			return nil, true, err
 		}
 		return res, true, nil
 	}
-	o := opts.Backend
-	o.Mode = opts.Mode
-	o.IR.T = T
-	res, err := smtbe.CheckContext(ctx, info, o)
+	cold.Mode = mode
+	cold.IR.T = T
+	res, err := smtbe.CheckContext(ctx, info, cold)
 	if err != nil {
 		return nil, false, err
 	}

@@ -66,12 +66,9 @@ const lbdOverflowBucket = 16
 
 // ProgressSnapshot is a point-in-time copy of a Progress, JSON-friendly.
 type ProgressSnapshot struct {
-	Conflicts    int64 `json:"conflicts"`
-	Decisions    int64 `json:"decisions"`
-	Propagations int64 `json:"propagations"`
-	Restarts     int64 `json:"restarts"`
-	Learnt       int64 `json:"learnt_clauses"`
-	LearntBytes  int64 `json:"learnt_bytes"`
+	// Stats sums the effort of every solver published so far; its
+	// LearntBytes is the sum of their learnt-clause gauges.
+	Stats
 	// Solves counts SolveLimited calls so far (fperf runs many per job;
 	// a portfolio race runs one per config).
 	Solves int64 `json:"solves"`
@@ -95,12 +92,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 
 func (p *Progress) snapshotLocked() ProgressSnapshot {
 	return ProgressSnapshot{
-		Conflicts:      p.totals.Conflicts,
-		Decisions:      p.totals.Decisions,
-		Propagations:   p.totals.Propagations,
-		Restarts:       p.totals.Restarts,
-		Learnt:         p.totals.Learnt,
-		LearntBytes:    p.totals.LearntBytes,
+		Stats:          p.totals,
 		Solves:         p.solves,
 		Running:        p.running,
 		BudgetFraction: p.maxBudget,
@@ -126,20 +118,10 @@ func (p *Progress) observe(config string, d Stats, frac float64, depth int, lbdD
 	defer p.mu.Unlock()
 	at := p.atLocked(time.Now())
 
-	p.totals.Conflicts += d.Conflicts
-	p.totals.Decisions += d.Decisions
-	p.totals.Propagations += d.Propagations
-	p.totals.Restarts += d.Restarts
-	p.totals.Learnt += d.Learnt
-	p.totals.LearntBytes += d.LearntBytes
+	p.totals = p.totals.Add(d)
 	p.maxBudget = max(p.maxBudget, min(frac, 1))
-
 	ce := p.effortLocked(config)
-	ce.Conflicts += d.Conflicts
-	ce.Decisions += d.Decisions
-	ce.Propagations += d.Propagations
-	ce.Restarts += d.Restarts
-	ce.Learnt += d.Learnt
+	ce.Stats = ce.Stats.Add(d)
 
 	p.depth[depthBucket(int64(depth))]++
 	if lbdDelta != nil {
@@ -154,12 +136,7 @@ func (p *Progress) observe(config string, d Stats, frac float64, depth int, lbdD
 	}
 	p.samples = append(p.samples, SearchSample{
 		AtMS:           at,
-		Conflicts:      p.totals.Conflicts,
-		Decisions:      p.totals.Decisions,
-		Propagations:   p.totals.Propagations,
-		Restarts:       p.totals.Restarts,
-		Learnt:         p.totals.Learnt,
-		LearntBytes:    p.totals.LearntBytes,
+		Stats:          p.totals,
 		BudgetFraction: p.maxBudget,
 		Depth:          depth,
 		Config:         config,
@@ -239,14 +216,10 @@ func (pp *progressPub) publish(s *Solver, frac float64) {
 	}
 	cur := s.stats
 	cur.LearntBytes = s.learntBytes
-	d := Stats{
-		Conflicts:    cur.Conflicts - pp.last.Conflicts,
-		Decisions:    cur.Decisions - pp.last.Decisions,
-		Propagations: cur.Propagations - pp.last.Propagations,
-		Restarts:     cur.Restarts - pp.last.Restarts,
-		Learnt:       cur.Learnt - pp.last.Learnt,
-		LearntBytes:  cur.LearntBytes - pp.last.LearntBytes,
-	}
+	// Sub keeps LearntBytes as a gauge; the feed sums deltas, so publish
+	// the gauge's change too.
+	d := cur.Sub(pp.last)
+	d.LearntBytes -= pp.last.LearntBytes
 	var lbdDelta [lbdOverflowBucket + 1]int64
 	for i, n := range s.lbdHist {
 		lbdDelta[i] = n - pp.lastLBD[i]

@@ -12,13 +12,8 @@ import (
 // Progress; Depth and Config describe the particular solver that
 // published this sample.
 type SearchSample struct {
-	AtMS           float64 `json:"at_ms"`
-	Conflicts      int64   `json:"conflicts"`
-	Decisions      int64   `json:"decisions"`
-	Propagations   int64   `json:"propagations"`
-	Restarts       int64   `json:"restarts"`
-	Learnt         int64   `json:"learnt_clauses"`
-	LearntBytes    int64   `json:"learnt_bytes"`
+	AtMS float64 `json:"at_ms"`
+	Stats
 	BudgetFraction float64 `json:"budget_fraction,omitempty"`
 	Depth          int     `json:"depth"`
 	Config         string  `json:"config,omitempty"`
@@ -41,14 +36,10 @@ type SearchEvent struct {
 // job's search effort. For non-portfolio solves there is a single entry
 // with an empty name.
 type ConfigEffort struct {
-	Name         string `json:"name"`
-	Solves       int64  `json:"solves"`
-	Conflicts    int64  `json:"conflicts"`
-	Decisions    int64  `json:"decisions"`
-	Propagations int64  `json:"propagations"`
-	Restarts     int64  `json:"restarts"`
-	Learnt       int64  `json:"learnt_clauses"`
-	Winner       bool   `json:"winner,omitempty"`
+	Name   string `json:"name"`
+	Solves int64  `json:"solves"`
+	Stats
+	Winner bool `json:"winner,omitempty"`
 }
 
 // DistBucket is one histogram bucket: Count observations at most Le

@@ -93,17 +93,34 @@ type watcher struct {
 	blocker cnf.Lit
 }
 
-// Stats records search effort counters. LearntBytes is the estimated
-// memory held by the learnt-clause database at the time Stats was read
-// (a gauge, unlike the cumulative counters).
+// Stats records search effort counters. It is the one record of search
+// effort: the search span's counters, a result's sat_stats, the live
+// progress feed and the search report all carry it under these JSON
+// names. LearntBytes is the estimated memory held by the learnt-clause
+// database at the time Stats was read (a gauge, unlike the cumulative
+// counters).
 type Stats struct {
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
-	Restarts     int64
-	Learnt       int64
-	Removed      int64
-	LearntBytes  int64
+	Conflicts    int64 `json:"conflicts"`
+	Decisions    int64 `json:"decisions"`
+	Propagations int64 `json:"propagations"`
+	Restarts     int64 `json:"restarts"`
+	Learnt       int64 `json:"learnt"`
+	Removed      int64 `json:"removed,omitempty"`
+	LearntBytes  int64 `json:"learnt_bytes"`
+}
+
+// Add returns the field-wise sum of s and o, LearntBytes included: the
+// running total of effort deltas published by several solvers.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Conflicts:    s.Conflicts + o.Conflicts,
+		Decisions:    s.Decisions + o.Decisions,
+		Propagations: s.Propagations + o.Propagations,
+		Restarts:     s.Restarts + o.Restarts,
+		Learnt:       s.Learnt + o.Learnt,
+		Removed:      s.Removed + o.Removed,
+		LearntBytes:  s.LearntBytes + o.LearntBytes,
+	}
 }
 
 // Sub returns the effort between an earlier reading o and s: the

@@ -2,7 +2,9 @@ package solver
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,5 +231,57 @@ func TestCheckAssumingSpans(t *testing.T) {
 	}
 	if got, want := work["bitblast.terms"], int64(s.NumBlastedTerms()); got != want {
 		t.Errorf("spans sum to %d terms, solver blasted %d", got, want)
+	}
+}
+
+// TestSearchSpanNamesMatchEffort pins one set of names for search effort:
+// every counter on a check's search span equals the field of the same
+// name in the JSON of the check's Effort, the record results, the live
+// feed and the search report carry.
+func TestSearchSpanNamesMatchEffort(t *testing.T) {
+	const pigeons, holes = 6, 5
+	tr := telemetry.NewTrace("names")
+	ctx := telemetry.WithTrace(context.Background(), tr)
+	s := New(Options{Width: 12})
+	b := s.Builder()
+	p := make([][]*term.Term, pigeons)
+	for i := range p {
+		p[i] = make([]*term.Term, holes)
+		for h := range p[i] {
+			p[i][h] = b.Var(fmt.Sprintf("p%d_%d", i, h), term.Bool)
+		}
+		s.Assert(b.Or(p[i]...))
+	}
+	for h := 0; h < holes; h++ {
+		for i := 0; i < pigeons; i++ {
+			for j := i + 1; j < pigeons; j++ {
+				s.Assert(b.Not(b.And(p[i][h], p[j][h])))
+			}
+		}
+	}
+	if got := s.Check(ctx); got != Unsat {
+		t.Fatalf("got %v, want unsat", got)
+	}
+	raw, err := json.Marshal(s.Effort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var effort map[string]int64
+	if err := json.Unmarshal(raw, &effort); err != nil {
+		t.Fatal(err)
+	}
+	counted := 0
+	for key, v := range tr.Work() {
+		name, ok := strings.CutPrefix(key, "search.")
+		if !ok {
+			continue
+		}
+		counted++
+		if got, ok := effort[name]; !ok || got != v {
+			t.Errorf("search span %s = %d, Effort JSON %q = %d (present %v)", name, v, name, got, ok)
+		}
+	}
+	if counted == 0 || effort["conflicts"] == 0 {
+		t.Fatalf("search span counters %v, effort %s: want a search with conflicts", tr.Work(), raw)
 	}
 }

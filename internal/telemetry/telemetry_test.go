@@ -13,11 +13,11 @@ func TestSpanTree(t *testing.T) {
 	ctx := WithTrace(context.Background(), tr)
 
 	ctx2, root := StartSpan(ctx, "job")
-	ctx3, enc := StartSpan(ctx2, "encode")
+	ctx3, hz := StartSpan(ctx2, "sweep.horizon")
 	_, bb := StartSpan(ctx3, "bitblast")
 	bb.SetAttrs(Int("clauses", 42))
 	bb.End()
-	enc.End()
+	hz.End()
 	_, search := StartSpan(ctx2, "search")
 	search.End()
 	root.End()
@@ -30,11 +30,11 @@ func TestSpanTree(t *testing.T) {
 		t.Fatalf("want one root span 'job', got %+v", v.Spans)
 	}
 	job := v.Spans[0]
-	if len(job.Spans) != 2 || job.Spans[0].Name != "encode" || job.Spans[1].Name != "search" {
+	if len(job.Spans) != 2 || job.Spans[0].Name != "sweep.horizon" || job.Spans[1].Name != "search" {
 		t.Fatalf("job children: %+v", job.Spans)
 	}
 	if len(job.Spans[0].Spans) != 1 || job.Spans[0].Spans[0].Name != "bitblast" {
-		t.Fatalf("encode children: %+v", job.Spans[0].Spans)
+		t.Fatalf("sweep.horizon children: %+v", job.Spans[0].Spans)
 	}
 	if got := job.Spans[0].Spans[0].Attrs["clauses"]; got != int64(42) {
 		t.Errorf("bitblast attrs: %v", job.Spans[0].Spans[0].Attrs)
